@@ -159,7 +159,12 @@ mod tests {
                                 got.push(v);
                                 misses = 0;
                             }
-                            None => misses += 1,
+                            None => {
+                                // Let descheduled producers run on a
+                                // loaded host instead of burning the budget.
+                                misses += 1;
+                                wfqueue_sync::thread::yield_now();
+                            }
                         }
                     }
                     got

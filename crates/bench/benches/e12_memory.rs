@@ -22,8 +22,13 @@
 //! The binary **asserts** the acceptance criteria: the `off` series keeps
 //! growing checkpoint over checkpoint, the reclaiming series' live-block
 //! count plateaus (bounded by a constant ceiling after warmup) and ends an
-//! order of magnitude below `off`. Live bytes (block headers + element
-//! payload capacity) are reported as the RSS proxy.
+//! order of magnitude below `off`, and their live bytes plateau too. Live
+//! bytes (block headers, element payload capacity, and the `SegVec` slot
+//! storage — chunks still linked plus directory) are the RSS proxy. The
+//! byte ceiling at each checkpoint is 1.25× the first checkpoint plus a
+//! quarter byte per logical block: the chunk directory keeps one pointer
+//! per 64 slots of history, while slot storage that truncation never gave
+//! back would cost at least 8 B per logical block.
 //!
 //! `--json` prints a machine-readable summary (used by
 //! `scripts/bench_e12.sh` to record `BENCH_e12.json`).
@@ -55,6 +60,9 @@ struct Checkpoint {
     ops: u64,
     live_blocks: usize,
     live_bytes: usize,
+    /// Blocks ever retained ([`uintro::BlockCounts::logical`]); 0 for the
+    /// bounded series, which has no such counter.
+    logical_blocks: usize,
 }
 
 struct Series {
@@ -69,7 +77,7 @@ struct Series {
 fn churn<H: Send>(
     handles: Vec<H>,
     mut step: impl FnMut(&mut H, u64) + Send + Copy,
-    sample: impl Fn() -> (usize, usize) + Sync,
+    sample: impl Fn() -> (usize, usize, usize) + Sync,
 ) -> Vec<Checkpoint> {
     assert_eq!(handles.len(), THREADS);
     let barrier = Barrier::new(THREADS);
@@ -92,11 +100,12 @@ fn churn<H: Send>(
                         }
                         barrier.wait();
                         if t == 0 {
-                            let (live_blocks, live_bytes) = sample();
+                            let (live_blocks, live_bytes, logical_blocks) = sample();
                             samples.push(Checkpoint {
                                 ops: (c + 1) * ROUNDS_PER_CHECKPOINT * THREADS as u64 * 2,
                                 live_blocks,
                                 live_bytes,
+                                logical_blocks,
                             });
                         }
                         barrier.wait();
@@ -130,7 +139,10 @@ fn unbounded_series(policy: ReclaimPolicy, label: &'static str) -> Series {
             h.enqueue(i);
             let _ = h.dequeue();
         },
-        || (uintro::total_blocks(&q), uintro::live_block_bytes(&q)),
+        || {
+            let counts = uintro::block_counts(&q);
+            (counts.live, uintro::live_block_bytes(&q), counts.logical)
+        },
     );
     uintro::check_invariants(&q).expect("quiescent invariants");
     Series {
@@ -158,9 +170,11 @@ fn sharded_series() -> Series {
             let _ = h.dequeue();
         },
         || {
+            let counts = q.shards().iter().map(uintro::block_counts);
             (
-                q.shards().iter().map(uintro::total_blocks).sum(),
+                counts.clone().map(|c| c.live).sum(),
                 q.shards().iter().map(uintro::live_block_bytes).sum(),
+                counts.map(|c| c.logical).sum(),
             )
         },
     );
@@ -186,7 +200,7 @@ fn bounded_series() -> Series {
             h.enqueue(i);
             let _ = h.dequeue();
         },
-        || (bintro::space_stats(&q).total_blocks, 0),
+        || (bintro::space_stats(&q).total_blocks, 0, 0),
     );
     bintro::check_invariants(&q).expect("quiescent invariants");
     Series {
@@ -214,8 +228,11 @@ fn main() {
     // ...while the truncating series plateau: after the first checkpoint the
     // live-block count stays under a constant ceiling, nowhere near the
     // linear trajectory.
+    // The bytes they hold plateau as well: truncation gives back the slot
+    // storage below each boundary, not only the blocks.
     for series in [&reclaiming, &sharded] {
         let ceiling = series.checkpoints[0].live_blocks.max(4_096);
+        let first_bytes = series.checkpoints[0].live_bytes;
         for c in &series.checkpoints[1..] {
             assert!(
                 c.live_blocks <= ceiling,
@@ -223,6 +240,15 @@ fn main() {
                 series.queue,
                 series.policy,
                 c.live_blocks,
+                c.ops
+            );
+            let byte_ceiling = first_bytes + first_bytes / 4 + c.logical_blocks / 4;
+            assert!(
+                c.live_bytes <= byte_ceiling,
+                "{}/{} bytes must plateau: {} B > {byte_ceiling} B at {} ops",
+                series.queue,
+                series.policy,
+                c.live_bytes,
                 c.ops
             );
         }
@@ -249,8 +275,8 @@ fn main() {
                     points.push_str(", ");
                 }
                 points.push_str(&format!(
-                    "{{\"ops\": {}, \"live_blocks\": {}, \"live_bytes\": {}}}",
-                    c.ops, c.live_blocks, c.live_bytes
+                    "{{\"ops\": {}, \"live_blocks\": {}, \"live_bytes\": {}, \"logical_blocks\": {}}}",
+                    c.ops, c.live_blocks, c.live_bytes, c.logical_blocks
                 ));
             }
             series_rows.push_str(&format!(
@@ -288,6 +314,6 @@ fn main() {
          the every-{PERIOD} series plateau at a level set by the resident set and\n\
          the reclamation period, composing with sharding; wf-bounded is the §6\n\
          reference. live KiB counts block headers + element payload capacity\n\
-         (RSS proxy; 0 where not measured).\n"
+         + slot storage (RSS proxy; 0 where not measured).\n"
     );
 }

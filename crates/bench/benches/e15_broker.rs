@@ -17,14 +17,20 @@
 //! the enqueue-to-deliver latency of every delivery. At each wave
 //! boundary the generator waits for per-topic quiescence
 //! (`delivered == published`, the seal/gauge certification) and samples
-//! the broker's live-block footprint (the E12 introspection counters).
+//! the broker's live-block footprint (the E12 introspection counters), in
+//! total and for the truncating `ingest` topic alone.
 //! With `feature = "async"` the same bursty profile additionally runs
 //! through the `publish_async`/`recv_async` futures.
 //!
 //! The binary **asserts** the acceptance criteria: every published
-//! message is delivered, the live-block footprint plateaus after warmup
-//! (no leak across 8 waves of churn), and the latency percentiles are
-//! well-formed (p50 ≤ p99 ≤ p999, all nonzero).
+//! message is delivered, the truncating topic's live-block footprint
+//! plateaus after warmup (no wave exceeds the larger of waves 1–2 by more
+//! than 25%, and the last four waves do not rise monotonically past the
+//! floor), and the latency percentiles are well-formed (p50 ≤ p99 ≤ p999,
+//! all nonzero). The total is reported, not asserted: it is dominated by
+//! the §6 `compute` topic, whose quiescent block count swings up to 3×
+//! from wave to wave with the phase of its GC (bounded by construction,
+//! and asserted flat by E12 and `tests/memory_reclaim.rs`).
 //!
 //! `--json` prints a machine-readable summary (used by
 //! `scripts/bench_e15.sh` to record `BENCH_e15.json`).
@@ -47,6 +53,10 @@ const PUB_WORKERS: u64 = 2;
 const BOUNDED_CAPACITY: usize = 4_096;
 /// Truncation period of the unbounded topic.
 const PERIOD: usize = 16;
+/// Live blocks below which the truncating topic's footprint is within
+/// truncation's own sawtooth (up to one period's backlog per tree level),
+/// so neither plateau check fires there.
+const PLATEAU_FLOOR: usize = 4_096;
 /// Virtual clients for the (smaller) async-facade phase.
 #[cfg(feature = "async")]
 const ASYNC_CLIENTS: u64 = 30_000;
@@ -81,6 +91,8 @@ struct Checkpoint {
     wave: u64,
     live_blocks: usize,
     live_bytes: usize,
+    /// Live blocks of the truncating `ingest` topic alone.
+    ingest_blocks: usize,
 }
 
 struct Phase {
@@ -191,10 +203,12 @@ fn sync_phase() -> (Phase, Vec<Checkpoint>) {
             barrier.wait(); // every publisher finished this wave
             await_quiescence(&broker);
             let m = broker.memory_stats();
+            let ingest = broker.topic::<u64>("ingest").unwrap().memory_stats();
             checkpoints.push(Checkpoint {
                 wave: wave + 1,
                 live_blocks: m.live_blocks,
                 live_bytes: m.live_bytes,
+                ingest_blocks: ingest.live_blocks,
             });
             barrier.wait(); // release the next wave
         }
@@ -323,20 +337,28 @@ fn main() {
 
     let (sync, checkpoints) = sync_phase();
 
-    // Acceptance: the broker's footprint plateaus across the churn — the
-    // E12 ceiling idiom (the bounded/ring topics contribute a constant,
-    // the unbounded topic must not leak). 25% headroom over the first
-    // quiescent sample: the truncation phase makes checkpoints fluctuate
-    // a few percent, while a leak compounds wave over wave.
-    let ceiling = (checkpoints[0].live_blocks + checkpoints[0].live_blocks / 4).max(4_096);
-    for c in &checkpoints[1..] {
+    // Acceptance: the truncating topic's footprint plateaus across the
+    // churn — the E12 ceiling idiom. 25% headroom over the larger of the
+    // first two quiescent samples: where a wave ends relative to the
+    // truncation period moves a single sample a lot, while a leak
+    // compounds wave over wave. A leak too slow to cross the ceiling still
+    // shows as a rise over each of the last four waves.
+    let ingest: Vec<usize> = checkpoints.iter().map(|c| c.ingest_blocks).collect();
+    let warm = ingest[0].max(ingest[1]);
+    let ceiling = (warm + warm / 4).max(PLATEAU_FLOOR);
+    for c in &checkpoints[2..] {
         assert!(
-            c.live_blocks <= ceiling,
-            "live blocks must plateau: {} > {ceiling} at wave {}",
-            c.live_blocks,
+            c.ingest_blocks <= ceiling,
+            "ingest live blocks must plateau: {} > {ceiling} at wave {} ({ingest:?})",
+            c.ingest_blocks,
             c.wave
         );
     }
+    let tail = &ingest[ingest.len() - 4..];
+    assert!(
+        !(tail.windows(2).all(|w| w[0] < w[1]) && tail[3] > PLATEAU_FLOOR),
+        "ingest live blocks rose over each of the last four waves: {ingest:?}"
+    );
     check_phase("sync", &sync);
 
     #[cfg(feature = "async")]
@@ -352,8 +374,8 @@ fn main() {
                 points.push_str(", ");
             }
             points.push_str(&format!(
-                "{{\"wave\": {}, \"live_blocks\": {}, \"live_bytes\": {}}}",
-                c.wave, c.live_blocks, c.live_bytes
+                "{{\"wave\": {}, \"live_blocks\": {}, \"live_bytes\": {}, \"ingest_live_blocks\": {}}}",
+                c.wave, c.live_blocks, c.live_bytes, c.ingest_blocks
             ));
         }
         #[cfg(feature = "async")]
@@ -395,21 +417,24 @@ fn main() {
 
     let mut mem = Table::new(
         "E15-broker: quiescent footprint per wave (sum over topics)",
-        &["wave", "live blocks", "live KiB"],
+        &["wave", "live blocks", "live KiB", "ingest blocks"],
     );
     for c in &checkpoints {
         mem.row_owned(vec![
             c.wave.to_string(),
             c.live_blocks.to_string(),
             (c.live_bytes / 1024).to_string(),
+            c.ingest_blocks.to_string(),
         ]);
     }
     println!("{mem}");
     println!(
         "expected shape: p50 sits at the wave's typical backlog depth (bursts\n\
          queue faster than a single-core drain) and the p99/p999 tails reach\n\
-         the wave duration; live blocks plateau at a level set by the burst\n\
-         profile and the every-{PERIOD} truncation — growth across waves\n\
-         would be a broker-layer leak.\n"
+         the wave duration; ingest blocks plateau at a level set by the\n\
+         burst profile and the every-{PERIOD} truncation — growth across\n\
+         waves would be a broker-layer leak. The total swings with the §6\n\
+         topic's GC phase; live KiB (the unbounded topic's blocks and slot\n\
+         storage) grows by the chunk directory's one pointer per 64 slots.\n"
     );
 }

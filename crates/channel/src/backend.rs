@@ -49,7 +49,8 @@ pub struct MemoryStats {
     /// `live + reclaimed`: what the paper's never-reclaiming construction
     /// would retain.
     pub logical_blocks: usize,
-    /// Heap bytes held by the live blocks (unbounded/sharded backends).
+    /// Heap bytes held by the live blocks and the ordering trees' slot
+    /// storage (unbounded/sharded backends).
     pub live_bytes: usize,
 }
 

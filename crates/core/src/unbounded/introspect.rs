@@ -476,9 +476,11 @@ where
     }
 }
 
-/// An RSS proxy: bytes retained by live blocks (block headers plus the
-/// capacity of their element payloads). Used by experiment E12; like every
-/// introspection helper it is exact at quiescence.
+/// An RSS proxy: bytes retained by the tree's storage — live blocks (block
+/// headers plus the capacity of their element payloads) and each node's
+/// slot storage (the `SegVec` chunks still linked plus its directory).
+/// Used by experiments E12 and E15; like every introspection helper it is
+/// exact at quiescence.
 pub fn live_block_bytes<T>(queue: &Queue<T>) -> usize
 where
     T: Clone + Send + Sync,
@@ -488,6 +490,7 @@ where
     let mut bytes = 0;
     for v in 1..topo.len() {
         let node = queue.node(v);
+        bytes += node.blocks.heap_bytes();
         let mut i = node.boundary();
         while let Some(b) = node.block(i) {
             bytes += std::mem::size_of_val(b) + b.elements.capacity() * std::mem::size_of::<T>();

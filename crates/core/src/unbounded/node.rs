@@ -20,7 +20,8 @@ use super::block::Block;
 /// With epoch-based reclamation enabled
 /// ([`crate::unbounded::ReclaimPolicy`]), the installed prefix starts at
 /// `boundary` instead of 0: slots below `boundary` have been unlinked and
-/// freed, and the block at `boundary` is a summary sentinel carrying the
+/// freed (with the `SegVec` chunks lying wholly below it), and the block
+/// at `boundary` is a summary sentinel carrying the
 /// replaced block's scalar fields ([`Block::summary_of`]). `boundary` is 0
 /// (the dummy) for the paper's never-reclaiming queue and only ever
 /// advances, written exclusively by the single truncator thread that holds

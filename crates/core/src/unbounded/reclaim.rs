@@ -10,7 +10,11 @@
 //! sentinel* (`Block::summary_of`: the replaced block's scalar fields,
 //! payload dropped) left at each node's new boundary so every prefix-sum
 //! and interval computation that touches the boundary still resolves
-//! exactly.
+//! exactly. The slot-storage chunks lying wholly below each new boundary
+//! ([`SegVec::take_chunks_below`](wfqueue_segvec::SegVec::take_chunks_below))
+//! are deferred the same way, so the tree's memory follows what is live,
+//! not its history (only the chunk directory, one pointer per 64 slots,
+//! still grows).
 //!
 //! # When is a root block dead?
 //!
@@ -46,9 +50,13 @@
 //! the *memory* behind a reference a reader already holds stays alive until
 //! that reader unpins — which also covers introspection (`dump`,
 //! `check_invariants`, `approx_len`), whose scans are not bounded by the
-//! hindex protocol. Unlinked blocks are passed to
+//! hindex protocol. Unlinked blocks and released chunks are passed to
 //! [`crossbeam_epoch::Guard::defer_destroy`] and freed once every guard
-//! pinned before the unlink has dropped.
+//! pinned before the unlink has dropped. A chunk is released only when all
+//! its slots lie below the node's boundary and were already unlinked; the
+//! chunk holding the boundary summary stays, so an operation (which never
+//! indexes below its `hindex - 1 >= boundary`) never meets a released
+//! chunk, and an introspection scan that does sees an empty slot.
 //!
 //! # Cost model
 //!
@@ -450,6 +458,16 @@ impl<T: Clone + Send + Sync> Queue<T> {
             }
         }
         node.set_boundary(cut);
+        // Every slot of a chunk wholly below `cut` was taken above or by an
+        // earlier pass, so the chunks now hold nothing but dead storage.
+        // The chunk holding the summary at `cut` stays.
+        for chunk in node.blocks.take_chunks_below(cut) {
+            // SAFETY: the chunk was unlinked by `take_chunks_below` and is
+            // deferred exactly once; readers that looked it up before the
+            // unlink are pinned, and no operation indexes below its hindex
+            // - 1 >= cut.
+            unsafe { guard.defer_destroy(Shared::from_ptr(chunk)) };
+        }
         if !self.topology().is_leaf(v) {
             // `blk` stays valid: it is deferred, not freed, while our guard
             // is pinned. Its interval ends delimit exactly the child blocks

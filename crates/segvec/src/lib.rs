@@ -2,19 +2,27 @@
 //!
 //! The ordering-tree queue of Naderibeni & Ruppert (PODC 2023) stores, in
 //! every tree node, an *infinite array* of blocks: slots are written at most
-//! once (by a CAS from null), never overwritten, and never freed before the
-//! whole structure is dropped (§3.3 and Invariant 3 of the paper). This
-//! crate provides the two substrates that realise this model in Rust:
+//! once (by a CAS from null) and never overwritten (§3.3 and Invariant 3 of
+//! the paper). This crate provides the two substrates that realise this
+//! model in Rust:
 //!
 //! * [`SegVec`] — an unbounded, lock-free, write-once vector built from
-//!   geometrically growing segments, supporting wait-free `get` and
-//!   CAS-based `try_install`;
+//!   fixed-size chunks of 64 slots behind a geometrically growing directory,
+//!   supporting wait-free `get` and CAS-based `try_install`;
 //! * [`AtomicOnceCell`] — a single write-once slot, used for the `super`
 //!   approximation and `response` fields of blocks.
 //!
+//! Storage is freed when the structure drops, unless a reclaiming caller
+//! gives it back earlier: the unbounded queue's epoch-based truncation
+//! unlinks dead entries ([`SegVec::take_raw`]) and then the chunks lying
+//! wholly below its new boundary ([`SegVec::take_chunks_below`]), and frees
+//! both only once every reader that could still reach them has unpinned.
+//! The chunk holding the boundary is never released, so the slots a caller
+//! may still index stay allocated.
+//!
 //! Both structures are the only place (besides the epoch-managed tree
 //! versions of the bounded queue) where this workspace uses `unsafe`; each
-//! block is justified by the write-once/never-freed protocol.
+//! block is justified by the write-once / deferred-release protocol.
 
 #![deny(missing_docs)]
 
@@ -22,4 +30,4 @@ mod once_cell;
 mod seg_vec;
 
 pub use once_cell::AtomicOnceCell;
-pub use seg_vec::SegVec;
+pub use seg_vec::{Chunk, SegVec};

@@ -10,7 +10,7 @@
 //! |---|---|---|
 //! | [`signal_scenario`] | `Signal` in `crates/channel/src/wait.rs` | no lost wakeup (a parked waiter is always woken) |
 //! | [`gate_scenario`] | `try_reserve`/`release` in `crates/channel/src/endpoint.rs` | capacity never exceeded; a reserved slot's previous cleanup is visible |
-//! | [`hazard_scenario`] | `begin_op`/`truncate_locked` in `crates/core/src/unbounded/reclaim.rs` | the truncator never frees a slot a published hazard still clamps to |
+//! | [`hazard_scenario`] | `begin_op`/`truncate_locked` in `crates/core/src/unbounded/reclaim.rs` | the truncator never frees a slot a published hazard still clamps to, nor releases the slot chunk that holds it |
 //! | [`scan_scenario`] | `plan_nearest_scan`/`ShardHints` in `crates/shard/src/policy.rs` | an enqueued value is never stranded by a stale `Relaxed` emptiness hint (the fallback pass makes correctness hint-independent) |
 //! | [`reroute_scenario`] | `ShardedHandle::try_rehome` in `crates/shard/src/lib.rs` | per-producer FIFO survives a re-home (the emptiness-witness gate) |
 //! | [`ring_scenario`] | slot/record handshake of `crates/ring/src/lib.rs` | a stalled helper from an earlier ticket can never fill a recycled slot or deliver into a later operation's result (the phase tags) |
@@ -327,25 +327,39 @@ pub struct HazardBugs {
     /// relies on: the scan can miss a hazard that was (program-order)
     /// published before it.
     pub relaxed_hazard_store: bool,
+    /// Round the chunk release *up* to the next chunk boundary instead of
+    /// down: the truncator then also releases the chunk that holds the
+    /// boundary slot `f_final - 1`, which is exactly the slot a held
+    /// hazard clamps to.
+    pub round_chunk_release_up: bool,
 }
+
+/// Slots per chunk in the hazard replica (the real `SegVec` uses 64; two
+/// keep the boundary chunk and the released prefix both in reach of a
+/// three-slot frontier).
+const REPLICA_CHUNK: u64 = 2;
 
 /// The reclamation-frontier scenario, replica of
 /// `crates/core/src/unbounded/reclaim.rs`: a reader runs `begin_op`'s
 /// publish-then-recheck loop and then touches the slot `frontier - 1` it
 /// clamped to, while a truncator advances the frontier to 3 using the
 /// real pass's order — *publish the new frontier, then scan hazards,
-/// then free below `min(frontier, hazards) - 1`*. The reader asserts its
-/// clamp slot was never freed; `freed_below` stands for the unlinked
-/// prefix.
+/// then free below `min(frontier, hazards) - 1`, then release the slot
+/// chunks lying wholly below that boundary*. The reader asserts its clamp
+/// slot was never freed and that the chunk holding it was never released;
+/// `freed_below` stands for the unlinked prefix, `released_below` for the
+/// first slot of the oldest chunk still linked.
 pub fn hazard_scenario(bugs: HazardBugs) -> impl Fn() + Send + Sync + 'static {
     move || {
         let frontier = Arc::new(AtomicU64::new(1));
         let hazard = Arc::new(AtomicU64::new(IDLE));
         let freed_below = Arc::new(AtomicU64::new(0));
-        let (frontier2, hazard2, freed2) = (
+        let released_below = Arc::new(AtomicU64::new(0));
+        let (frontier2, hazard2, freed2, released2) = (
             Arc::clone(&frontier),
             Arc::clone(&hazard),
             Arc::clone(&freed_below),
+            Arc::clone(&released_below),
         );
         let truncator = spawn(move || {
             // `truncate_locked`: two more root blocks proven dead.
@@ -358,7 +372,18 @@ pub fn hazard_scenario(bugs: HazardBugs) -> impl Fn() + Send + Sync + 'static {
             let f_final = if h == IDLE { intent } else { intent.min(h) };
             // Free the dead prefix: slots < f_final - 1 (slot f_final - 1
             // itself survives as the boundary summary).
-            freed2.store(f_final - 1, Ordering::SeqCst);
+            let cut = f_final - 1;
+            freed2.store(cut, Ordering::SeqCst);
+            // `take_chunks_below(cut)`: release only the chunks lying
+            // wholly below the boundary; the boundary's own chunk stays.
+            let chunks = if bugs.round_chunk_release_up {
+                cut / REPLICA_CHUNK + 1
+            } else {
+                cut / REPLICA_CHUNK
+            };
+            // ORDERING: SC like the free above, so the reader's SC check
+            // sees the release in the same total order as the hazard scan.
+            released2.store(chunks * REPLICA_CHUNK, Ordering::SeqCst);
         });
         // The reader: `begin_op`'s publish-then-recheck.
         let store_order = if bugs.relaxed_hazard_store {
@@ -379,9 +404,19 @@ pub fn hazard_scenario(bugs: HazardBugs) -> impl Fn() + Send + Sync + 'static {
         // `published - 1` (OpGuard::floor); it must stay allocated while
         // the hazard is up.
         let slot = published - 1;
+        // The chunk holding that slot must stay linked as well. Read the
+        // release before the free: the truncator stores them in the other
+        // order, so a release this read sees implies a free the next read
+        // sees, and a freed clamp slot is always reported as such.
+        // ORDERING: SC read of the release, mirroring the free's check.
+        let released = released_below.load(Ordering::SeqCst);
         assert!(
             slot >= freed_below.load(Ordering::SeqCst),
             "truncator freed the slot a published hazard clamps to"
+        );
+        assert!(
+            slot >= released,
+            "truncator released the chunk holding a published hazard's clamp slot"
         );
         // `end_op`: clear the hazard.
         hazard.store(IDLE, Ordering::SeqCst);

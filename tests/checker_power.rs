@@ -238,6 +238,25 @@ mod model_checker_power {
         );
     }
 
+    /// Rounding the truncator's chunk release up to the next chunk boundary
+    /// releases the chunk that holds the boundary summary — the slot a held
+    /// hazard clamps to — even though the slot itself was kept.
+    #[test]
+    fn hazard_chunk_release_rounded_up_detected() {
+        let failure = try_explore(
+            opts(),
+            protocols::hazard_scenario(protocols::HazardBugs {
+                round_chunk_release_up: true,
+                ..Default::default()
+            }),
+        )
+        .expect_err("chunk release rounded up must be caught");
+        assert!(
+            failure.message.contains("released the chunk"),
+            "expected a released-chunk assert, got: {failure}"
+        );
+    }
+
     /// Skipping the nearest scan's fallback pass strands a value behind
     /// a stale `Relaxed` hint: the consumer can re-read the lowered hint
     /// forever (coherence permits it) and never probe the shard —

@@ -35,11 +35,11 @@ const RESIDENT: u64 = 16;
 /// Runs the shared churn profile — `RESIDENT` values enqueued up front,
 /// then enqueue+dequeue pairs — sampling a space metric at each quiescent
 /// checkpoint.
-fn churn_checkpoints<H>(
+fn churn_checkpoints<H, S>(
     mut step: impl FnMut(&mut H, u64),
     h: &mut H,
-    mut sample: impl FnMut() -> usize,
-) -> Vec<usize> {
+    mut sample: impl FnMut() -> S,
+) -> Vec<S> {
     let mut samples = Vec::new();
     for c in 0..CHECKPOINTS as u64 {
         for i in 0..ROUNDS_PER_CHECKPOINT {
@@ -115,6 +115,74 @@ fn unbounded_with_reclamation_plateaus() {
     let drained: Vec<u64> = h.drain().collect();
     assert_eq!(drained.len(), RESIDENT as usize);
     assert!(drained.windows(2).all(|w| w[0] < w[1]), "FIFO preserved");
+}
+
+/// The byte-plateau criterion: at every checkpoint `(live_bytes,
+/// logical_blocks)`, the bytes the tree holds (blocks *and* slot storage)
+/// stay within 1.25× the first checkpoint plus a quarter byte per logical
+/// block. Slot storage that is never released costs at least 8 B per
+/// logical block, far past that allowance; the chunk directory that does
+/// keep growing costs one pointer per 64 slots.
+fn assert_byte_plateau(what: &str, samples: &[(usize, usize)]) {
+    println!("{what}: (live bytes, logical blocks) per checkpoint: {samples:?}");
+    let first = samples[0].0;
+    for (c, &(bytes, logical)) in samples.iter().enumerate() {
+        let ceiling = first + first / 4 + logical / 4;
+        assert!(
+            bytes <= ceiling,
+            "{what}: live bytes must plateau, checkpoint {c} holds {bytes} B > {ceiling} B \
+             (logical blocks {logical}): {samples:?}"
+        );
+    }
+}
+
+#[test]
+fn unbounded_with_reclamation_bytes_plateau() {
+    let q: wfqueue::unbounded::Queue<u64> =
+        wfqueue::unbounded::Queue::with_reclaim(2, ReclaimPolicy::EveryKRootBlocks(32));
+    let mut h = q.register().unwrap();
+    for i in 0..RESIDENT {
+        h.enqueue(i);
+    }
+    let samples = churn_checkpoints(
+        |h, i| {
+            h.enqueue(i);
+            let _ = h.dequeue();
+        },
+        &mut h,
+        || {
+            let bytes = uintro::live_block_bytes(&q);
+            (bytes, uintro::block_counts(&q).logical)
+        },
+    );
+    assert_byte_plateau("unbounded", &samples);
+}
+
+#[test]
+fn sharded_reclaiming_bytes_plateau() {
+    let q: WfShardedUnbounded<u64> = WfShardedUnbounded::with_reclaim(
+        2,
+        2,
+        Routing::PerProducer,
+        ReclaimPolicy::EveryKRootBlocks(16),
+    );
+    let mut handles = q.0.handles();
+    let samples = churn_checkpoints(
+        |handles: &mut Vec<_>, round| {
+            for h in handles.iter_mut() {
+                h.enqueue(round);
+                assert_eq!(h.dequeue(), Some(round));
+            }
+        },
+        &mut handles,
+        || {
+            let shards = q.0.shards();
+            let bytes = shards.iter().map(uintro::live_block_bytes).sum();
+            let logical = shards.iter().map(|s| uintro::block_counts(s).logical);
+            (bytes, logical.sum())
+        },
+    );
+    assert_byte_plateau("sharded", &samples);
 }
 
 #[test]

@@ -80,8 +80,9 @@ fn gate_capacity_never_exceeded_and_handoff_synchronizes() {
 }
 
 /// The truncator never frees the slot a published hazard index clamps
-/// to: `begin_op`'s publish-then-recheck vs `truncate_locked`'s
-/// publish-then-scan, in every interleaving.
+/// to, nor releases the slot chunk holding it: `begin_op`'s
+/// publish-then-recheck vs `truncate_locked`'s publish-then-scan, in every
+/// interleaving.
 #[test]
 fn hazard_truncator_never_frees_held_slot() {
     let r = explore(
