@@ -13,7 +13,9 @@
 //! Structure sharing is via [`Arc`]: `insert` and `split_ge` copy only
 //! `O(log n)` nodes (the search path plus rebalancing spines), never the
 //! whole tree, so a new version can be published to concurrent readers with
-//! a single CAS.
+//! a single CAS. Inserting above the maximum, the queue's only insert, is
+//! one `join` down the right spine. `split_ge` also counts the subtree it
+//! discards to keep `len` exact, so it costs O(log n + removed).
 //!
 //! # Examples
 //!
@@ -200,7 +202,18 @@ impl<V: Clone + Send + Sync> PersistentOrderedMap<V> for PAvl<V> {
         None
     }
 
+    /// A key above the cached maximum is an append: one `join` of the root
+    /// with the new binding, which walks down the right spine once. Any
+    /// other key takes the general split–join path.
     fn insert(&self, key: u64, value: V) -> Self {
+        if self.max.as_ref().is_none_or(|(mk, _)| *mk < key) {
+            return PAvl {
+                root: join(self.root.clone(), key, value.clone(), None),
+                len: self.len + 1,
+                min: self.min.clone().or_else(|| Some((key, value.clone()))),
+                max: Some((key, value)),
+            };
+        }
         let (below, at_or_above) = split(&self.root, key);
         let had_key = self.get(key).is_some();
         let (_, above) = split(&at_or_above, key + 1);
@@ -228,6 +241,9 @@ impl<V: Clone + Send + Sync> PersistentOrderedMap<V> for PAvl<V> {
         }
     }
 
+    /// Copies O(log n) nodes, but keeping `len` exact walks the discarded
+    /// subtree once: the cost is O(log n + removed), amortized O(1) per
+    /// insert since each key is removed at most once.
     fn split_ge(&self, threshold: u64) -> Self {
         let (below, kept) = split(&self.root, threshold);
         let removed = count(&below);
@@ -296,6 +312,12 @@ impl<V: Clone + Send + Sync> PersistentOrderedMap<V> for PAvl<V> {
 
     fn depth(&self) -> usize {
         height(&self.root) as usize
+    }
+
+    fn node_bytes(&self) -> usize {
+        // Each node is one `Arc` allocation: strong and weak counts, then
+        // the node.
+        self.len * (2 * std::mem::size_of::<usize>() + std::mem::size_of::<Node<V>>())
     }
 }
 

@@ -35,8 +35,8 @@ use wfqueue_shard::{ShardedHandle, ShardedUnbounded};
 /// * [`Backend::Sharded`](crate::Backend::Sharded): the sum over every
 ///   shard's counters.
 /// * [`Backend::BoundedTree`](crate::Backend::BoundedTree): the
-///   bounded-space queue's total live blocks (its GC reclaims in place, so
-///   `reclaimed_blocks` stays `0` and `live_bytes` is not tracked).
+///   bounded-space queue's total live blocks and the bytes of its block
+///   stores (its GC reclaims in place, so `reclaimed_blocks` stays `0`).
 /// * [`Backend::Ring`](crate::Backend::Ring): all zeros — the ring's
 ///   storage is one fixed preallocated array, sized at construction and
 ///   never grown, so there is no trajectory to watch.
@@ -49,8 +49,9 @@ pub struct MemoryStats {
     /// `live + reclaimed`: what the paper's never-reclaiming construction
     /// would retain.
     pub logical_blocks: usize,
-    /// Heap bytes held by the live blocks and the ordering trees' slot
-    /// storage (unbounded/sharded backends).
+    /// Heap bytes held by the live blocks and their containers: the
+    /// ordering trees' slot storage (unbounded/sharded backends) or the
+    /// persistent block stores (bounded-tree backend).
     pub live_bytes: usize,
 }
 
@@ -122,7 +123,7 @@ impl<T: Clone + Send + Sync + 'static> Backend<T> {
                     live_blocks: stats.total_blocks,
                     reclaimed_blocks: 0,
                     logical_blocks: stats.total_blocks,
-                    live_bytes: 0,
+                    live_bytes: bounded::introspect::live_block_bytes(q),
                 }
             }
             Backend::Sharded(q) => {

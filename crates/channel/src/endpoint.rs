@@ -956,6 +956,25 @@ mod tests {
     }
 
     #[test]
+    fn bounded_tree_reports_live_bytes_that_grow_with_blocks() {
+        let (mut tx, rx) = bounded::<u64>(4096);
+        let empty = tx.memory_stats();
+        assert!(empty.live_bytes > 0, "version headers and dummy blocks");
+        for v in 0..256 {
+            tx.send(v).unwrap();
+        }
+        let full = rx.memory_stats();
+        assert!(full.live_blocks > empty.live_blocks);
+        // Every appended block costs at least its inline tree node.
+        let per_block =
+            (full.live_bytes - empty.live_bytes) / (full.live_blocks - empty.live_blocks);
+        assert!(
+            per_block >= 5 * std::mem::size_of::<usize>(),
+            "{per_block} B/block"
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "full-coverage routing")]
     fn sharded_rejects_per_producer_routing() {
         // A pinned receiver could never drain the other shards, breaking

@@ -20,22 +20,33 @@ pub(crate) enum LeafOp<T> {
     },
 }
 
+impl<T> LeafOp<T> {
+    /// The responses cell if this records a dequeue batch.
+    pub fn responses(&self) -> Option<&AtomicOnceCell<Vec<Option<T>>>> {
+        match self {
+            LeafOp::Dequeue { responses } => Some(responses),
+            LeafOp::Enqueue(_) => None,
+        }
+    }
+}
+
 /// One block stored in a node's persistent block tree.
 ///
-/// Compared to the unbounded variant (Figure 3), bounded blocks gain an
-/// explicit `index` (their position in the conceptual `blocks` array, used
-/// as the tree key), lose the `super` hint (superblocks are found by
-/// searching the parent's tree on `endleft`/`endright`), and leaf dequeue
-/// blocks gain a `responses` cell so other processes can help complete
-/// them. Leaf blocks carry a whole batch of same-kind operations; the block
-/// store is unaffected because keys stay per-block.
+/// Compared to the unbounded variant (Figure 3), bounded blocks are keyed
+/// by their position in the conceptual `blocks` array (the tree key, so the
+/// block itself does not repeat it), lose the `super` hint (superblocks are
+/// found by searching the parent's tree on `endleft`/`endright`), and leaf
+/// dequeue blocks gain a `responses` cell so other processes can help
+/// complete them. Leaf blocks carry a whole batch of same-kind operations;
+/// the block store is unaffected because keys stay per-block.
 ///
-/// Blocks are fully immutable after construction except for the `responses`
-/// write-once cell; they are shared between tree versions via [`Arc`].
+/// Blocks live inline in the persistent tree's nodes, so path copying
+/// copies them: six words, five counters and one pointer to the leaf
+/// payload (null for internal blocks). The [`LeafOp`] sits behind an
+/// [`Arc`] so that every tree version shares the one write-once
+/// `responses` cell.
 #[derive(Debug)]
 pub(crate) struct Block<T> {
-    /// Position this block would have in the unbounded `blocks` array.
-    pub index: usize,
     /// Prefix count of enqueues up to and including this block (Invariant 7).
     pub sumenq: usize,
     /// Prefix count of dequeues up to and including this block (Invariant 7).
@@ -47,26 +58,29 @@ pub(crate) struct Block<T> {
     /// Queue size after this block's operations (root only).
     pub size: usize,
     /// Leaf payload; `None` for internal and dummy blocks.
-    pub op: Option<LeafOp<T>>,
+    pub op: Option<Arc<LeafOp<T>>>,
+}
+
+/// A plain copy for internal blocks; a leaf block's copy shares its
+/// payload. Written by hand so that `T` need not be `Clone`.
+impl<T> Clone for Block<T> {
+    fn clone(&self) -> Self {
+        Block {
+            op: self.op.clone(),
+            ..*self
+        }
+    }
 }
 
 impl<T> Block<T> {
-    /// The empty block with index 0 that seeds every node's tree.
-    pub fn dummy() -> Arc<Self> {
-        Arc::new(Block {
-            index: 0,
-            sumenq: 0,
-            sumdeq: 0,
-            endleft: 0,
-            endright: 0,
-            size: 0,
-            op: None,
-        })
+    /// The empty block that seeds every node's tree at index 0.
+    pub fn dummy() -> Self {
+        Block::internal(0, 0, 0, 0, 0)
     }
 
     /// Leaf block for `Enqueue(element)` (Figure 5 line 203).
-    pub fn leaf_enqueue(index: usize, element: T, prev: &Block<T>) -> Arc<Self> {
-        Self::leaf_enqueue_batch(index, vec![element], prev)
+    pub fn leaf_enqueue(element: T, prev: &Block<T>) -> Self {
+        Self::leaf_enqueue_batch(vec![element], prev)
     }
 
     /// Leaf block carrying a whole batch of enqueues (one `AddBlock` + one
@@ -75,17 +89,16 @@ impl<T> Block<T> {
     /// # Panics
     ///
     /// Panics if `elements` is empty (blocks are non-empty, Corollary 8).
-    pub fn leaf_enqueue_batch(index: usize, elements: Vec<T>, prev: &Block<T>) -> Arc<Self> {
+    pub fn leaf_enqueue_batch(elements: Vec<T>, prev: &Block<T>) -> Self {
         assert!(!elements.is_empty(), "leaf blocks are non-empty");
-        Arc::new(Block {
-            index,
+        Block {
             sumenq: prev.sumenq + elements.len(),
             sumdeq: prev.sumdeq,
             endleft: 0,
             endright: 0,
             size: 0,
-            op: Some(LeafOp::Enqueue(elements)),
-        })
+            op: Some(Arc::new(LeafOp::Enqueue(elements))),
+        }
     }
 
     /// Leaf block carrying a batch of `count` dequeues (Figure 5 line 208
@@ -94,40 +107,37 @@ impl<T> Block<T> {
     /// # Panics
     ///
     /// Panics if `count` is zero (blocks are non-empty, Corollary 8).
-    pub fn leaf_dequeue_batch(index: usize, count: usize, prev: &Block<T>) -> Arc<Self> {
+    pub fn leaf_dequeue_batch(count: usize, prev: &Block<T>) -> Self {
         assert!(count > 0, "leaf blocks are non-empty");
-        Arc::new(Block {
-            index,
+        Block {
             sumenq: prev.sumenq,
             sumdeq: prev.sumdeq + count,
             endleft: 0,
             endright: 0,
             size: 0,
-            op: Some(LeafOp::Dequeue {
+            op: Some(Arc::new(LeafOp::Dequeue {
                 responses: AtomicOnceCell::new(),
-            }),
-        })
+            })),
+        }
     }
 
     /// Internal (or root) block built by `CreateBlock` (Figure 5 lines
     /// 307–324).
     pub fn internal(
-        index: usize,
         sumenq: usize,
         sumdeq: usize,
         endleft: usize,
         endright: usize,
         size: usize,
-    ) -> Arc<Self> {
-        Arc::new(Block {
-            index,
+    ) -> Self {
+        Block {
             sumenq,
             sumdeq,
             endleft,
             endright,
             size,
             op: None,
-        })
+        }
     }
 
     /// Interval end towards the given direction.
@@ -141,24 +151,38 @@ impl<T> Block<T> {
 
     /// The responses cell if this is a leaf dequeue block.
     pub fn responses(&self) -> Option<&AtomicOnceCell<Vec<Option<T>>>> {
-        match &self.op {
-            Some(LeafOp::Dequeue { responses }) => Some(responses),
-            _ => None,
-        }
+        self.op.as_deref().and_then(LeafOp::responses)
     }
 
     /// Whether this leaf block records a dequeue batch.
     pub fn is_dequeue(&self) -> bool {
-        matches!(self.op, Some(LeafOp::Dequeue { .. }))
+        self.responses().is_some()
     }
 
     /// The enqueued elements (batch order), for leaf enqueue blocks; empty
     /// for every other block kind.
     pub fn elements(&self) -> &[T] {
-        match &self.op {
+        match self.op.as_deref() {
             Some(LeafOp::Enqueue(e)) => e,
             _ => &[],
         }
+    }
+
+    /// Heap bytes of the leaf payload: the shared [`LeafOp`] allocation,
+    /// its element buffer, and the responses once written. `0` for
+    /// internal blocks, whose bytes are all inline.
+    pub fn payload_bytes(&self) -> usize {
+        let Some(op) = self.op.as_deref() else {
+            return 0;
+        };
+        let shared = 2 * size_of::<usize>() + size_of::<LeafOp<T>>();
+        shared
+            + match op {
+                LeafOp::Enqueue(e) => e.capacity() * size_of::<T>(),
+                LeafOp::Dequeue { responses } => responses.get().map_or(0, |r| {
+                    size_of::<Vec<Option<T>>>() + r.capacity() * size_of::<Option<T>>()
+                }),
+            }
     }
 }
 
@@ -168,8 +192,11 @@ mod tests {
 
     #[test]
     fn dummy_block_is_zeroed() {
-        let d: Arc<Block<u8>> = Block::dummy();
-        assert_eq!((d.index, d.sumenq, d.sumdeq, d.size), (0, 0, 0, 0));
+        let d: Block<u8> = Block::dummy();
+        assert_eq!(
+            (d.sumenq, d.sumdeq, d.endleft, d.endright, d.size),
+            (0, 0, 0, 0, 0)
+        );
         assert!(d.op.is_none());
         assert!(!d.is_dequeue());
         assert!(d.elements().is_empty());
@@ -178,25 +205,27 @@ mod tests {
 
     #[test]
     fn leaf_blocks_update_sums_and_payload() {
-        let d: Arc<Block<&str>> = Block::dummy();
-        let e = Block::leaf_enqueue(1, "x", &d);
+        let d: Block<&str> = Block::dummy();
+        let e = Block::leaf_enqueue("x", &d);
         assert_eq!((e.sumenq, e.sumdeq), (1, 0));
         assert_eq!(e.elements(), ["x"]);
-        let q = Block::leaf_dequeue_batch(2, 1, &e);
+        let q = Block::leaf_dequeue_batch(1, &e);
         assert_eq!((q.sumenq, q.sumdeq), (1, 1));
         assert!(q.is_dequeue());
         assert!(q.responses().unwrap().get().is_none());
+        // A copy shares the write-once cell with the original.
+        let copy = q.clone();
         q.responses().unwrap().set(vec![Some("x")]).unwrap();
-        assert_eq!(q.responses().unwrap().get(), Some(&vec![Some("x")]));
+        assert_eq!(copy.responses().unwrap().get(), Some(&vec![Some("x")]));
     }
 
     #[test]
     fn batched_leaf_blocks_update_sums_by_batch_size() {
-        let d: Arc<Block<u8>> = Block::dummy();
-        let e = Block::leaf_enqueue_batch(1, vec![10, 11, 12], &d);
+        let d: Block<u8> = Block::dummy();
+        let e = Block::leaf_enqueue_batch(vec![10, 11, 12], &d);
         assert_eq!((e.sumenq, e.sumdeq), (3, 0));
         assert_eq!(e.elements(), [10, 11, 12]);
-        let q = Block::leaf_dequeue_batch(2, 4, &e);
+        let q = Block::leaf_dequeue_batch(4, &e);
         assert_eq!((q.sumenq, q.sumdeq), (3, 4));
         assert!(q.is_dequeue());
     }
@@ -204,13 +233,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-empty")]
     fn empty_batches_panic() {
-        let d: Arc<Block<u8>> = Block::dummy();
-        let _ = Block::leaf_enqueue_batch(1, vec![], &d);
+        let d: Block<u8> = Block::dummy();
+        let _ = Block::leaf_enqueue_batch(vec![], &d);
     }
 
     #[test]
     fn end_selects_direction() {
-        let b: Arc<Block<u8>> = Block::internal(3, 4, 5, 6, 7, 0);
+        let b: Block<u8> = Block::internal(4, 5, 6, 7, 0);
         assert_eq!(b.end(true), 6);
         assert_eq!(b.end(false), 7);
     }

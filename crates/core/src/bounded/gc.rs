@@ -1,8 +1,6 @@
 //! Garbage collection of obsolete blocks: `SplitBlock`, `Help` and
 //! `Propagated` (Figure 5 lines 234–248, 268–280, 298–306 of the paper).
 
-use std::sync::Arc;
-
 use crossbeam_epoch as epoch;
 use wfqueue_metrics as metrics;
 use wfqueue_pstore::PersistentOrderedMap;
@@ -22,8 +20,13 @@ impl<T: Clone + Send + Sync, F: StoreFamily> Queue<T, F> {
     /// unfinished block). Below the root the split point is mapped down
     /// through the `endleft`/`endright` interval ends. If a block needed for
     /// the mapping was already discarded by another GC phase, the node's
-    /// minimum block is used instead (line 247).
-    pub(crate) fn split_block(&self, v: usize, guard: &epoch::Guard) -> Arc<Block<T>> {
+    /// minimum block is used instead (line 247). Returns the block with its
+    /// index.
+    pub(crate) fn split_block<'g>(
+        &self,
+        v: usize,
+        guard: &'g epoch::Guard,
+    ) -> (usize, &'g Block<T>) {
         let topo = *self.topology();
         let tree = self.node(v).load(guard);
         let candidate = if v == topo.root() {
@@ -31,18 +34,17 @@ impl<T: Clone + Send + Sync, F: StoreFamily> Queue<T, F> {
                 .map(|k| self.last_of(k))
                 .max()
                 .unwrap_or(0);
-            if m == 0 {
-                None
-            } else {
-                tree.tree.get((m - 1) as u64).cloned()
-            }
+            m.checked_sub(1)
         } else {
-            let parent_split = self.split_block(topo.parent(v), guard);
-            let idx = parent_split.end(topo.is_left_child(v));
-            tree.tree.get(idx as u64).cloned()
+            let (_, parent_split) = self.split_block(topo.parent(v), guard);
+            Some(parent_split.end(topo.is_left_child(v)))
         };
+        let found = candidate.and_then(|idx| Some((idx, tree.tree.get(idx as u64)?)));
         // Line 247: if the block was discarded, use the leftmost block.
-        candidate.unwrap_or_else(|| Arc::clone(tree.tree.min().expect("trees are never empty").1))
+        found.unwrap_or_else(|| {
+            let (k, block) = tree.tree.min().expect("trees are never empty");
+            (k as usize, block)
+        })
     }
 
     /// `Help` — Figure 5 lines 298–306: complete every pending dequeue that
@@ -52,29 +54,25 @@ impl<T: Clone + Send + Sync, F: StoreFamily> Queue<T, F> {
         let topo = *self.topology();
         for k in 0..topo.num_processes() {
             let leaf = topo.leaf_of(k);
-            let (max_block, numdeq) = {
+            let (index, max_block, numdeq) = {
                 let guard = epoch::pin();
                 let tref = self.node(leaf).load(&guard);
-                let max = Arc::clone(tref.tree.max().expect("trees are never empty").1);
+                let (key, max) = tref.tree.max().expect("trees are never empty");
+                let index = key as usize;
                 // Batch size of the pending dequeue block. If the
                 // predecessor was already discarded, the block is finished
                 // (Invariant 27) and needs no help.
-                let numdeq = if max.index > 0 {
-                    tref.tree
-                        .get((max.index - 1) as u64)
-                        .map(|prev| max.sumdeq - prev.sumdeq)
+                let numdeq = if index > 0 {
+                    tref.tree.get(key - 1).map(|prev| max.sumdeq - prev.sumdeq)
                 } else {
                     None
                 };
-                (max, numdeq)
+                (index, max.clone(), numdeq)
             };
             let Some(numdeq) = numdeq else { continue };
-            if max_block.is_dequeue()
-                && max_block.index > 0
-                && self.propagated(leaf, max_block.index)
-            {
+            if max_block.is_dequeue() && index > 0 && self.propagated(leaf, index) {
                 metrics::record_help();
-                if let Ok(responses) = self.complete_deq(pid, leaf, max_block.index, numdeq) {
+                if let Ok(responses) = self.complete_deq(pid, leaf, index, numdeq) {
                     // First writer wins; the owner (or another helper) may
                     // have written them already.
                     let _ = max_block
@@ -108,11 +106,11 @@ impl<T: Clone + Send + Sync, F: StoreFamily> Queue<T, F> {
             // Minimum block with end_dir ≥ b: the superblock (or a later
             // block, if the superblock was discarded — which can only make
             // the "propagated" answer stay true).
-            let (_, sup) = tref
+            let (sup, _) = tref
                 .tree
                 .first_where(|blk| blk.end(is_left) >= b)
                 .expect("max satisfies the predicate");
-            b = sup.index;
+            b = sup as usize;
             v = parent;
         }
     }

@@ -8,8 +8,12 @@
 //! paper's assumed garbage collector. The store itself is any
 //! [`wfqueue_pstore::PersistentOrderedMap`], selected by a
 //! [`StoreFamily`](super::store::StoreFamily).
+//!
+//! Blocks are stored inline in the store's tree nodes, keyed by their
+//! index: one allocation per block, copied (with its tree node) when an
+//! update's path passes through it. Only a leaf block's operation payload
+//! is a separate shared allocation (see [`Block`]).
 
-use std::sync::Arc;
 use wfqueue_sync::atomic::Ordering;
 
 use crossbeam_epoch::{self as epoch, Atomic, Guard, Owned, Shared};
@@ -20,7 +24,7 @@ use super::block::Block;
 use super::store::StoreFamily;
 
 /// The persistent store of blocks of one node, keyed by block index.
-pub(crate) type BlockTree<T, F> = <F as StoreFamily>::Map<Arc<Block<T>>>;
+pub(crate) type BlockTree<T, F> = <F as StoreFamily>::Map<Block<T>>;
 
 /// A loaded store version: the shared pointer (needed for the publishing
 /// CAS) plus a dereferenced view valid for the guard's lifetime.
@@ -117,7 +121,7 @@ mod tests {
         assert_eq!(t.tree.len(), 1);
         let (k, b) = t.tree.max().unwrap();
         assert_eq!(k, 0);
-        assert_eq!(b.index, 0);
+        assert_eq!((b.sumenq, b.sumdeq), (0, 0));
     }
 
     #[test]
@@ -131,10 +135,10 @@ mod tests {
         let n: Node<u32, TreapBacked> = Node::new();
         let guard = epoch::pin();
         let t0 = n.load(&guard);
-        let t1 = t0.tree.insert(1, Block::internal(1, 1, 0, 1, 1, 0));
+        let t1 = t0.tree.insert(1, Block::internal(1, 0, 1, 1, 0));
         assert!(n.try_publish(&t0, t1, &guard));
         // Publishing again from the stale version must fail.
-        let t2 = t0.tree.insert(1, Block::internal(1, 2, 0, 1, 1, 0));
+        let t2 = t0.tree.insert(1, Block::internal(2, 0, 1, 1, 0));
         assert!(!n.try_publish(&t0, t2, &guard));
         let now = n.load(&guard);
         assert_eq!(now.tree.len(), 2);

@@ -1,7 +1,6 @@
 //! The bounded-space wait-free queue (Figures 5–6 of the paper).
 
 use std::fmt;
-use std::sync::Arc;
 use wfqueue_sync::atomic::{AtomicUsize, Ordering};
 
 use crossbeam_epoch as epoch;
@@ -10,7 +9,7 @@ use wfqueue_metrics as metrics;
 
 use wfqueue_pstore::PersistentOrderedMap;
 
-use super::block::Block;
+use super::block::{Block, LeafOp};
 use super::node::{BlockTree, Node};
 use super::search::Discarded;
 use super::store::{StoreFamily, TreapBacked};
@@ -208,20 +207,28 @@ impl<T: Clone + Send + Sync, F: StoreFamily> Queue<T, F> {
         }
     }
 
+    /// Appends `make(prev)` as the next block of `pid`'s leaf, `prev`
+    /// being the leaf's current last block, and propagates it to the root
+    /// (Figure 5 lines 203–205 and 208–210). Returns the block's index.
+    ///
+    /// One guard covers the append and the whole propagation, so the
+    /// superseded tree versions are retired in one batch per operation.
+    fn append_leaf_block(&self, pid: usize, make: impl FnOnce(&Block<T>) -> Block<T>) -> usize {
+        let leaf = self.topo.leaf_of(pid);
+        let guard = epoch::pin();
+        let tref = self.node(leaf).load(&guard);
+        let (max_key, prev) = tref.tree.max().expect("trees are never empty");
+        let h = max_key as usize + 1;
+        let next = self.add_block(pid, leaf, tref.tree, h, make(prev), &guard);
+        let published = self.node(leaf).try_publish(&tref, next, &guard);
+        assert!(published, "leaf trees have a single writer (the owner)");
+        self.propagate(pid, self.topo.parent(leaf), &guard);
+        h
+    }
+
     /// `Enqueue(e)` — Figure 5 lines 201–205.
     fn enqueue(&self, pid: usize, element: T) {
-        let leaf = self.topo.leaf_of(pid);
-        {
-            let guard = epoch::pin();
-            let tref = self.node(leaf).load(&guard);
-            let (max_key, prev) = tref.tree.max().expect("trees are never empty");
-            let h = max_key as usize + 1;
-            let block = Block::leaf_enqueue(h, element, prev);
-            let next = self.add_block(pid, leaf, tref.tree, block, &guard);
-            let published = self.node(leaf).try_publish(&tref, next, &guard);
-            assert!(published, "leaf trees have a single writer (the owner)");
-        }
-        self.propagate(pid, self.topo.parent(leaf));
+        self.append_leaf_block(pid, |prev| Block::leaf_enqueue(element, prev));
     }
 
     /// `Dequeue()` — Figure 5 lines 206–217.
@@ -237,18 +244,7 @@ impl<T: Clone + Send + Sync, F: StoreFamily> Queue<T, F> {
         if elements.is_empty() {
             return;
         }
-        let leaf = self.topo.leaf_of(pid);
-        {
-            let guard = epoch::pin();
-            let tref = self.node(leaf).load(&guard);
-            let (max_key, prev) = tref.tree.max().expect("trees are never empty");
-            let h = max_key as usize + 1;
-            let block = Block::leaf_enqueue_batch(h, elements, prev);
-            let next = self.add_block(pid, leaf, tref.tree, block, &guard);
-            let published = self.node(leaf).try_publish(&tref, next, &guard);
-            assert!(published, "leaf trees have a single writer (the owner)");
-        }
-        self.propagate(pid, self.topo.parent(leaf));
+        self.append_leaf_block(pid, |prev| Block::leaf_enqueue_batch(elements, prev));
     }
 
     /// Batched dequeue: appends one leaf block with `count` dequeues,
@@ -260,21 +256,15 @@ impl<T: Clone + Send + Sync, F: StoreFamily> Queue<T, F> {
         if count == 0 {
             return Vec::new();
         }
-        let leaf = self.topo.leaf_of(pid);
-        let block;
-        let h;
-        {
-            let guard = epoch::pin();
-            let tref = self.node(leaf).load(&guard);
-            let (max_key, prev) = tref.tree.max().expect("trees are never empty");
-            h = max_key as usize + 1;
-            block = Block::leaf_dequeue_batch(h, count, prev);
-            let next = self.add_block(pid, leaf, tref.tree, Arc::clone(&block), &guard);
-            let published = self.node(leaf).try_publish(&tref, next, &guard);
-            assert!(published, "leaf trees have a single writer (the owner)");
-        }
-        self.propagate(pid, self.topo.parent(leaf));
-        match self.complete_deq(pid, leaf, h, count) {
+        // Keep the payload: its responses cell outlives the block's stay
+        // in the tree (the Discarded fallback below reads it).
+        let mut op = None;
+        let h = self.append_leaf_block(pid, |prev| {
+            let block = Block::leaf_dequeue_batch(count, prev);
+            op.clone_from(&block.op);
+            block
+        });
+        match self.complete_deq(pid, self.topo.leaf_of(pid), h, count) {
             Ok(responses) => responses,
             Err(Discarded) => {
                 // Lemma 28: a block needed to compute our responses was
@@ -282,8 +272,9 @@ impl<T: Clone + Send + Sync, F: StoreFamily> Queue<T, F> {
                 // helper wrote the responses into our leaf block. The write
                 // happens-before the tree version we observed the discard
                 // in, so it is visible now; spin defensively regardless.
-                let cell = block
-                    .responses()
+                let cell = op
+                    .as_deref()
+                    .and_then(LeafOp::responses)
                     .expect("the block we appended is a dequeue block");
                 let mut spins = 0u64;
                 loop {
@@ -303,11 +294,11 @@ impl<T: Clone + Send + Sync, F: StoreFamily> Queue<T, F> {
     }
 
     /// `Propagate(v)` — Figure 5 lines 249–257 (iterative double refresh).
-    pub(crate) fn propagate(&self, pid: usize, v: usize) {
+    pub(crate) fn propagate(&self, pid: usize, v: usize, guard: &epoch::Guard) {
         let mut v = v;
         loop {
-            if !self.refresh(pid, v) {
-                self.refresh(pid, v);
+            if !self.refresh(pid, v, guard) {
+                self.refresh(pid, v, guard);
             }
             if v == self.topo.root() {
                 return;
@@ -317,37 +308,31 @@ impl<T: Clone + Send + Sync, F: StoreFamily> Queue<T, F> {
     }
 
     /// `Refresh(v)` — Figure 5 lines 258–267.
-    fn refresh(&self, pid: usize, v: usize) -> bool {
-        let guard = epoch::pin();
-        let tref = self.node(v).load(&guard);
+    fn refresh(&self, pid: usize, v: usize, guard: &epoch::Guard) -> bool {
+        let tref = self.node(v).load(guard);
         let (max_key, prev) = tref.tree.max().expect("trees are never empty");
         let h = max_key as usize + 1;
-        match self.create_block(v, h, prev, &guard) {
+        match self.create_block(v, prev, guard) {
             // Nothing to propagate (line 262).
             None => true,
             Some(block) => {
-                let next = self.add_block(pid, v, tref.tree, block, &guard);
+                let next = self.add_block(pid, v, tref.tree, h, block, guard);
                 // Adversarial-scheduler race window; see the unbounded
                 // variant's Refresh for why a lost CAS is cheap here.
                 metrics::adversary_yield();
-                self.node(v).try_publish(&tref, next, &guard)
+                self.node(v).try_publish(&tref, next, guard)
             }
         }
     }
 
-    /// `CreateBlock(v, i)` — Figure 5 lines 307–324.
+    /// `CreateBlock(v, i)` — Figure 5 lines 307–324. The index `i` is not
+    /// stored in the block: it is the key `Refresh` inserts the block at.
     ///
     /// Unlike the unbounded variant, all reads go through tree snapshots
     /// taken *now*: the children's `MaxBlock` yields both the interval ends
     /// and their prefix sums, so no index lookup (and hence no discarded
     /// block) can occur here.
-    fn create_block(
-        &self,
-        v: usize,
-        i: usize,
-        prev: &Arc<Block<T>>,
-        guard: &epoch::Guard,
-    ) -> Option<Arc<Block<T>>> {
+    fn create_block(&self, v: usize, prev: &Block<T>, guard: &epoch::Guard) -> Option<Block<T>> {
         let ltree = self.node(self.topo.left(v)).load(guard);
         let rtree = self.node(self.topo.right(v)).load(guard);
         let (lkey, lmax) = ltree.tree.max().expect("trees are never empty");
@@ -368,24 +353,26 @@ impl<T: Clone + Send + Sync, F: StoreFamily> Queue<T, F> {
             0
         };
         metrics::record_block_alloc();
-        Some(Block::internal(i, sumenq, sumdeq, endleft, endright, size))
+        Some(Block::internal(sumenq, sumdeq, endleft, endright, size))
     }
 
-    /// `AddBlock(v, T, B)` — Figure 5 lines 222–233: insert `block` into
-    /// `tree`, running a GC phase first when the index hits the period.
+    /// `AddBlock(v, T, B)` — Figure 5 lines 222–233: insert `block` at
+    /// `index` into `tree`, running a GC phase first when the index hits
+    /// the period.
     fn add_block(
         &self,
         pid: usize,
         v: usize,
         tree: &BlockTree<T, F>,
-        block: Arc<Block<T>>,
+        index: usize,
+        block: Block<T>,
         guard: &epoch::Guard,
     ) -> BlockTree<T, F> {
-        let key = block.index as u64;
-        if block.index.is_multiple_of(self.gc_period) {
+        let key = index as u64;
+        if index.is_multiple_of(self.gc_period) {
             metrics::record_gc_phase();
             // s := SplitBlock(v).index (line 226).
-            let s = self.split_block(v, guard).index;
+            let (s, _) = self.split_block(v, guard);
             // Help every pending, propagated dequeue so blocks before s are
             // finished (line 227).
             self.help(pid);

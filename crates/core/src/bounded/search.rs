@@ -9,8 +9,6 @@
 //! [`Discarded`] into "read the response cell instead" (owners) or "skip
 //! the help" (helpers).
 
-use std::sync::Arc;
-
 use crossbeam_epoch as epoch;
 use wfqueue_pstore::PersistentOrderedMap;
 
@@ -24,12 +22,12 @@ pub(crate) struct Discarded;
 
 /// Looks up block `index` in a tree version, failing with [`Discarded`] if
 /// a GC phase already removed it.
-fn lookup<T, M>(tree: &M, index: usize) -> Result<Arc<Block<T>>, Discarded>
+fn lookup<T, M>(tree: &M, index: usize) -> Result<&Block<T>, Discarded>
 where
     T: Clone + Send + Sync,
-    M: PersistentOrderedMap<Arc<Block<T>>>,
+    M: PersistentOrderedMap<Block<T>>,
 {
-    tree.get(index as u64).cloned().ok_or(Discarded)
+    tree.get(index as u64).ok_or(Discarded)
 }
 
 impl<T: Clone + Send + Sync, F: StoreFamily> Queue<T, F> {
@@ -73,14 +71,14 @@ impl<T: Clone + Send + Sync, F: StoreFamily> Queue<T, F> {
             let guard = epoch::pin();
             let ptree = self.node(parent).load(&guard);
             // B_p: the superblock (min block with end_dir ≥ b, line 288).
-            let sup = match ptree.tree.first_where(|blk| blk.end(is_left) >= b) {
-                Some((_, blk)) => Arc::clone(blk),
+            let (sup_index, sup) = match ptree.tree.first_where(|blk| blk.end(is_left) >= b) {
+                Some((k, blk)) => (k as usize, blk),
                 // The block was propagated, so only a discard can hide it.
                 None => return Err(Discarded),
             };
             // B′_p: the superblock's predecessor (line 289; consecutive
-            // indices make it `sup.index − 1`).
-            let sup_prev = lookup(ptree.tree, sup.index - 1)?;
+            // indices make it `sup_index − 1`).
+            let sup_prev = lookup(ptree.tree, sup_index - 1)?;
             // Lines 290–294: position of the dequeue within D(B_p).
             let vtree = self.node(v).load(&guard);
             let before_mine = lookup(vtree.tree, b - 1)?;
@@ -95,7 +93,7 @@ impl<T: Clone + Send + Sync, F: StoreFamily> Queue<T, F> {
                 i += sib_end.sumdeq - sib_start.sumdeq;
             }
             v = parent;
-            b = sup.index;
+            b = sup_index;
         }
         Ok((b, i))
     }

@@ -30,8 +30,11 @@
 /// All "mutating" operations take `&self` and return a new version; old
 /// versions remain valid, so a version can be published to concurrent
 /// readers with one atomic pointer swap. Implementations must provide
-/// O(log n) `get`/`insert`/`split_ge`/`first_where`/`last_where` (worst or
-/// expected case — see the implementing crate) and O(1) `min`/`max`/`len`.
+/// O(log n) `get`/`insert`/`first_where`/`last_where` (worst or expected
+/// case — see the implementing crate) and O(1) `min`/`max`/`len`.
+/// `split_ge` costs O(log n + removed): both stores count the discarded
+/// subtree to keep `len` exact instead of storing a size in every node.
+/// Each key is removed at most once, so that is amortized O(1) per insert.
 pub trait PersistentOrderedMap<V: Clone>: Clone + Send + Sync {
     /// Short name used in experiment tables (e.g. `"treap"`, `"avl"`).
     const NAME: &'static str;
@@ -56,7 +59,7 @@ pub trait PersistentOrderedMap<V: Clone>: Clone + Send + Sync {
     fn insert(&self, key: u64, value: V) -> Self;
 
     /// A new version containing only entries with key ≥ `threshold` (the
-    /// paper's `Split`).
+    /// paper's `Split`), in O(log n + removed) steps.
     #[must_use]
     fn split_ge(&self, threshold: u64) -> Self;
 
@@ -79,6 +82,11 @@ pub trait PersistentOrderedMap<V: Clone>: Clone + Send + Sync {
 
     /// Height of the underlying tree (introspection; should be O(log n)).
     fn depth(&self) -> usize;
+
+    /// Heap bytes of the tree nodes this version reaches: one node per
+    /// entry, with its reference counts and its value inline. Heap owned by
+    /// the values themselves is not included (introspection).
+    fn node_bytes(&self) -> usize;
 }
 
 /// Model-based conformance checks shared by every implementation's test

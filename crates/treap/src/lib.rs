@@ -54,10 +54,12 @@ pub fn priority_of(key: u64) -> u64 {
 
 type Link<V> = Option<Arc<Node<V>>>;
 
-#[derive(Debug)]
+/// A treap node. Its priority is [`priority_of`]`(key)`, recomputed where
+/// `merge` needs it rather than stored, so a node is its key, its value and
+/// two links.
+#[derive(Debug, Clone)]
 struct Node<V> {
     key: u64,
-    prio: u64,
     value: V,
     left: Link<V>,
     right: Link<V>,
@@ -68,8 +70,8 @@ struct Node<V> {
 /// All operations take `&self` and return new versions; existing versions
 /// are never mutated, so a version can be published to other threads with a
 /// single atomic pointer swap. Values must be [`Clone`] because path copying
-/// duplicates the nodes on the search path (the queue stores
-/// `Arc<Block>` values, making clones O(1)).
+/// duplicates the nodes on the search path (the queue stores its blocks
+/// inline, and a block clone is a plain copy plus at most one `Arc` bump).
 ///
 /// The minimum and maximum entries are cached in the handle so that the
 /// paper's `MinBlock`/`MaxBlock` queries are O(1) reads, as §B requires.
@@ -145,21 +147,32 @@ impl<V: Clone> PTreap<V> {
     /// Returns a new version with `key → value` inserted. If `key` is
     /// already present its value is replaced.
     ///
-    /// The queue only ever inserts `max_key + 1` (Lemma 24 of the paper),
-    /// but the implementation is general and property-tested as such.
+    /// The queue only ever inserts `max_key + 1` (Lemma 24 of the paper).
+    /// A key above the cached maximum is an append: one `merge` of the root
+    /// with the new node, which walks down the right spine once and copies
+    /// only the nodes whose priority beats the new key's. Any other key
+    /// takes the general split–merge path, which is property-tested
+    /// against a model.
     #[must_use]
     pub fn insert(&self, key: u64, value: V) -> Self {
-        let (below, at_or_above) = split(&self.root, key);
-        // Drop an existing binding for `key`, if any.
-        let (_, above) = split(&at_or_above, key + 1);
-        let had_key = self.get(key).is_some();
         let single = Some(Arc::new(Node {
             key,
-            prio: priority_of(key),
             value: value.clone(),
             left: None,
             right: None,
         }));
+        if self.max.as_ref().is_none_or(|(mk, _)| *mk < key) {
+            return PTreap {
+                root: merge(self.root.clone(), single),
+                len: self.len + 1,
+                min: self.min.clone().or_else(|| Some((key, value.clone()))),
+                max: Some((key, value)),
+            };
+        }
+        let (below, at_or_above) = split(&self.root, key);
+        // Drop an existing binding for `key`, if any.
+        let (_, above) = split(&at_or_above, key + 1);
+        let had_key = self.get(key).is_some();
         let root = merge(merge(below, single), above);
         let len = if had_key { self.len } else { self.len + 1 };
         let min = match &self.min {
@@ -181,6 +194,10 @@ impl<V: Clone> PTreap<V> {
     /// Returns a new version containing only the entries with key ≥
     /// `threshold` (the paper's `Split(T, s)`, which discards all blocks
     /// with index < `s`).
+    ///
+    /// Copies O(depth) nodes, but keeping `len` exact walks the discarded
+    /// subtree once: the cost is O(log n + removed). Each key is removed
+    /// at most once, so that walk is amortized O(1) per insert.
     #[must_use]
     pub fn split_ge(&self, threshold: u64) -> Self {
         let (below, kept) = split(&self.root, threshold);
@@ -311,7 +328,6 @@ fn split<V: Clone>(link: &Link<V>, key: u64) -> (Link<V>, Link<V>) {
                 let (lo, hi) = split(&node.right, key);
                 let new = Arc::new(Node {
                     key: node.key,
-                    prio: node.prio,
                     value: node.value.clone(),
                     left: node.left.clone(),
                     right: lo,
@@ -321,7 +337,6 @@ fn split<V: Clone>(link: &Link<V>, key: u64) -> (Link<V>, Link<V>) {
                 let (lo, hi) = split(&node.left, key);
                 let new = Arc::new(Node {
                     key: node.key,
-                    prio: node.prio,
                     value: node.value.clone(),
                     left: hi,
                     right: node.right.clone(),
@@ -333,30 +348,23 @@ fn split<V: Clone>(link: &Link<V>, key: u64) -> (Link<V>, Link<V>) {
 }
 
 /// Merges two treaps where every key in `left` is smaller than every key in
-/// `right`.
+/// `right`. Nodes on the merge path are copied only if another version
+/// shares them (`Arc::make_mut`); a node the caller owns outright, such as
+/// a fresh single node or a spine just copied by `split`, is relinked in
+/// place.
 fn merge<V: Clone>(left: Link<V>, right: Link<V>) -> Link<V> {
     match (left, right) {
         (None, r) => r,
         (l, None) => l,
-        (Some(l), Some(r)) => {
-            if l.prio >= r.prio {
-                let merged = merge(l.right.clone(), Some(r));
-                Some(Arc::new(Node {
-                    key: l.key,
-                    prio: l.prio,
-                    value: l.value.clone(),
-                    left: l.left.clone(),
-                    right: merged,
-                }))
+        (Some(mut l), Some(mut r)) => {
+            if priority_of(l.key) >= priority_of(r.key) {
+                let node = Arc::make_mut(&mut l);
+                node.right = merge(node.right.take(), Some(r));
+                Some(l)
             } else {
-                let merged = merge(Some(l), r.left.clone());
-                Some(Arc::new(Node {
-                    key: r.key,
-                    prio: r.prio,
-                    value: r.value.clone(),
-                    left: merged,
-                    right: r.right.clone(),
-                }))
+                let node = Arc::make_mut(&mut r);
+                node.left = merge(Some(l), node.left.take());
+                Some(r)
             }
         }
     }
@@ -568,6 +576,42 @@ mod tests {
             }
 
             #[test]
+            fn append_path_builds_the_split_merge_shape(
+                kvs in proptest::collection::btree_map(0u64..512, any::<u64>(), 0..120),
+                shuffle_seed in any::<u64>(),
+            ) {
+                // Ascending inserts all take the append path (key above the
+                // cached max); a shuffled order mostly takes split–merge.
+                let ascending: PTreap<u64> = kvs.iter().map(|(k, v)| (*k, *v)).collect();
+                let mut shuffled: Vec<(u64, u64)> = kvs.iter().map(|(k, v)| (*k, *v)).collect();
+                let mut x = shuffle_seed;
+                for i in (1..shuffled.len()).rev() {
+                    x = priority_of(x);
+                    shuffled.swap(i, (x % (i as u64 + 1)) as usize);
+                }
+                let mixed: PTreap<u64> = shuffled.into_iter().collect();
+                let entries = |t: &PTreap<u64>| t.iter().map(|(k, v)| (k, *v)).collect::<Vec<_>>();
+                prop_assert_eq!(entries(&ascending), entries(&mixed));
+                prop_assert_eq!(ascending.len(), mixed.len());
+                prop_assert_eq!(ascending.min(), mixed.min());
+                prop_assert_eq!(ascending.max(), mixed.max());
+                prop_assert_eq!(ascending.depth(), mixed.depth());
+                // Treaps are canonical in (key, priority_of(key)): the two
+                // trees have the same shape, not just the same depth.
+                fn preorder(link: &Link<u64>, out: &mut Vec<u64>) {
+                    if let Some(n) = link {
+                        out.push(n.key);
+                        preorder(&n.left, out);
+                        preorder(&n.right, out);
+                    }
+                }
+                let (mut a, mut m) = (Vec::new(), Vec::new());
+                preorder(&ascending.root, &mut a);
+                preorder(&mixed.root, &mut m);
+                prop_assert_eq!(a, m);
+            }
+
+            #[test]
             fn get_matches_model(kvs in proptest::collection::btree_map(0u64..512, any::<u64>(), 0..100), probes in proptest::collection::vec(0u64..512, 1..50)) {
                 let treap: PTreap<u64> = kvs.iter().map(|(k, v)| (*k, *v)).collect();
                 for p in probes {
@@ -636,6 +680,12 @@ impl<V: Clone + Send + Sync> wfqueue_pstore::PersistentOrderedMap<V> for PTreap<
 
     fn depth(&self) -> usize {
         PTreap::depth(self)
+    }
+
+    fn node_bytes(&self) -> usize {
+        // Each node is one `Arc` allocation: strong and weak counts, then
+        // the node.
+        self.len * (2 * std::mem::size_of::<usize>() + std::mem::size_of::<Node<V>>())
     }
 }
 
