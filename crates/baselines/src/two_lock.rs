@@ -76,7 +76,13 @@ impl<T: Send> TwoLockQueue<T> {
     pub fn dequeue(&self) -> Option<T> {
         metrics::record_shared_store(); // lock acquisition (shared access)
         let mut head = self.head.lock();
-        let next = head.next.take()?;
+        // Read before taking: on an empty queue the sentinel is also the
+        // tail node, so an enqueuer holding only the tail lock may be
+        // linking a node into its `next` right now. `take()` on a `None`
+        // would still write `None` back and could erase that link, losing
+        // the node and every node appended after it.
+        head.next.as_ref()?;
+        let next = head.next.take().expect("checked nonempty above");
         // The old sentinel is dropped; `next` becomes the new sentinel after
         // we take its value.
         *head = next;

@@ -16,18 +16,11 @@
 //! * `PerProducer` routing on both wait-free variants — the headline
 //!   series; the binary **asserts** throughput strictly increases from
 //!   `S = 1` through `S = 4` on both (the acceptance criterion);
-//! * `Rendezvous` routing on the unbounded variant for context (sweeping
-//!   dequeuers keep full-coverage semantics; shards stay `p`-capacity, so
-//!   the win is contention spreading only). Its rotating-ticket sweep
-//!   probes up to `S` shards from an arbitrary start, so the series
-//!   historically *degraded* from `S = 4` to `S = 8` (E11b);
-//! * `Nearest` routing (ISSUE 7) — the contention-aware replacement:
-//!   hint-guided nearest-first scan, no global ticket. The binary
-//!   **asserts** its `S = 8` point holds at least 95% of its `S = 4`
-//!   throughput — the sweep-degradation the scan was built to remove;
-//! * `Adaptive` routing for context: `Nearest`'s scan plus feedback-driven
-//!   re-homing (the feedback path adds per-op bookkeeping, so it trades a
-//!   little fixed cost for resilience to skewed placements).
+//! * `Nearest` routing on the unbounded variant: full-coverage dequeues
+//!   through a hint-guided nearest-first scan with no shared RMW per
+//!   sweep; shards stay `p`-capacity, so the win is contention spreading
+//!   only. The binary **asserts** its `S = 8` point holds at least 95% of
+//!   its `S = 4` throughput (E11b).
 //!
 //! `--json` prints a machine-readable summary (used by
 //! `scripts/bench_e11.sh` to record `BENCH_e11.json`).
@@ -125,23 +118,9 @@ fn main() {
         &mut series,
     );
     sweep(
-        |s| WfShardedUnbounded::new(s, THREADS, Routing::Rendezvous),
-        "wf-sharded-unbounded",
-        "rendezvous",
-        8_192,
-        &mut series,
-    );
-    sweep(
         |s| WfShardedUnbounded::new(s, THREADS, Routing::Nearest),
         "wf-sharded-unbounded",
         "nearest",
-        8_192,
-        &mut series,
-    );
-    sweep(
-        |s| WfShardedUnbounded::new(s, THREADS, Routing::Adaptive),
-        "wf-sharded-unbounded",
-        "adaptive",
         8_192,
         &mut series,
     );
@@ -158,10 +137,9 @@ fn main() {
         );
     }
 
-    // Acceptance (E11b, ISSUE 7): the contention-aware nearest scan must
-    // not degrade from S = 4 to S = 8 the way the rotating-ticket sweep
-    // did — S = 8 holds ≥ 95% of S = 4 throughput (the slack absorbs
-    // wall-clock noise; the sweep's historical drop was far larger).
+    // Acceptance (E11b): the nearest scan must not degrade from S = 4 to
+    // S = 8 — S = 8 holds ≥ 95% of S = 4 throughput (the slack absorbs
+    // wall-clock noise).
     {
         let t4 = ops_per_sec_at(&series, "wf-sharded-unbounded", "nearest", 4);
         let t8 = ops_per_sec_at(&series, "wf-sharded-unbounded", "nearest", 8);
@@ -189,9 +167,11 @@ fn main() {
                 p.report.cas_avg(),
             ));
         }
+        let cores = wfqueue_sync::thread::available_parallelism().map_or(1, usize::from);
         println!(
             "{{\n  \"experiment\": \"e11_shard\",\n  \"threads\": {THREADS},\n  \
-             \"bounded_gc_period\": {BOUNDED_GC_PERIOD},\n  \"series\": [\n{rows}\n  ]\n}}"
+             \"cores\": {cores},\n  \"bounded_gc_period\": {BOUNDED_GC_PERIOD},\n  \
+             \"series\": [\n{rows}\n  ]\n}}"
         );
         return;
     }
@@ -199,9 +179,7 @@ fn main() {
     for (queue, routing) in [
         ("wf-sharded-unbounded", "per-producer"),
         ("wf-sharded-bounded", "per-producer"),
-        ("wf-sharded-unbounded", "rendezvous"),
         ("wf-sharded-unbounded", "nearest"),
-        ("wf-sharded-unbounded", "adaptive"),
     ] {
         let mut table = Table::new(
             &format!("E11-shard: {queue} / {routing} vs shard count (p = {THREADS})"),
@@ -225,12 +203,10 @@ fn main() {
     println!(
         "expected shape: under per-producer routing each shard's tree serves p/S\n\
          pinned handles, so steps/op and cas/op fall with S (shallower propagation)\n\
-         and throughput rises; rendezvous keeps p-capacity shards (sweeping\n\
-         dequeuers), so its win is root-CAS spreading under real parallelism —\n\
-         and its rotating ticket makes it degrade at high S. nearest replaces\n\
-         the ticket with a hint-guided nearest-first scan: no global RMW per\n\
-         sweep and empty shards are skipped while hints are warm, so S=8 must\n\
-         hold >= 95% of S=4 (asserted). adaptive adds feedback bookkeeping on\n\
-         top of the same scan.\n"
+         and throughput rises; nearest keeps p-capacity shards (scanning\n\
+         dequeuers), so its win is root-CAS spreading under real parallelism.\n\
+         Its hint-guided nearest-first scan takes no global RMW per sweep and\n\
+         skips empty shards while hints are warm, so S=8 must hold >= 95% of\n\
+         S=4 (asserted).\n"
     );
 }

@@ -37,8 +37,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use wfqueue_channel::{
-    Backend, Channel, Endpoints, MemoryStats, PlacementConfig, Receiver, ReclaimPolicy, Routing,
-    Sender, Signal, TryRecvError, TrySendError,
+    Backend, Channel, Endpoints, MemoryStats, PlacementConfig, Receiver, ReclaimPolicy, Sender,
+    Signal, TryRecvError, TrySendError,
 };
 use wfqueue_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
@@ -52,7 +52,7 @@ use crate::error::{
 /// The defaults — unbounded backend, 16 publishers + 16 subscribers — suit
 /// a long-running service topic; the [`TopicConfig::bounded`] and
 /// [`TopicConfig::ring`] shorthands configure backpressured topics. Knobs
-/// that only apply to some backends (`reclaim`, `routing`, `placement`,
+/// that only apply to some backends (`reclaim`, `placement`,
 /// `gc_period`) are validated by the channel builder this config delegates
 /// to: an inapplicable combination is a
 /// [`BrokerError::Config`], not a silent ignore.
@@ -69,9 +69,8 @@ pub struct TopicConfig {
     pub subscribers: usize,
     /// Tree-truncation policy (unbounded/sharded backends only).
     pub reclaim: Option<ReclaimPolicy>,
-    /// Shard routing policy (sharded backend only).
-    pub routing: Option<Routing>,
-    /// Hardware placement for topology-aware routing (sharded only).
+    /// Hardware placement ordering the nearest-first receive scan
+    /// (sharded backend only).
     pub placement: Option<PlacementConfig>,
     /// GC period (bounded-tree backend only).
     pub gc_period: Option<usize>,
@@ -85,7 +84,6 @@ impl Default for TopicConfig {
             publishers: 16,
             subscribers: 16,
             reclaim: None,
-            routing: None,
             placement: None,
             gc_period: None,
         }
@@ -229,9 +227,6 @@ impl<T: Clone + Send + Sync + 'static> TopicCore<T> {
             .gc_period(config.gc_period);
         if let Some(reclaim) = config.reclaim {
             builder = builder.reclaim(reclaim);
-        }
-        if let Some(routing) = config.routing {
-            builder = builder.routing(routing);
         }
         if let Some(placement) = config.placement {
             builder = builder.placement(placement);

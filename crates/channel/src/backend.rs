@@ -78,8 +78,10 @@ pub(crate) enum Backend<T: Clone + Send + Sync + 'static> {
     /// The wCQ-style bounded ring (`wfqueue_ring`): capacity-bounded
     /// *natively* — full/empty detection lives in the ring's ticket
     /// counters, so channels over it skip the channel-layer capacity
-    /// gate entirely (`Shared::capacity` stays `None`).
-    Ring(Ring<T>),
+    /// gate entirely (`Shared::capacity` stays `None`). Boxed: its
+    /// cache-padded tickets make it several times larger than the other
+    /// variants.
+    Ring(Box<Ring<T>>),
 }
 
 impl<T: Clone + Send + Sync + 'static> Backend<T> {
@@ -177,8 +179,9 @@ impl<T: Clone + Send + Sync + 'static> Backend<T> {
                 q.try_handle().map(RawHandle::Sharded)
             }
             Backend::Ring(q) => {
-                // SAFETY: as above.
-                let q: &'static Ring<T> = unsafe { &*std::ptr::from_ref(q) };
+                // SAFETY: as above; the box the backend owns keeps the
+                // ring at one heap address for the backend's whole life.
+                let q: &'static Ring<T> = unsafe { &*std::ptr::from_ref(&**q) };
                 q.register().map(RawHandle::Ring)
             }
         }

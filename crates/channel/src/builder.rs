@@ -19,7 +19,7 @@
 //!
 //! Cross-knob validation happens once, in [`ChannelBuilder::build`], which
 //! returns a [`BuildError`] instead of panicking deep inside a backend
-//! constructor: a reclaim policy on the ring, a routing policy on a
+//! constructor: a reclaim policy on the ring, a placement on a
 //! single-queue backend, a zero capacity — all are rejected up front with
 //! a message naming the inconsistent pair. The free constructors remain as
 //! thin wrappers over this builder (with identical step counts — asserted
@@ -30,9 +30,9 @@ use std::marker::PhantomData;
 use wfqueue_ring::Ring;
 
 use crate::backend::Backend as Queue;
-use crate::{
-    BuildError, Endpoints, PlacementConfig, Receiver, ReclaimPolicy, Routing, Sender, Shared,
-};
+use wfqueue_shard::Routing;
+
+use crate::{BuildError, Endpoints, PlacementConfig, Receiver, ReclaimPolicy, Sender, Shared};
 
 /// Which queue stores the channel's values — the builder's backend knob.
 ///
@@ -70,8 +70,10 @@ pub enum Backend {
     },
     /// `shards` independent wait-free unbounded queues: root-CAS bandwidth
     /// multiplies by the shard count, ordering relaxes to per-sender FIFO
-    /// (configure via [`ChannelBuilder::routing`] /
-    /// [`ChannelBuilder::placement`] / [`ChannelBuilder::reclaim`]).
+    /// (configure via [`ChannelBuilder::placement`] /
+    /// [`ChannelBuilder::reclaim`]). Senders pin to their home shard;
+    /// receivers scan every shard nearest-first
+    /// ([`wfqueue_shard::Routing::Nearest`]).
     Sharded {
         /// Independent shards (≥ 1); `1` is observationally `Unbounded`.
         shards: usize,
@@ -117,7 +119,6 @@ impl Channel {
             backend: Backend::Unbounded,
             endpoints: Endpoints::default(),
             reclaim: None,
-            routing: None,
             placement: None,
             gc_period: None,
             _values: PhantomData,
@@ -129,16 +130,15 @@ impl Channel {
 /// supports; see [`Channel::builder`].
 ///
 /// Knobs left unset take the same defaults the free constructors use
-/// (reclaim `EveryKRootBlocks(64)`, routing `Rendezvous`, detected
-/// placement, paper-default GC period). Setting a knob the chosen backend
-/// cannot honour is a [`BuildError`], not a silent ignore.
+/// (reclaim `EveryKRootBlocks(64)`, detected placement, paper-default GC
+/// period). Setting a knob the chosen backend cannot honour is a
+/// [`BuildError`], not a silent ignore.
 #[derive(Debug, Clone, Copy)]
 #[must_use = "a builder does nothing until `.build()`"]
 pub struct ChannelBuilder<T> {
     backend: Backend,
     endpoints: Endpoints,
     reclaim: Option<ReclaimPolicy>,
-    routing: Option<Routing>,
     placement: Option<PlacementConfig>,
     gc_period: Option<usize>,
     _values: PhantomData<fn() -> T>,
@@ -165,16 +165,8 @@ impl<T: Clone + Send + Sync + 'static> ChannelBuilder<T> {
         self
     }
 
-    /// Sets the routing policy — [`Backend::Sharded`] only (default:
-    /// [`Routing::Rendezvous`]). The policy's receive scan must cover
-    /// every shard.
-    pub fn routing(mut self, routing: Routing) -> Self {
-        self.routing = Some(routing);
-        self
-    }
-
-    /// Sets the hardware placement consulted by the topology-aware routing
-    /// policies — [`Backend::Sharded`] only (default:
+    /// Sets the hardware placement that orders the sharded backend's
+    /// nearest-first receive scan — [`Backend::Sharded`] only (default:
     /// [`PlacementConfig::Detect`]).
     pub fn placement(mut self, placement: PlacementConfig) -> Self {
         self.placement = Some(placement);
@@ -195,8 +187,8 @@ impl<T: Clone + Send + Sync + 'static> ChannelBuilder<T> {
     ///
     /// [`BuildError`] naming the first inconsistency: a zero capacity /
     /// shard count / endpoint budget, a ring capacity beyond
-    /// [`wfqueue_ring::MAX_CAPACITY`], a knob the chosen backend does not
-    /// support, or a sharded routing policy without full scan coverage.
+    /// [`wfqueue_ring::MAX_CAPACITY`], or a knob the chosen backend does
+    /// not support.
     ///
     /// # Examples
     ///
@@ -229,12 +221,12 @@ impl<T: Clone + Send + Sync + 'static> ChannelBuilder<T> {
                 };
                 (Queue::SpaceBounded(queue), Some(capacity))
             }
-            Backend::Ring { capacity } => (Queue::Ring(Ring::new(capacity, total)), None),
+            Backend::Ring { capacity } => (Queue::Ring(Box::new(Ring::new(capacity, total))), None),
             Backend::Sharded { shards } => (
                 Queue::Sharded(wfqueue_shard::ShardedUnbounded::with_reclaim_placed(
                     shards,
                     total,
-                    self.routing.unwrap_or(Routing::Rendezvous),
+                    Routing::Nearest,
                     reclaim,
                     self.placement.unwrap_or_default(),
                 )),
@@ -259,9 +251,6 @@ impl<T: Clone + Send + Sync + 'static> ChannelBuilder<T> {
         let reclaim_ok = matches!(self.backend, Backend::Unbounded | Backend::Sharded { .. });
         if self.reclaim.is_some() && !reclaim_ok {
             return Err(BuildError::ReclaimUnsupported { backend });
-        }
-        if self.routing.is_some() && !matches!(self.backend, Backend::Sharded { .. }) {
-            return Err(BuildError::RoutingUnsupported { backend });
         }
         if self.placement.is_some() && !matches!(self.backend, Backend::Sharded { .. }) {
             return Err(BuildError::PlacementUnsupported { backend });
@@ -290,14 +279,6 @@ impl<T: Clone + Send + Sync + 'static> ChannelBuilder<T> {
             Backend::Sharded { shards } => {
                 if shards == 0 {
                     return Err(BuildError::ZeroShards);
-                }
-                if !self
-                    .routing
-                    .unwrap_or(Routing::Rendezvous)
-                    .policy()
-                    .full_coverage()
-                {
-                    return Err(BuildError::PartialCoverageRouting);
                 }
             }
         }
@@ -391,12 +372,6 @@ mod tests {
             }
         );
         assert_eq!(
-            build(Channel::builder().routing(Routing::RoundRobin)),
-            BuildError::RoutingUnsupported {
-                backend: "unbounded"
-            }
-        );
-        assert_eq!(
             build(
                 Channel::builder()
                     .backend(Backend::Ring { capacity: 8 })
@@ -410,22 +385,13 @@ mod tests {
                 backend: "unbounded"
             }
         );
-        assert_eq!(
-            build(
-                Channel::builder()
-                    .backend(Backend::Sharded { shards: 2 })
-                    .routing(Routing::PerProducer)
-            ),
-            BuildError::PartialCoverageRouting
-        );
     }
 
     #[test]
     fn valid_knobs_reach_their_backends() {
-        // Sharded accepts routing + placement + reclaim.
+        // Sharded accepts placement + reclaim.
         let (mut tx, mut rx) = Channel::builder::<u32>()
             .backend(Backend::Sharded { shards: 2 })
-            .routing(Routing::Nearest)
             .placement(PlacementConfig::Flat)
             .reclaim(ReclaimPolicy::EveryKRootBlocks(8))
             .build()

@@ -172,8 +172,7 @@ impl<T: Clone + Send + Sync + 'static> Shared<T> {
     /// capacity-blocked senders (no-op on unbounded channels).
     fn release(&self, n: usize) {
         if self.capacity.is_some() {
-            // One RMW, approximated as load + store in the step model
-            // (same accounting as the shard crate's rendezvous ticket).
+            // One RMW, approximated as load + store in the step model.
             wfqueue_metrics::record_shared_load();
             wfqueue_metrics::record_shared_store();
             // ORDERING: SC release of the slot; pairs with try_reserve.
@@ -972,17 +971,6 @@ mod tests {
             per_block >= 5 * std::mem::size_of::<usize>(),
             "{per_block} B/block"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "full-coverage routing")]
-    fn sharded_rejects_per_producer_routing() {
-        // A pinned receiver could never drain the other shards, breaking
-        // the drain-then-Disconnected contract — rejected up front.
-        let _ = sharded::<u32>(ShardedConfig {
-            routing: crate::Routing::PerProducer,
-            ..ShardedConfig::default()
-        });
     }
 
     #[test]

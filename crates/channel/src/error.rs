@@ -204,14 +204,8 @@ pub enum BuildError {
         /// The backend that was requested.
         backend: &'static str,
     },
-    /// A routing policy was set, but the chosen backend has no shards to
-    /// route between.
-    RoutingUnsupported {
-        /// The backend that was requested.
-        backend: &'static str,
-    },
     /// A hardware placement was set, but the chosen backend has no
-    /// topology-aware routing to consume it.
+    /// shards to place.
     PlacementUnsupported {
         /// The backend that was requested.
         backend: &'static str,
@@ -222,10 +216,6 @@ pub enum BuildError {
         /// The backend that was requested.
         backend: &'static str,
     },
-    /// The sharded backend was configured with a routing policy whose
-    /// receive scan does not cover every shard (e.g. `PerProducer`), so a
-    /// receiver could never observe values sent on the other shards.
-    PartialCoverageRouting,
 }
 
 impl fmt::Display for BuildError {
@@ -256,22 +246,12 @@ impl fmt::Display for BuildError {
             BuildError::ReclaimUnsupported { backend } => {
                 write!(f, "the {backend} backend does not take a reclaim policy")
             }
-            BuildError::RoutingUnsupported { backend } => {
-                write!(f, "the {backend} backend has no shards to route between")
+            BuildError::PlacementUnsupported { backend } => {
+                write!(f, "the {backend} backend has no shards to place")
             }
-            BuildError::PlacementUnsupported { backend } => write!(
-                f,
-                "the {backend} backend has no topology-aware routing to place"
-            ),
             BuildError::GcPeriodUnsupported { backend } => write!(
                 f,
                 "only the bounded-tree backend has a GC period (got {backend})"
-            ),
-            BuildError::PartialCoverageRouting => write!(
-                f,
-                "a sharded channel needs a full-coverage routing policy (Rendezvous, Nearest, \
-                 Adaptive or RoundRobin): a routing that pins receivers to one shard could \
-                 never observe values sent on the others"
             ),
         }
     }
@@ -304,12 +284,6 @@ mod tests {
         }
         .to_string()
         .contains("exceeds"));
-        assert!(
-            BuildError::PartialCoverageRouting
-                .to_string()
-                .contains("full-coverage routing"),
-            "the sharded() wrapper's documented panic message relies on this substring"
-        );
         assert!(BuildError::ReclaimUnsupported { backend: "ring" }
             .to_string()
             .contains("ring"));

@@ -57,7 +57,8 @@
 //! A [`Backend::Sharded`] channel multiplies root-CAS bandwidth but
 //! relaxes ordering to per-sender FIFO (each sender's values arrive in
 //! order; values of different senders on different shards carry no order)
-//! — the semantics of [`wfqueue_shard::Routing::Rendezvous`] by default.
+//! — the semantics of [`wfqueue_shard::Routing::Nearest`], which every
+//! sharded channel routes by.
 //! The single-queue backends are fully linearizable FIFO. At equal
 //! capacity, [`Backend::BoundedTree`] keeps the paper's wait-free
 //! polylogarithmic step bound while [`Backend::Ring`] trades two
@@ -148,7 +149,7 @@ pub use error::{
     BuildError, CloneError, RecvError, RecvTimeoutError, SendError, TryRecvError, TrySendError,
 };
 pub use wait::{ListenKey, Signal};
-pub use wfqueue_shard::{PlacementConfig, ReclaimPolicy, Routing};
+pub use wfqueue_shard::{PlacementConfig, ReclaimPolicy};
 
 /// How many endpoints of each side a channel can mint
 /// ([`Sender::try_clone`] / [`Receiver::try_clone`] draw on this budget).
@@ -237,42 +238,31 @@ pub struct ShardedConfig {
     /// (must be ≥ 1). `1` is observationally a plain [`unbounded`]
     /// channel.
     pub shards: usize,
-    /// Endpoint budget (each shard's tree is sized per the routing
-    /// policy).
+    /// Endpoint budget (every endpoint may touch every shard, so each
+    /// shard's tree is sized to the whole budget).
     pub endpoints: Endpoints,
-    /// Routing policy. The default, [`Routing::Rendezvous`], keeps
-    /// per-sender FIFO and starvation-free sweeping receivers;
-    /// [`Routing::Nearest`] keeps the same contract while replacing the
-    /// global rotating sweep ticket with the contention-aware
-    /// nearest-nonempty scan, and [`Routing::Adaptive`] additionally
-    /// re-homes contended senders; [`Routing::RoundRobin`] trades
-    /// per-sender FIFO away for load spread. [`Routing::PerProducer`] is
-    /// **rejected** (the constructor panics): it pins *receivers* to one
-    /// shard too, so a receiver could never observe values sent on the
-    /// other shards — which would break the channel contract that any
-    /// receiver can receive any value and that `recv` drains everything
-    /// before reporting a disconnect. The rule is policy-generic: any
-    /// routing whose scan does not cover every shard
-    /// ([`wfqueue_shard::RoutePolicy::full_coverage`]) is rejected.
-    pub routing: Routing,
-    /// Hardware placement consulted by the topology-aware policies
-    /// (`Nearest`/`Adaptive`): [`PlacementConfig::Detect`] reads
-    /// `/sys/devices/system/cpu` once (with a deterministic fallback);
-    /// tests and reproducible benchmarks pin [`PlacementConfig::Flat`] or
-    /// [`PlacementConfig::Uniform`]. Ignored by the legacy policies.
+    /// Hardware placement ordering the receivers' nearest-first scan:
+    /// [`PlacementConfig::Detect`] reads `/sys/devices/system/cpu` once
+    /// (with a deterministic fallback); tests and reproducible benchmarks
+    /// pin [`PlacementConfig::Flat`] or [`PlacementConfig::Uniform`].
+    ///
+    /// Every sharded channel routes by [`wfqueue_shard::Routing::Nearest`]:
+    /// each sender pins to its home shard (per-sender FIFO), and each
+    /// receive scans hinted-nonempty shards nearest-first from the
+    /// receiver's home, then the rest — so an `Empty` or a disconnect
+    /// drain still means every shard was probed.
     pub placement: PlacementConfig,
     /// Per-shard tree-truncation policy (see [`UnboundedConfig::reclaim`]).
     pub reclaim: ReclaimPolicy,
 }
 
 impl Default for ShardedConfig {
-    /// 4 shards, rendezvous routing, default endpoints, truncation every
+    /// 4 shards, default endpoints, detected placement, truncation every
     /// 64 root blocks.
     fn default() -> Self {
         ShardedConfig {
             shards: 4,
             endpoints: Endpoints::default(),
-            routing: Routing::Rendezvous,
             placement: PlacementConfig::default(),
             reclaim: ReclaimPolicy::EveryKRootBlocks(64),
         }
@@ -375,23 +365,20 @@ pub fn bounded_with<T: Clone + Send + Sync + 'static>(
 /// Creates an unbounded MPMC channel over `cfg.shards` independent
 /// wait-free shards: root-CAS bandwidth multiplies by the shard count, at
 /// the cost of relaxing ordering to per-sender FIFO (see
-/// [`ShardedConfig::routing`]).
+/// [`ShardedConfig::placement`]).
 ///
 /// # Panics
 ///
 /// Panics if the shard count, an endpoint budget or the reclaim period is
-/// zero, or if `cfg.routing`'s scan does not cover every shard — e.g.
-/// [`Routing::PerProducer`] (see [`ShardedConfig::routing`] — a pinned
-/// receiver could never drain the other shards).
+/// zero.
 ///
 /// # Examples
 ///
 /// ```
-/// use wfqueue_channel::{sharded, PlacementConfig, Routing, ShardedConfig};
+/// use wfqueue_channel::{sharded, PlacementConfig, ShardedConfig};
 ///
 /// let (mut tx, mut rx) = sharded(ShardedConfig {
 ///     shards: 2,
-///     routing: Routing::Nearest, // contention-aware nearest-nonempty scan
 ///     placement: PlacementConfig::Flat,
 ///     ..ShardedConfig::default()
 /// });
@@ -404,7 +391,6 @@ pub fn sharded<T: Clone + Send + Sync + 'static>(cfg: ShardedConfig) -> (Sender<
     Channel::builder()
         .backend(Backend::Sharded { shards: cfg.shards })
         .endpoints(cfg.endpoints)
-        .routing(cfg.routing)
         .placement(cfg.placement)
         .reclaim(cfg.reclaim)
         .build()

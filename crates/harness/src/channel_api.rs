@@ -25,7 +25,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use wfqueue_channel::{
-    Backend, Channel, Endpoints, PlacementConfig, Receiver, ReclaimPolicy, Routing, Sender,
+    Backend, Channel, Endpoints, PlacementConfig, Receiver, ReclaimPolicy, Sender,
 };
 
 use crate::queue_api::{ConcurrentQueue, QueueHandle};
@@ -127,8 +127,9 @@ impl<T: Clone + Send + Sync + 'static> WfChannel<T> {
         Self::from_pair(tx, rx, p, mode, "wf-channel-ring")
     }
 
-    /// A sharded channel (`shards` wait-free shards, rendezvous routing)
-    /// sized for `p` harness handles.
+    /// A sharded channel (`shards` wait-free shards, nearest-first receive
+    /// scan) sized for `p` harness handles. Placement is pinned to
+    /// [`PlacementConfig::Flat`] for run-to-run determinism.
     ///
     /// The `shards > 1` composite is per-*sender* FIFO, not one
     /// linearizable queue — run the Wing–Gong checker against
@@ -136,22 +137,12 @@ impl<T: Clone + Send + Sync + 'static> WfChannel<T> {
     /// shard count (exactly as for the raw sharded adapters).
     #[must_use]
     pub fn sharded(shards: usize, p: usize, mode: ChannelMode) -> Self {
-        Self::sharded_routed(shards, p, mode, Routing::Rendezvous)
-    }
-
-    /// [`WfChannel::sharded`] with an explicit (full-coverage) routing
-    /// policy, so the harness suites exercise the contention-aware scans
-    /// through the channel facade too. Placement is pinned to
-    /// [`PlacementConfig::Flat`] for run-to-run determinism.
-    #[must_use]
-    pub fn sharded_routed(shards: usize, p: usize, mode: ChannelMode, routing: Routing) -> Self {
         let (tx, rx) = Channel::builder()
             .backend(Backend::Sharded { shards })
             .endpoints(Endpoints {
                 senders: p,
                 receivers: p,
             })
-            .routing(routing)
             .placement(PlacementConfig::Flat)
             .reclaim(ReclaimPolicy::Off)
             .build()

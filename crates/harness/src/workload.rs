@@ -531,7 +531,9 @@ pub fn try_run_batch_workload<Q: ConcurrentQueue<u64>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue_api::{CoarseMutex, Ms, Routing, WfBounded, WfShardedUnbounded, WfUnbounded};
+    use crate::queue_api::{
+        CoarseMutex, Ms, PlacementConfig, Routing, WfBounded, WfShardedUnbounded, WfUnbounded,
+    };
 
     #[test]
     fn tags_round_trip() {
@@ -697,7 +699,7 @@ mod tests {
             batch_size: 2,
             ..BatchWorkloadSpec::default()
         };
-        let q = WfShardedUnbounded::new(2, 1, Routing::Rendezvous);
+        let q = WfShardedUnbounded::new_placed(2, 1, Routing::Nearest, PlacementConfig::Flat);
         let err = try_run_batch_workload(&q, &spec).unwrap_err();
         assert_eq!((err.requested, err.available), (3, 1));
     }
@@ -705,10 +707,10 @@ mod tests {
     #[test]
     fn mixed_run_audits_pass_on_sharded_composites() {
         // Per-producer FIFO and no-duplication must hold on the composite
-        // for every FIFO-preserving routing policy and shard count.
-        for routing in [Routing::PerProducer, Routing::Rendezvous] {
+        // for both routing policies and every shard count.
+        for routing in [Routing::PerProducer, Routing::Nearest] {
             for shards in [1usize, 2, 4] {
-                let q = WfShardedUnbounded::new(shards, 4, routing);
+                let q = WfShardedUnbounded::new_placed(shards, 4, routing, PlacementConfig::Flat);
                 let spec = WorkloadSpec {
                     threads: 4,
                     ops_per_thread: 1_500,
@@ -724,8 +726,8 @@ mod tests {
 
     #[test]
     fn batch_workload_audits_pass_on_sharded_composites() {
-        for routing in [Routing::PerProducer, Routing::Rendezvous] {
-            let q = WfShardedUnbounded::new(2, 4, routing);
+        for routing in [Routing::PerProducer, Routing::Nearest] {
+            let q = WfShardedUnbounded::new_placed(2, 4, routing, PlacementConfig::Flat);
             let spec = BatchWorkloadSpec {
                 threads: 4,
                 batches_per_thread: 200,

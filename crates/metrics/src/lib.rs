@@ -195,11 +195,10 @@ impl fmt::Display for StepSnapshot {
 }
 
 /// A snapshot of this thread's *routing* diagnostics — events of the
-/// sharded frontend's adaptive routing layer, kept separate from
-/// [`StepSnapshot`] because they are route-quality signals, not
-/// shared-memory steps of the paper's cost model (re-homing a handle or
-/// probing an empty shard performs its shared steps through the ordinary
-/// recorders; these counters only classify *why*).
+/// sharded frontend's `Nearest` scan, kept separate from [`StepSnapshot`]
+/// because they are route-quality signals, not shared-memory steps of the
+/// paper's cost model (probing an empty shard performs its shared steps
+/// through the ordinary recorders; these counters only classify *why*).
 ///
 /// Differences of two snapshots ([`Sub`], later minus earlier) give the
 /// events in between, mirroring [`StepSnapshot`].
@@ -209,15 +208,11 @@ impl fmt::Display for StepSnapshot {
 /// ```
 /// let before = wfqueue_metrics::route_snapshot();
 /// wfqueue_metrics::record_empty_probe();
-/// wfqueue_metrics::record_reroute();
 /// let d = wfqueue_metrics::route_snapshot() - before;
-/// assert_eq!((d.empty_probes, d.reroutes), (1, 1));
+/// assert_eq!(d.empty_probes, 1);
 /// ```
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RouteSnapshot {
-    /// Handle re-homes committed by the adaptive routing layer (or by an
-    /// explicit `try_rehome`/`try_pin_to_cpu` call).
-    pub reroutes: u64,
     /// Dequeue probes that found their shard empty during a sweep.
     pub empty_probes: u64,
 }
@@ -228,7 +223,6 @@ impl Sub for RouteSnapshot {
     /// Component-wise saturating difference, as for [`StepSnapshot`].
     fn sub(self, rhs: RouteSnapshot) -> RouteSnapshot {
         RouteSnapshot {
-            reroutes: self.reroutes.saturating_sub(rhs.reroutes),
             empty_probes: self.empty_probes.saturating_sub(rhs.empty_probes),
         }
     }
@@ -236,11 +230,7 @@ impl Sub for RouteSnapshot {
 
 impl fmt::Display for RouteSnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "reroutes={}, empty_probes={}",
-            self.reroutes, self.empty_probes
-        )
+        write!(f, "empty_probes={}", self.empty_probes)
     }
 }
 
@@ -254,7 +244,6 @@ struct ThreadCounters {
     block_allocs: Cell<u64>,
     gc_phases: Cell<u64>,
     help_calls: Cell<u64>,
-    reroutes: Cell<u64>,
     empty_probes: Cell<u64>,
 }
 
@@ -314,12 +303,6 @@ pub fn record_help() {
     bump!(help_calls);
 }
 
-/// Records one committed handle re-home (adaptive routing layer).
-#[inline]
-pub fn record_reroute() {
-    bump!(reroutes);
-}
-
 /// Records one dequeue probe that found its shard empty during a sweep.
 #[inline]
 pub fn record_empty_probe() {
@@ -331,7 +314,6 @@ pub fn record_empty_probe() {
 #[must_use]
 pub fn route_snapshot() -> RouteSnapshot {
     COUNTERS.with(|c| RouteSnapshot {
-        reroutes: c.reroutes.get(),
         empty_probes: c.empty_probes.get(),
     })
 }
@@ -461,11 +443,9 @@ mod tests {
     fn route_counters_are_separate_from_steps() {
         let steps_before = snapshot();
         let route_before = route_snapshot();
-        record_reroute();
         record_empty_probe();
         record_empty_probe();
         let d = route_snapshot() - route_before;
-        assert_eq!(d.reroutes, 1);
         assert_eq!(d.empty_probes, 2);
         // Route diagnostics are not shared-memory steps.
         assert_eq!(snapshot() - steps_before, StepSnapshot::default());

@@ -684,7 +684,7 @@ impl<T> RingHandle<'_, T> {
 /// use wfqueue_shard::{Routing, ShardHandle};
 ///
 /// let shards = (0..2).map(|_| Ring::new(8, 4)).collect();
-/// let q: ShardedRing<u32> = ShardedRing::with_shards(shards, 4, Routing::Rendezvous);
+/// let q: ShardedRing<u32> = ShardedRing::with_shards(shards, 4, Routing::Nearest);
 /// let mut h = q.try_handle().unwrap();
 /// h.enqueue(5);
 /// assert_eq!(h.dequeue(), Some(5));
@@ -961,7 +961,7 @@ mod tests {
     fn sharded_ring_round_trips() {
         use wfqueue_shard::Routing;
         let shards = (0..2).map(|_| Ring::new(16, 4)).collect();
-        let q: ShardedRing<u64> = ShardedRing::with_shards(shards, 4, Routing::Rendezvous);
+        let q: ShardedRing<u64> = ShardedRing::with_shards(shards, 4, Routing::Nearest);
         let mut h = q.try_handle().unwrap();
         h.enqueue_batch(vec![1, 2, 3]);
         let mut got: Vec<u64> = (0..3).map(|_| h.dequeue().unwrap()).collect();

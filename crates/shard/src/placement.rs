@@ -6,9 +6,9 @@
 //! `/sys/devices/system/cpu` (cores sharing a last-level cache form one
 //! **domain**), falls back to a deterministic single-domain layout when
 //! sysfs is unavailable (CI containers, non-Linux), and precomputes a
-//! nearest-first scan order per home shard that the contention-aware
-//! routing policies ([`crate::policy::NearestPolicy`],
-//! [`crate::policy::AdaptivePolicy`]) consume on every dequeue sweep.
+//! nearest-first scan order per home shard that
+//! [`Routing::Nearest`](crate::Routing::Nearest) consumes on every dequeue
+//! sweep.
 //!
 //! **Not to be confused with `crates/core/src/topology.rs`**, which is the
 //! paper's §3.1 *ordering-tree* topology — the implicit-heap index
@@ -270,10 +270,6 @@ pub struct Placement {
     /// (`s` itself first; ties broken by cyclic shard index so orders are
     /// deterministic and handles homed on different shards diverge).
     scan_orders: Vec<Vec<usize>>,
-    /// `domain_shards[d]` = shards living in domain `d`, ascending.
-    domain_shards: Vec<Vec<usize>>,
-    /// `cpu_domain[c]` = domain of CPU `c` (for [`Placement::home_for_cpu`]).
-    cpu_domain: Vec<usize>,
 }
 
 impl Placement {
@@ -288,28 +284,11 @@ impl Placement {
         assert!(num_shards > 0, "need at least one shard");
         let num_domains = topo.num_domains().min(num_shards);
         let shard_domain: Vec<usize> = (0..num_shards).map(|s| s % num_domains).collect();
-        let mut domain_shards = vec![Vec::new(); num_domains];
-        for (s, &d) in shard_domain.iter().enumerate() {
-            domain_shards[d].push(s);
-        }
-        let mut cpu_domain = Vec::with_capacity(topo.num_cpus());
-        for (d, dom) in topo.domains.iter().enumerate() {
-            for &cpu in dom {
-                if cpu >= cpu_domain.len() {
-                    cpu_domain.resize(cpu + 1, 0);
-                }
-                // Domains beyond what the shards span fold back onto the
-                // spanned ones so every CPU maps somewhere meaningful.
-                cpu_domain[cpu] = d % num_domains;
-            }
-        }
         let mut placement = Placement {
             num_shards,
             num_domains,
             shard_domain,
             scan_orders: Vec::new(),
-            domain_shards,
-            cpu_domain,
         };
         placement.scan_orders = (0..num_shards)
             .map(|home| {
@@ -393,48 +372,13 @@ impl Placement {
         &self.scan_orders[home]
     }
 
-    /// The shards living in domain `d`, ascending.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d` is out of range.
-    #[must_use]
-    pub fn shards_in_domain(&self, d: usize) -> &[usize] {
-        &self.domain_shards[d]
-    }
-
     /// The default home shard for composite handle `handle_index` —
-    /// `handle_index mod num_shards`, byte-compatible with the legacy
-    /// pinning rule, and (because shards round-robin over domains) it
+    /// `handle_index mod num_shards`, the pinning rule of both routing
+    /// policies, and (because shards round-robin over domains) it
     /// already spreads consecutive handles over cache domains.
     #[must_use]
     pub fn home_for(&self, handle_index: usize) -> usize {
         handle_index % self.num_shards
-    }
-
-    /// A home shard in the cache domain of `cpu`, for callers that pin
-    /// threads: distinct handles on the same CPU spread over the domain's
-    /// shards. Unknown CPUs fall back to [`Placement::home_for`].
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use wfqueue_shard::placement::{HwTopology, Placement};
-    ///
-    /// let p = Placement::new(&HwTopology::uniform(8, 2), 4);
-    /// // CPU 5 is in domain 1, whose shards are {1, 3}.
-    /// assert_eq!(p.home_for_cpu(5, 0), 1);
-    /// assert_eq!(p.home_for_cpu(5, 1), 3);
-    /// ```
-    #[must_use]
-    pub fn home_for_cpu(&self, cpu: usize, handle_index: usize) -> usize {
-        match self.cpu_domain.get(cpu) {
-            Some(&d) => {
-                let shards = &self.domain_shards[d];
-                shards[handle_index % shards.len()]
-            }
-            None => self.home_for(handle_index),
-        }
     }
 }
 
@@ -519,8 +463,6 @@ mod tests {
         assert_eq!(p.num_domains(), 2);
         assert_eq!(p.domain_of_shard(0), 0);
         assert_eq!(p.domain_of_shard(1), 1);
-        // CPUs of folded domains 2,3 map back onto 0,1.
-        assert_eq!(p.home_for_cpu(4, 0), 0);
     }
 
     #[test]

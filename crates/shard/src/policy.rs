@@ -1,72 +1,19 @@
-//! The pluggable routing layer: placement and scan order as composable,
-//! per-policy decisions.
+//! Routing state shared by the two policies: per-shard emptiness hints
+//! and the handle-local state a composite handle plans its dequeue scans
+//! in.
 //!
-//! A [`RoutePolicy`] splits what the old `Routing` enum hard-coded into
-//! two independent decisions the composite handle asks for on every
-//! operation:
-//!
-//! * **placement** ([`RoutePolicy::place`]) — which shard receives this
-//!   handle's next enqueue (or enqueue batch);
-//! * **scan order** ([`RoutePolicy::plan_scan`]) — which shards, in which
-//!   order, this handle's next dequeue sweep probes.
-//!
-//! The three legacy policies ([`PerProducerPolicy`], [`RoundRobinPolicy`],
-//! [`RendezvousPolicy`]) are re-expressed on the trait with **exact
-//! step-counter parity** to the pre-refactor enum dispatch — same shard
-//! sequences, same recorded metrics, bit for bit (asserted by
-//! `crates/shard/tests/legacy_parity.rs`). On top of the same trait sit
-//! the two policies the enum could not express:
-//!
-//! * [`NearestPolicy`] — the contention-aware scan. Enqueues stay pinned
-//!   (per-producer FIFO holds); dequeues probe *hinted-nonempty shards
-//!   nearest first* using the [`crate::placement::Placement`] scan order
-//!   and per-shard emptiness hints ([`ShardHints`]), with an unconditional
-//!   second pass over the un-hinted shards so a `None` still witnesses a
-//!   full sweep. Unlike the legacy `Rendezvous` sweep there is **no shared
-//!   read-modify-write at all** — the global rotating ticket is gone; the
-//!   only shared traffic the scan adds is `Relaxed` loads of advisory
-//!   hint flags.
-//! * [`AdaptivePolicy`] — `NearestPolicy`'s scan plus feedback-driven
-//!   re-homing: the handle tracks CAS-failure and empty-probe rates over a
-//!   review window (surfaced through `wfqueue_metrics`), and when its home
-//!   shard looks contended or its scans keep coming up dry the policy
-//!   proposes a nearer, quieter home. The composite handle only commits a
-//!   re-home after the FIFO gate (see below) proves it safe.
-//!
-//! # Why re-homing preserves per-producer FIFO
-//!
-//! A producer that has enqueued on shard `A` may move its home to shard
-//! `B` only after observing `shards[A].approx_len() == 0` **after its last
-//! `A`-enqueue**. `approx_len` returns the size of an installed root block
-//! at some instant `τ` during the call (see
-//! `wfqueue::unbounded::Queue::approx_len`), so emptiness at `τ` proves
-//! every value this producer put on `A` was dequeued — linearized —
-//! before `τ`; every value it will ever put on `B` is enqueued after `τ`.
-//! Any consumer therefore dequeues all of the producer's `A`-values before
-//! any of its `B`-values, in both linearization order and each consumer's
-//! program order: per-producer FIFO survives arbitrarily many re-routes.
-//! The gate lives in the composite handle (not the policy), so no policy —
-//! including user-supplied ones — can break the invariant by proposing
-//! aggressively.
-//!
-//! # Hints and memory ordering
-//!
-//! [`ShardHints`] is one cache-padded `AtomicBool` per shard, accessed
-//! with `Relaxed` loads and stores everywhere. That is deliberate and
-//! sufficient: hints are *advisory*. A stale `true` costs one wasted
-//! probe; a stale `false` only demotes a shard to the scan's second pass —
-//! every planned scan still covers all shards, so no value is ever missed
-//! and no ordering edge is ever carried through a hint. Correctness never
-//! depends on hint freshness, which is exactly what permits the weakest
-//! ordering the facade offers. The model replica
-//! (`wfqueue_sync::model::protocols::scan_scenario`) checks the claim
-//! exhaustively: with the fallback pass seeded out, the checker finds the
-//! lost-value schedule; with it intact, every interleaving drains.
+//! Under [`Routing::Nearest`](crate::Routing::Nearest) a dequeue probes
+//! *hinted-nonempty shards nearest first* using the
+//! [`crate::placement::Placement`] scan order and per-shard emptiness hints
+//! ([`ShardHints`]), with an unconditional second pass over the un-hinted
+//! shards so a `None` still witnesses a full sweep. There is no shared
+//! read-modify-write anywhere in the scan: the only shared traffic it adds
+//! is `Relaxed` loads of advisory hint flags.
 
 use std::fmt;
 
 use crossbeam_utils::CachePadded;
-use wfqueue_sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use wfqueue_sync::atomic::{AtomicBool, Ordering};
 
 use crate::placement::Placement;
 
@@ -75,14 +22,24 @@ use crate::placement::Placement;
 // ---------------------------------------------------------------------------
 
 /// Per-shard "maybe nonempty" hints — one cache-padded flag per shard,
-/// maintained by feedback policies ([`NearestPolicy`], [`AdaptivePolicy`])
-/// and ignored by the legacy ones.
+/// maintained under [`Routing::Nearest`](crate::Routing::Nearest) and
+/// untouched under `PerProducer`.
 ///
 /// A flag is raised after an enqueue lands on the shard and lowered when a
 /// probe finds the shard empty. Flags start raised ("unknown" is treated
 /// as "maybe nonempty"), so caller-prefilled shards are probed on the
-/// first sweep. All accesses are `Relaxed`: the hints are advisory probe
-/// *order*, never probe *coverage* (see the [module docs](self)).
+/// first sweep.
+///
+/// # Memory ordering
+///
+/// All accesses are `Relaxed`, deliberately: the hints are advisory probe
+/// *order*, never probe *coverage*. A stale `true` costs one wasted probe;
+/// a stale `false` only demotes a shard to the scan's second pass — every
+/// planned scan still covers all shards, so no value is ever missed and no
+/// ordering edge is ever carried through a hint. The model replica
+/// (`wfqueue_sync::model::protocols::scan_scenario`) checks the claim
+/// exhaustively: with the fallback pass seeded out, the checker finds the
+/// lost-value schedule; with it intact, every interleaving drains.
 pub struct ShardHints {
     flags: Box<[CachePadded<AtomicBool>]>,
 }
@@ -99,7 +56,7 @@ impl ShardHints {
     }
 
     /// Reads shard `s`'s hint: `false` means a probe recently found it
-    /// empty and nothing has been enqueued through a feedback handle
+    /// empty and nothing has been enqueued through a `Nearest` handle
     /// since. Counted as one shared load in the step model.
     #[must_use]
     pub fn maybe_nonempty(&self, s: usize) -> bool {
@@ -161,25 +118,19 @@ impl fmt::Debug for ShardHints {
 // Per-handle routing state
 // ---------------------------------------------------------------------------
 
-/// Mutable, handle-local routing state threaded through every
-/// [`RoutePolicy`] call: the handle's identity, its current home shard,
-/// the round-robin cursor, the reusable scan buffer, and the feedback
-/// window the adaptive policy reads.
+/// Handle-local routing state: the handle's identity, its home shard, the
+/// reusable scan buffer and the hint scratch the `Nearest` scan samples
+/// into.
 ///
 /// All of it is thread-local to the owning handle — nothing in here is
-/// shared memory, so policy bookkeeping adds zero steps to the paper's
+/// shared memory, so routing bookkeeping adds zero steps to the paper's
 /// cost model.
 #[derive(Debug)]
-pub struct RouterState {
+pub(crate) struct RouterState {
     handle_index: usize,
     home: usize,
-    cursor: usize,
     scan: Vec<usize>,
     hint_scratch: Vec<bool>,
-    window_ops: u64,
-    window_cas_failures: u64,
-    window_empty_probes: u64,
-    window_found_probes: u64,
 }
 
 impl RouterState {
@@ -187,481 +138,55 @@ impl RouterState {
         RouterState {
             handle_index,
             home: handle_index % num_shards,
-            cursor: handle_index % num_shards,
             scan: Vec::with_capacity(num_shards),
             hint_scratch: Vec::with_capacity(num_shards),
-            window_ops: 0,
-            window_cas_failures: 0,
-            window_empty_probes: 0,
-            window_found_probes: 0,
         }
     }
 
     /// The owning composite handle's index (`0..max_handles`).
-    #[must_use]
-    pub fn handle_index(&self) -> usize {
+    pub(crate) fn handle_index(&self) -> usize {
         self.handle_index
     }
 
-    /// The handle's current home shard: where pinning policies place its
-    /// enqueues and where nearest-first scans start. Initially
-    /// `handle_index % num_shards` (the legacy pin); moved only by the
-    /// composite handle's FIFO-gated re-route commit.
-    #[must_use]
-    pub fn home(&self) -> usize {
+    /// The handle's home shard, `handle_index % num_shards`: where its
+    /// enqueues land and where its scans start.
+    pub(crate) fn home(&self) -> usize {
         self.home
     }
 
-    pub(crate) fn set_home(&mut self, home: usize) {
-        self.home = home;
-    }
-
-    /// Advances the round-robin cursor one step, returning its previous
-    /// value ([`RoundRobinPolicy`]'s rotation).
-    pub fn advance_cursor(&mut self, num_shards: usize) -> usize {
-        let s = self.cursor;
-        self.cursor = (self.cursor + 1) % num_shards;
-        s
-    }
-
-    /// Clears the scan buffer for a fresh [`RoutePolicy::plan_scan`].
-    pub fn begin_scan(&mut self) {
-        self.scan.clear();
-    }
-
-    /// Appends shard `s` to the planned scan.
-    pub fn push_scan(&mut self, s: usize) {
-        self.scan.push(s);
-    }
-
     /// The planned scan, in probe order.
-    #[must_use]
-    pub fn scan(&self) -> &[usize] {
+    pub(crate) fn scan(&self) -> &[usize] {
         &self.scan
     }
 
-    /// Reusable per-scan scratch the hint-reading policies stash one hint
-    /// sample per shard in, so each scan reads each hint exactly once.
-    pub fn hint_scratch(&mut self) -> &mut Vec<bool> {
-        &mut self.hint_scratch
+    /// Plans a scan of the home shard alone (`PerProducer`).
+    pub(crate) fn plan_home_scan(&mut self) {
+        self.scan.clear();
+        self.scan.push(self.home);
     }
 
-    /// Feedback window: `(ops, cas_failures, empty_probes, found_probes)`
-    /// accumulated since the last [`RouterState::take_window`].
-    #[must_use]
-    pub fn window(&self) -> (u64, u64, u64, u64) {
-        (
-            self.window_ops,
-            self.window_cas_failures,
-            self.window_empty_probes,
-            self.window_found_probes,
-        )
-    }
-
-    /// Returns and resets the feedback window.
-    pub fn take_window(&mut self) -> (u64, u64, u64, u64) {
-        let w = self.window();
-        self.window_ops = 0;
-        self.window_cas_failures = 0;
-        self.window_empty_probes = 0;
-        self.window_found_probes = 0;
-        w
-    }
-
-    pub(crate) fn note_enqueue(&mut self, cas_failures: u64) {
-        self.window_ops += 1;
-        self.window_cas_failures += cas_failures;
-    }
-
-    pub(crate) fn note_probe(&mut self, found: bool) {
-        if found {
-            self.window_found_probes += 1;
-        } else {
-            self.window_empty_probes += 1;
+    /// Plans the `Nearest` scan: hinted-nonempty shards nearest-first from
+    /// home, then the remaining (hinted-empty) shards in the same
+    /// nearest-first order as a coverage fallback. Reads each hint exactly
+    /// once per scan.
+    pub(crate) fn plan_nearest_scan(&mut self, placement: &Placement, hints: &ShardHints) {
+        let order = placement.scan_order(self.home);
+        self.hint_scratch.clear();
+        self.hint_scratch
+            .extend(order.iter().map(|&s| hints.maybe_nonempty(s)));
+        self.scan.clear();
+        // Pass 1: shards believed nonempty, nearest first.
+        for (&s, &hinted) in order.iter().zip(&self.hint_scratch) {
+            if hinted {
+                self.scan.push(s);
+            }
         }
-    }
-}
-
-/// The read-only routing context a [`ShardedQueue`](crate::ShardedQueue)
-/// passes into every policy call: shard count, the resolved
-/// [`Placement`], and the shared [`ShardHints`].
-#[derive(Debug)]
-pub struct RouteCtx<'a> {
-    /// Number of shards in the queue.
-    pub num_shards: usize,
-    /// The queue's hardware placement (scan orders, domains).
-    pub placement: &'a Placement,
-    /// The queue's advisory per-shard emptiness hints.
-    pub hints: &'a ShardHints,
-}
-
-// ---------------------------------------------------------------------------
-// The trait
-// ---------------------------------------------------------------------------
-
-/// A routing policy for a [`ShardedQueue`](crate::ShardedQueue): decides
-/// where enqueues land and in which order dequeue sweeps probe, as two
-/// separate, composable decisions.
-///
-/// Implementations must be `Send + Sync` (one policy instance is shared
-/// by all handles of a queue); any policy-global state (like
-/// [`RendezvousPolicy`]'s ticket) must be internally synchronized, while
-/// per-handle state lives in the [`RouterState`] each call receives.
-///
-/// # Examples
-///
-/// A custom policy that pins enqueues like `PerProducer` but sweeps every
-/// shard cyclically on dequeue (a "pin + sweep" hybrid):
-///
-/// ```
-/// use wfqueue_shard::policy::{RouteCtx, RoutePolicy, RouterState};
-/// use wfqueue_shard::{ShardedQueue, PlacementConfig};
-///
-/// #[derive(Debug)]
-/// struct PinSweep;
-///
-/// impl RoutePolicy for PinSweep {
-///     fn preserves_producer_fifo(&self) -> bool { true }
-///     fn full_coverage(&self) -> bool { true }
-///     fn place(&self, _ctx: &RouteCtx<'_>, state: &mut RouterState) -> usize {
-///         state.home()
-///     }
-///     fn plan_scan(&self, ctx: &RouteCtx<'_>, state: &mut RouterState) {
-///         state.begin_scan();
-///         let home = state.home();
-///         for k in 0..ctx.num_shards {
-///             state.push_scan((home + k) % ctx.num_shards);
-///         }
-///     }
-/// }
-///
-/// let q = ShardedQueue::build_with_policy(
-///     2,
-///     2,
-///     Box::new(PinSweep),
-///     PlacementConfig::Flat,
-///     |cap| wfqueue::unbounded::Queue::<u64>::new(cap),
-/// );
-/// let mut h = q.try_handle().unwrap();
-/// h.enqueue(7);
-/// assert_eq!(h.dequeue(), Some(7));
-/// ```
-pub trait RoutePolicy: fmt::Debug + Send + Sync {
-    /// The handle capacity shard `shard` must offer when the queue hands
-    /// out at most `max_handles` composite handles over `num_shards`
-    /// shards. Defaults to `max_handles` (any handle may probe any
-    /// shard); pinning policies override with their pinned counts. Must
-    /// be at least 1.
-    fn shard_capacity(&self, max_handles: usize, num_shards: usize, shard: usize) -> usize {
-        let _ = (num_shards, shard);
-        max_handles.max(1)
-    }
-
-    /// Whether values of one producer are consumed in enqueue order on
-    /// the composite.
-    fn preserves_producer_fifo(&self) -> bool;
-
-    /// Whether every planned scan covers **all** shards, so a `None`
-    /// dequeue witnesses a full sweep. The channel facade requires this
-    /// (its disconnect drain must see every shard).
-    fn full_coverage(&self) -> bool;
-
-    /// Whether the composite handle should maintain [`ShardHints`] and
-    /// the [`RouterState`] feedback window for this policy. Costs one
-    /// hint touch per enqueue and per empty probe; legacy policies leave
-    /// it `false` and keep their exact pre-refactor step counts.
-    fn wants_feedback(&self) -> bool {
-        false
-    }
-
-    /// The shard receiving this handle's next enqueue (or whole enqueue
-    /// batch).
-    fn place(&self, ctx: &RouteCtx<'_>, state: &mut RouterState) -> usize;
-
-    /// Plans this handle's next dequeue sweep into `state`'s scan buffer
-    /// (call [`RouterState::begin_scan`], then [`RouterState::push_scan`]
-    /// in probe order). The composite handle probes in exactly this
-    /// order, stopping at the first value found.
-    fn plan_scan(&self, ctx: &RouteCtx<'_>, state: &mut RouterState);
-
-    /// Invited after each operation on a feedback policy
-    /// (`wants_feedback() == true`): propose a new home shard for this
-    /// handle, or `None` to stay. The composite handle commits the move
-    /// only after the FIFO gate (old home observed empty — see the
-    /// [module docs](self)) proves it safe, and records it via
-    /// `wfqueue_metrics::record_reroute`.
-    fn propose_reroute(&self, ctx: &RouteCtx<'_>, state: &mut RouterState) -> Option<usize> {
-        let _ = (ctx, state);
-        None
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Legacy policies (exact parity with the pre-refactor enum)
-// ---------------------------------------------------------------------------
-
-/// `Routing::PerProducer` on the trait: every operation pins to the
-/// handle's home shard; a dequeue probes only that shard.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct PerProducerPolicy;
-
-impl RoutePolicy for PerProducerPolicy {
-    fn shard_capacity(&self, max_handles: usize, num_shards: usize, shard: usize) -> usize {
-        // Handle i pins to shard i % num_shards: shards below the
-        // remainder serve one extra handle.
-        (max_handles / num_shards + usize::from(shard < max_handles % num_shards)).max(1)
-    }
-
-    fn preserves_producer_fifo(&self) -> bool {
-        true
-    }
-
-    fn full_coverage(&self) -> bool {
-        false
-    }
-
-    fn place(&self, _ctx: &RouteCtx<'_>, state: &mut RouterState) -> usize {
-        state.home()
-    }
-
-    fn plan_scan(&self, _ctx: &RouteCtx<'_>, state: &mut RouterState) {
-        state.begin_scan();
-        let home = state.home();
-        state.push_scan(home);
-    }
-}
-
-/// `Routing::RoundRobin` on the trait: enqueues rotate one step per
-/// operation (per batch); dequeues sweep all shards from the same local
-/// cursor.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct RoundRobinPolicy;
-
-impl RoutePolicy for RoundRobinPolicy {
-    fn preserves_producer_fifo(&self) -> bool {
-        false
-    }
-
-    fn full_coverage(&self) -> bool {
-        true
-    }
-
-    fn place(&self, ctx: &RouteCtx<'_>, state: &mut RouterState) -> usize {
-        state.advance_cursor(ctx.num_shards)
-    }
-
-    fn plan_scan(&self, ctx: &RouteCtx<'_>, state: &mut RouterState) {
-        state.begin_scan();
-        let start = state.advance_cursor(ctx.num_shards);
-        for k in 0..ctx.num_shards {
-            state.push_scan((start + k) % ctx.num_shards);
+        // Pass 2: the rest — hints are advisory, coverage is not.
+        for (&s, &hinted) in order.iter().zip(&self.hint_scratch) {
+            if !hinted {
+                self.scan.push(s);
+            }
         }
-    }
-}
-
-/// `Routing::Rendezvous` on the trait: enqueues pin to the home shard;
-/// dequeues sweep all shards from a globally rotating ticket, so
-/// concurrent dequeuers start at different shards.
-///
-/// The ticket is the one piece of policy-global shared state in the
-/// legacy set; it moved from the queue struct into the policy object
-/// unchanged (same `Relaxed` `fetch_add`, same recorded steps), so
-/// step-counter parity with the pre-refactor enum is exact.
-#[derive(Debug, Default)]
-pub struct RendezvousPolicy {
-    /// Global rotating sweep-start ticket.
-    ticket: AtomicUsize,
-}
-
-impl RoutePolicy for RendezvousPolicy {
-    fn preserves_producer_fifo(&self) -> bool {
-        true
-    }
-
-    fn full_coverage(&self) -> bool {
-        true
-    }
-
-    fn place(&self, _ctx: &RouteCtx<'_>, state: &mut RouterState) -> usize {
-        state.home()
-    }
-
-    fn plan_scan(&self, ctx: &RouteCtx<'_>, state: &mut RouterState) {
-        state.begin_scan();
-        // One shared fetch_add per sweep; approximate the (uninstrumented)
-        // wait-free RMW as a load + store in the step-count model.
-        wfqueue_metrics::record_shared_load();
-        wfqueue_metrics::record_shared_store();
-        // ORDERING: Relaxed — the ticket only decorrelates sweep starts;
-        // no data is published through it and a torn rotation merely
-        // repeats a start index. (Contrary to an older ROADMAP claim this
-        // was never a SeqCst RMW; see DESIGN.md § "Routing".)
-        let ticket = self.ticket.fetch_add(1, Ordering::Relaxed);
-        let start = ticket % ctx.num_shards;
-        for k in 0..ctx.num_shards {
-            state.push_scan((start + k) % ctx.num_shards);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Contention-aware policies
-// ---------------------------------------------------------------------------
-
-/// Shared scan planning for [`NearestPolicy`] and [`AdaptivePolicy`]:
-/// probe hinted-nonempty shards nearest-first from `home`, then the
-/// remaining (hinted-empty) shards in the same nearest-first order as a
-/// coverage fallback. Reads each hint exactly once per scan.
-fn plan_nearest_scan(ctx: &RouteCtx<'_>, state: &mut RouterState) {
-    let home = state.home();
-    let scratch = std::mem::take(state.hint_scratch());
-    let mut scratch = scratch;
-    scratch.clear();
-    for &s in ctx.placement.scan_order(home) {
-        scratch.push(ctx.hints.maybe_nonempty(s));
-    }
-    state.begin_scan();
-    // Pass 1: shards believed nonempty, nearest first.
-    for (k, &s) in ctx.placement.scan_order(home).iter().enumerate() {
-        if scratch[k] {
-            state.push_scan(s);
-        }
-    }
-    // Pass 2: the rest — hints are advisory, coverage is not.
-    for (k, &s) in ctx.placement.scan_order(home).iter().enumerate() {
-        if !scratch[k] {
-            state.push_scan(s);
-        }
-    }
-    *state.hint_scratch() = scratch;
-}
-
-/// `Routing::Nearest`: the contention-aware scan with static homes.
-///
-/// Enqueues pin to the handle's home shard (per-producer FIFO holds,
-/// exactly as under `Rendezvous`); dequeues probe hinted-nonempty shards
-/// nearest first per the queue's [`Placement`], falling back over the
-/// hinted-empty remainder so every sweep still covers all shards. There
-/// is no shared RMW anywhere in the scan — the global rendezvous ticket
-/// is replaced by handle-local state plus `Relaxed` advisory hints.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NearestPolicy;
-
-impl RoutePolicy for NearestPolicy {
-    fn preserves_producer_fifo(&self) -> bool {
-        true
-    }
-
-    fn full_coverage(&self) -> bool {
-        true
-    }
-
-    fn wants_feedback(&self) -> bool {
-        true
-    }
-
-    fn place(&self, _ctx: &RouteCtx<'_>, state: &mut RouterState) -> usize {
-        state.home()
-    }
-
-    fn plan_scan(&self, ctx: &RouteCtx<'_>, state: &mut RouterState) {
-        plan_nearest_scan(ctx, state);
-    }
-}
-
-/// `Routing::Adaptive`: [`NearestPolicy`]'s scan plus feedback-driven
-/// re-homing.
-///
-/// Every `review_period` enqueues the policy inspects the handle's
-/// feedback window. If the CAS-failure rate (failed CAS per enqueue, a
-/// direct contention signal from the step counters) reaches
-/// `cas_failure_permille`, or the empty-probe rate of recent scans
-/// reaches `empty_probe_permille` (the handle keeps scanning far from
-/// home), it proposes moving home to the nearest shard whose hint says
-/// "maybe empty" — a quiet neighbor, same cache domain first. The
-/// composite handle commits the move only through the FIFO gate (see the
-/// [module docs](self)), so per-producer FIFO is preserved across
-/// arbitrary re-route points no matter how aggressive the thresholds.
-#[derive(Debug, Clone, Copy)]
-pub struct AdaptivePolicy {
-    /// Enqueues between reviews of the feedback window.
-    pub review_period: u64,
-    /// Failed-CAS-per-enqueue rate (‰) that triggers a re-route proposal.
-    pub cas_failure_permille: u64,
-    /// Empty-probe rate (‰, over all probes in the window) that triggers
-    /// a re-route proposal.
-    pub empty_probe_permille: u64,
-}
-
-impl Default for AdaptivePolicy {
-    /// Review every 64 enqueues; re-route when a quarter of enqueue CAS
-    /// attempts fail or half of all probes come up empty.
-    fn default() -> Self {
-        AdaptivePolicy {
-            review_period: 64,
-            cas_failure_permille: 250,
-            empty_probe_permille: 500,
-        }
-    }
-}
-
-impl AdaptivePolicy {
-    /// An eager configuration for tests: review after every enqueue and
-    /// re-route on any signal, maximizing re-route points so FIFO audits
-    /// exercise the gate hard.
-    #[must_use]
-    pub fn aggressive() -> Self {
-        AdaptivePolicy {
-            review_period: 1,
-            cas_failure_permille: 0,
-            empty_probe_permille: 0,
-        }
-    }
-}
-
-impl RoutePolicy for AdaptivePolicy {
-    fn preserves_producer_fifo(&self) -> bool {
-        true
-    }
-
-    fn full_coverage(&self) -> bool {
-        true
-    }
-
-    fn wants_feedback(&self) -> bool {
-        true
-    }
-
-    fn place(&self, _ctx: &RouteCtx<'_>, state: &mut RouterState) -> usize {
-        state.home()
-    }
-
-    fn plan_scan(&self, ctx: &RouteCtx<'_>, state: &mut RouterState) {
-        plan_nearest_scan(ctx, state);
-    }
-
-    fn propose_reroute(&self, ctx: &RouteCtx<'_>, state: &mut RouterState) -> Option<usize> {
-        let (ops, _, _, _) = state.window();
-        if ops < self.review_period {
-            return None;
-        }
-        let (ops, cas_failures, empty, found) = state.take_window();
-        let contended = cas_failures * 1000 >= self.cas_failure_permille * ops;
-        let probes = empty + found;
-        let scattered = probes > 0 && empty * 1000 >= self.empty_probe_permille * probes;
-        if !contended && !scattered {
-            return None;
-        }
-        // Nearest quiet neighbor: first non-home shard in this home's
-        // nearest-first order whose hint says "maybe empty". Falls back
-        // to the nearest neighbor outright when every shard looks busy.
-        let order = ctx.placement.scan_order(state.home());
-        let target = order[1..]
-            .iter()
-            .copied()
-            .find(|&t| !ctx.hints.maybe_nonempty(t))
-            .or_else(|| order.get(1).copied())?;
-        (target != state.home()).then_some(target)
     }
 }
 
@@ -669,14 +194,6 @@ impl RoutePolicy for AdaptivePolicy {
 mod tests {
     use super::*;
     use crate::placement::PlacementConfig;
-
-    fn ctx<'a>(placement: &'a Placement, hints: &'a ShardHints) -> RouteCtx<'a> {
-        RouteCtx {
-            num_shards: placement.num_shards(),
-            placement,
-            hints,
-        }
-    }
 
     #[test]
     fn hints_start_raised_and_toggle() {
@@ -705,23 +222,13 @@ mod tests {
     }
 
     #[test]
-    fn legacy_policies_report_no_feedback() {
-        assert!(!PerProducerPolicy.wants_feedback());
-        assert!(!RoundRobinPolicy.wants_feedback());
-        assert!(!RendezvousPolicy::default().wants_feedback());
-        assert!(NearestPolicy.wants_feedback());
-        assert!(AdaptivePolicy::default().wants_feedback());
-    }
-
-    #[test]
     fn nearest_scan_puts_hinted_empty_shards_last() {
         let placement = PlacementConfig::Flat.resolve(4);
         let hints = ShardHints::new(4);
-        let c = ctx(&placement, &hints);
         let mut state = RouterState::new(0, 4);
         hints.mark_empty(1);
         hints.mark_empty(2);
-        NearestPolicy.plan_scan(&c, &mut state);
+        state.plan_nearest_scan(&placement, &hints);
         assert_eq!(
             state.scan(),
             &[0, 3, 1, 2],
@@ -740,60 +247,17 @@ mod tests {
         }
         .resolve(4);
         let hints = ShardHints::new(4);
-        let c = ctx(&placement, &hints);
         let mut state = RouterState::new(0, 4);
-        NearestPolicy.plan_scan(&c, &mut state);
+        state.plan_nearest_scan(&placement, &hints);
         assert_eq!(state.scan(), placement.scan_order(0));
     }
 
     #[test]
-    fn adaptive_proposes_quiet_neighbor_when_contended() {
-        let placement = PlacementConfig::Flat.resolve(3);
-        let hints = ShardHints::new(3);
-        let c = ctx(&placement, &hints);
-        let mut state = RouterState::new(0, 3);
-        let policy = AdaptivePolicy::aggressive();
-        // No ops yet: the window is below even the aggressive period.
-        assert_eq!(policy.propose_reroute(&c, &mut state), None);
-        state.note_enqueue(5);
-        hints.mark_empty(2);
-        // Shard 1 is hinted busy, shard 2 quiet: 2 wins despite being
-        // farther in cyclic order.
-        assert_eq!(policy.propose_reroute(&c, &mut state), Some(2));
-        // The review consumed the window.
-        assert_eq!(state.window(), (0, 0, 0, 0));
-        assert_eq!(policy.propose_reroute(&c, &mut state), None);
-    }
-
-    #[test]
-    fn adaptive_default_needs_a_real_signal() {
-        let placement = PlacementConfig::Flat.resolve(2);
-        let hints = ShardHints::new(2);
-        let c = ctx(&placement, &hints);
-        let mut state = RouterState::new(0, 2);
-        let policy = AdaptivePolicy::default();
-        // A full clean window (no CAS failures, all probes found) must
-        // not trigger a move.
-        for _ in 0..policy.review_period {
-            state.note_enqueue(0);
-            state.note_probe(true);
-        }
-        assert_eq!(policy.propose_reroute(&c, &mut state), None);
-    }
-
-    #[test]
-    fn router_state_window_accounting() {
-        let mut state = RouterState::new(2, 4);
-        assert_eq!(state.handle_index(), 2);
+    fn router_state_homes_and_plans() {
+        let mut state = RouterState::new(6, 4);
+        assert_eq!(state.handle_index(), 6);
         assert_eq!(state.home(), 2);
-        state.note_enqueue(3);
-        state.note_probe(false);
-        state.note_probe(true);
-        assert_eq!(state.window(), (1, 3, 1, 1));
-        assert_eq!(state.take_window(), (1, 3, 1, 1));
-        assert_eq!(state.window(), (0, 0, 0, 0));
-        assert_eq!(state.advance_cursor(4), 2);
-        assert_eq!(state.advance_cursor(4), 3);
-        assert_eq!(state.advance_cursor(4), 0);
+        state.plan_home_scan();
+        assert_eq!(state.scan(), &[2]);
     }
 }

@@ -1,47 +1,43 @@
-//! Byte-for-byte step-counter parity of the legacy routing policies.
+//! Byte-for-byte step-counter parity of the two routing policies.
 //!
-//! The `RoutePolicy` refactor re-expressed `PerProducer`, `RoundRobin`
-//! and `Rendezvous` as policy objects. The contract (ISSUE 7) is that the
-//! re-expression is *exactly* the pre-refactor enum dispatch: the same
-//! shard chosen for every operation, and the same `StepSnapshot` — every
-//! shared load, store and CAS, bit for bit — for whole driven histories.
-//!
-//! The reference below is a frozen copy of the pre-refactor routing logic
-//! (enum match in `enqueue_shard`/`sweep`, local rotation cursor, global
-//! `Relaxed` rendezvous ticket recorded as one load + one store), driving
-//! *raw* `wfqueue::unbounded::Queue` shards sized by the same capacity
-//! formula and registered in the same lazy first-touch order. Driving the
-//! frozen reference and the refactored `ShardedQueue` through identical
-//! deterministic scripts must therefore produce identical step counts —
-//! the routing layers differ only in dispatch, never in memory traffic.
+//! * `PerProducer` is driven side by side with a frozen copy of the
+//!   original enum-dispatch routing logic (pin to `index % S`, lazy
+//!   first-touch registration), over *raw* `wfqueue::unbounded::Queue`
+//!   shards sized by the same capacity formula. Both must produce the same
+//!   responses and the same `StepSnapshot` — every shared load, store and
+//!   CAS, bit for bit.
+//! * `Nearest` is checked against golden step counts and response digests
+//!   recorded from the trait-object routing layer it replaced (where a
+//!   feedback window and `snapshot()` pair wrapped every enqueue). The
+//!   enum dispatch must reproduce the hint traffic and the scan order
+//!   exactly.
 
 use wfqueue::unbounded;
 use wfqueue_metrics::StepSnapshot;
-use wfqueue_shard::{Routing, ShardedUnbounded};
-use wfqueue_sync::atomic::{AtomicUsize, Ordering};
+use wfqueue_shard::{PlacementConfig, Routing, ShardedUnbounded};
 
 // ---------------------------------------------------------------------------
-// Frozen pre-refactor reference
+// Frozen reference (PerProducer)
 // ---------------------------------------------------------------------------
 
-/// The pre-refactor `ShardedQueue`, reduced to unbounded shards of `u64`.
+/// The original `PerProducer` sharded queue, reduced to unbounded shards
+/// of `u64`.
 struct FrozenSharded {
     shards: Vec<unbounded::Queue<u64>>,
-    routing: Routing,
-    /// Globally rotating dequeue-sweep ticket (`Rendezvous`).
-    rendezvous: AtomicUsize,
 }
 
 impl FrozenSharded {
-    fn new(num_shards: usize, max_handles: usize, routing: Routing) -> Self {
+    fn new(num_shards: usize, max_handles: usize) -> Self {
         let shards = (0..num_shards)
-            .map(|s| unbounded::Queue::new(routing.shard_capacity(max_handles, num_shards, s)))
+            .map(|s| {
+                unbounded::Queue::new(Routing::PerProducer.shard_capacity(
+                    max_handles,
+                    num_shards,
+                    s,
+                ))
+            })
             .collect();
-        FrozenSharded {
-            shards,
-            routing,
-            rendezvous: AtomicUsize::new(0),
-        }
+        FrozenSharded { shards }
     }
 
     fn handle(&self, index: usize) -> FrozenHandle<'_> {
@@ -49,7 +45,6 @@ impl FrozenSharded {
             queue: self,
             index,
             inner: (0..self.shards.len()).map(|_| None).collect(),
-            cursor: index % self.shards.len(),
         }
     }
 }
@@ -58,92 +53,43 @@ struct FrozenHandle<'q> {
     queue: &'q FrozenSharded,
     index: usize,
     inner: Vec<Option<unbounded::Handle<'q, u64>>>,
-    cursor: usize,
 }
 
 impl<'q> FrozenHandle<'q> {
-    fn pin(&self) -> usize {
-        self.index % self.queue.shards.len()
-    }
-
-    fn shard(&mut self, s: usize) -> &mut unbounded::Handle<'q, u64> {
+    fn pinned(&mut self) -> &mut unbounded::Handle<'q, u64> {
+        let s = self.index % self.queue.shards.len();
         if self.inner[s].is_none() {
             self.inner[s] = Some(self.queue.shards[s].register().expect("capacity"));
         }
         self.inner[s].as_mut().expect("just registered")
     }
 
-    fn enqueue_shard(&mut self) -> usize {
-        match self.queue.routing {
-            Routing::PerProducer | Routing::Rendezvous => self.pin(),
-            Routing::RoundRobin => self.advance_cursor(),
-            _ => unreachable!("frozen reference covers the legacy policies only"),
-        }
-    }
-
-    fn sweep(&mut self) -> (usize, usize) {
-        let num_shards = self.queue.shards.len();
-        match self.queue.routing {
-            Routing::PerProducer => (self.pin(), 1),
-            Routing::RoundRobin => (self.advance_cursor(), num_shards),
-            Routing::Rendezvous => {
-                // Frozen verbatim: one shared fetch_add per sweep,
-                // approximated in the step model as a load + store.
-                wfqueue_metrics::record_shared_load();
-                wfqueue_metrics::record_shared_store();
-                let ticket = self.queue.rendezvous.fetch_add(1, Ordering::Relaxed);
-                (ticket % num_shards, num_shards)
-            }
-            _ => unreachable!("frozen reference covers the legacy policies only"),
-        }
-    }
-
-    fn advance_cursor(&mut self) -> usize {
-        let s = self.cursor;
-        self.cursor = (self.cursor + 1) % self.queue.shards.len();
-        s
-    }
-
     fn enqueue(&mut self, value: u64) {
-        let s = self.enqueue_shard();
-        self.shard(s).enqueue(value);
+        self.pinned().enqueue(value);
     }
 
     fn dequeue(&mut self) -> Option<u64> {
-        let (start, len) = self.sweep();
-        let num_shards = self.queue.shards.len();
-        for k in 0..len {
-            let s = (start + k) % num_shards;
-            if let Some(value) = self.shard(s).dequeue() {
-                return Some(value);
-            }
-        }
-        None
+        self.pinned().dequeue()
     }
 
     fn enqueue_batch(&mut self, values: Vec<u64>) {
-        if values.is_empty() {
-            return;
+        if !values.is_empty() {
+            self.pinned().enqueue_batch(values);
         }
-        let s = self.enqueue_shard();
-        self.shard(s).enqueue_batch(values);
     }
 
     fn dequeue_batch(&mut self, count: usize) -> Vec<Option<u64>> {
         if count == 0 {
             return Vec::new();
         }
-        let (start, len) = self.sweep();
-        let num_shards = self.queue.shards.len();
         let mut out: Vec<Option<u64>> = Vec::with_capacity(count);
-        for k in 0..len {
-            if out.len() == count {
-                break;
-            }
-            let s = (start + k) % num_shards;
-            let responses = self.shard(s).dequeue_batch(count - out.len());
-            out.extend(responses.into_iter().flatten().map(Some));
-        }
+        out.extend(
+            self.pinned()
+                .dequeue_batch(count)
+                .into_iter()
+                .flatten()
+                .map(Some),
+        );
         out.resize_with(count, || None);
         out
     }
@@ -206,12 +152,11 @@ fn script(seed: u64, len: usize, handles: usize) -> Vec<(usize, ScriptOp)> {
 
 /// Drives `script` through the frozen reference; returns (steps, responses).
 fn run_frozen(
-    routing: Routing,
     shards: usize,
     handles: usize,
     ops: &[(usize, ScriptOp)],
 ) -> (StepSnapshot, Vec<Option<u64>>) {
-    let q = FrozenSharded::new(shards, handles, routing);
+    let q = FrozenSharded::new(shards, handles);
     let mut hs: Vec<FrozenHandle<'_>> = (0..handles).map(|i| q.handle(i)).collect();
     let mut responses = Vec::new();
     let (_, steps) = wfqueue_metrics::measure(|| {
@@ -229,14 +174,16 @@ fn run_frozen(
     (steps, responses)
 }
 
-/// Drives `script` through the refactored `ShardedQueue`.
-fn run_refactored(
+/// Drives `script` through `ShardedUnbounded` with `routing`.
+fn run_sharded(
     routing: Routing,
+    placement: PlacementConfig,
     shards: usize,
     handles: usize,
     ops: &[(usize, ScriptOp)],
 ) -> (StepSnapshot, Vec<Option<u64>>) {
-    let q: ShardedUnbounded<u64> = ShardedUnbounded::new(shards, handles, routing);
+    let q: ShardedUnbounded<u64> =
+        ShardedUnbounded::new_placed(shards, handles, routing, placement);
     let mut hs = q.handles();
     assert_eq!(hs.len(), handles);
     let mut responses = Vec::new();
@@ -255,71 +202,152 @@ fn run_refactored(
     (steps, responses)
 }
 
+/// FNV-1a over the responses (`None` folds as 0, `Some(v)` as `v + 1`):
+/// the golden `Nearest` cases record this digest instead of several
+/// hundred responses each.
+fn digest(responses: &[Option<u64>]) -> u64 {
+    responses.iter().fold(0xCBF2_9CE4_8422_2325, |h, r| {
+        let x = r.map_or(0, |v| v + 1);
+        (h ^ x).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
 // ---------------------------------------------------------------------------
 // The parity assertions
 // ---------------------------------------------------------------------------
 
 #[test]
 fn legacy_policies_match_pre_refactor_steps_exactly() {
-    for routing in [
-        Routing::PerProducer,
-        Routing::RoundRobin,
-        Routing::Rendezvous,
-    ] {
-        for shards in [1usize, 2, 3, 4] {
-            for handles in [1usize, 2, 5] {
-                for seed in [1u64, 0xDEAD_BEEF, 0x5EED_5EED] {
-                    let ops = script(seed ^ (shards as u64) << 8, 600, handles);
-                    let (frozen_steps, frozen_resp) = run_frozen(routing, shards, handles, &ops);
-                    let (new_steps, new_resp) = run_refactored(routing, shards, handles, &ops);
-                    // Identical responses ⇒ the policy chose the same
-                    // shard for every operation (values are unique, so a
-                    // single divergent placement or sweep start changes
-                    // some response).
-                    assert_eq!(
-                        frozen_resp, new_resp,
-                        "{routing:?} S={shards} p={handles} seed={seed:#x}: \
-                         responses diverged — routing decisions differ"
-                    );
-                    // Identical StepSnapshot ⇒ byte-for-byte parity of
-                    // every shared load, store and CAS, including the
-                    // rendezvous ticket's recorded load + store.
-                    assert_eq!(
-                        frozen_steps, new_steps,
-                        "{routing:?} S={shards} p={handles} seed={seed:#x}: \
-                         step counters diverged"
-                    );
-                }
+    for shards in [1usize, 2, 3, 4] {
+        for handles in [1usize, 2, 5] {
+            for seed in [1u64, 0xDEAD_BEEF, 0x5EED_5EED] {
+                let ops = script(seed ^ (shards as u64) << 8, 600, handles);
+                let (frozen_steps, frozen_resp) = run_frozen(shards, handles, &ops);
+                let (new_steps, new_resp) = run_sharded(
+                    Routing::PerProducer,
+                    PlacementConfig::Detect,
+                    shards,
+                    handles,
+                    &ops,
+                );
+                // Identical responses ⇒ the same shard served every
+                // operation (values are unique, so a single divergent
+                // placement changes some response).
+                assert_eq!(
+                    frozen_resp, new_resp,
+                    "PerProducer S={shards} p={handles} seed={seed:#x}: \
+                     responses diverged — routing decisions differ"
+                );
+                // Identical StepSnapshot ⇒ byte-for-byte parity of every
+                // shared load, store and CAS.
+                assert_eq!(
+                    frozen_steps, new_steps,
+                    "PerProducer S={shards} p={handles} seed={seed:#x}: \
+                     step counters diverged"
+                );
             }
         }
     }
 }
 
+/// One golden `Nearest` case: `(S, p, steps, responses, digest,
+/// empty_probes)`, recorded from the trait-object routing layer.
+type Golden = (usize, usize, StepSnapshot, usize, u64, u64);
+
+const fn steps(
+    shared_loads: u64,
+    shared_stores: u64,
+    cas_success: u64,
+    block_allocs: u64,
+) -> StepSnapshot {
+    StepSnapshot {
+        shared_loads,
+        shared_stores,
+        cas_success,
+        cas_failure: 0,
+        tree_node_visits: 0,
+        block_allocs,
+        gc_phases: 0,
+        help_calls: 0,
+    }
+}
+
+const NEAREST_GOLDEN: [Golden; 6] = [
+    (
+        1,
+        1,
+        steps(16316, 90, 2805, 1122),
+        433,
+        0xd040_da89_cd41_c30a,
+        62,
+    ),
+    (
+        1,
+        5,
+        steps(38201, 90, 6171, 2244),
+        433,
+        0xd040_da89_cd41_c30a,
+        62,
+    ),
+    (
+        2,
+        1,
+        steps(19113, 204, 3315, 1326),
+        480,
+        0x0dc3_a905_e4f1_15ec,
+        170,
+    ),
+    (
+        2,
+        5,
+        steps(46600, 275, 7623, 2772),
+        480,
+        0xbbd3_6898_e9a3_2be0,
+        200,
+    ),
+    (
+        4,
+        1,
+        steps(18807, 61, 3005, 1202),
+        394,
+        0x59ca_000b_a5c0_1fa2,
+        52,
+    ),
+    (
+        4,
+        5,
+        steps(44870, 183, 7249, 2636),
+        394,
+        0xf960_bd5c_4410_f658,
+        110,
+    ),
+];
+
 #[test]
-fn rendezvous_ticket_steps_per_sweep_are_unchanged() {
-    // The ticket moved from the queue struct into RendezvousPolicy; its
-    // cost model must be untouched: exactly one recorded load + one
-    // recorded store per sweep, no recorded CAS (the `Relaxed` fetch_add
-    // is wait-free hardware RMW, approximated as load + store — see the
-    // ORDERING note in policy.rs).
-    let q: ShardedUnbounded<u64> = ShardedUnbounded::new(4, 1, Routing::Rendezvous);
-    let mut h = q.try_handle().expect("one handle");
-    // Warm up: register on all shards so the sweep below is pure probing.
-    let _ = h.dequeue();
-    let (_, steps) = wfqueue_metrics::measure(|| {
-        let _ = h.dequeue();
-    });
-    let probe_only = {
-        let q: ShardedUnbounded<u64> = ShardedUnbounded::new(4, 1, Routing::PerProducer);
-        let mut h = q.try_handle().expect("one handle");
-        let _ = h.dequeue();
-        let (_, steps) = wfqueue_metrics::measure(|| {
-            let _ = h.dequeue();
-        });
-        steps
-    };
-    // PerProducer probes 1 shard with zero routing overhead; Rendezvous
-    // probes 4 and adds exactly load + store for the ticket.
-    assert_eq!(steps.shared_stores, probe_only.shared_stores * 4 + 1);
-    assert_eq!(steps.cas_total(), probe_only.cas_total() * 4);
+fn nearest_matches_recorded_steps_exactly() {
+    for (shards, handles, golden_steps, len, golden_digest, golden_empty) in NEAREST_GOLDEN {
+        let ops = script(0x5EED_5EED ^ (shards as u64) << 8, 600, handles);
+        let route_before = wfqueue_metrics::route_snapshot();
+        let (got_steps, responses) = run_sharded(
+            Routing::Nearest,
+            PlacementConfig::Flat,
+            shards,
+            handles,
+            &ops,
+        );
+        let empty_probes = (wfqueue_metrics::route_snapshot() - route_before).empty_probes;
+        assert_eq!(
+            (responses.len(), digest(&responses)),
+            (len, golden_digest),
+            "Nearest S={shards} p={handles}: responses diverged — scan order differs"
+        );
+        assert_eq!(
+            got_steps, golden_steps,
+            "Nearest S={shards} p={handles}: step counters diverged"
+        );
+        assert_eq!(
+            empty_probes, golden_empty,
+            "Nearest S={shards} p={handles}: empty-probe count diverged"
+        );
+    }
 }

@@ -12,12 +12,11 @@
 //! | [`gate_scenario`] | `try_reserve`/`release` in `crates/channel/src/endpoint.rs` | capacity never exceeded; a reserved slot's previous cleanup is visible |
 //! | [`hazard_scenario`] | `begin_op`/`truncate_locked` in `crates/core/src/unbounded/reclaim.rs` | the truncator never frees a slot a published hazard still clamps to, nor releases the slot chunk that holds it |
 //! | [`scan_scenario`] | `plan_nearest_scan`/`ShardHints` in `crates/shard/src/policy.rs` | an enqueued value is never stranded by a stale `Relaxed` emptiness hint (the fallback pass makes correctness hint-independent) |
-//! | [`reroute_scenario`] | `ShardedHandle::try_rehome` in `crates/shard/src/lib.rs` | per-producer FIFO survives a re-home (the emptiness-witness gate) |
 //! | [`ring_scenario`] | slot/record handshake of `crates/ring/src/lib.rs` | a stalled helper from an earlier ticket can never fill a recycled slot or deliver into a later operation's result (the phase tags) |
 //! | [`steal_park_scenario`] | worker park/steal drain in `crates/executor/src/lib.rs` | a steal racing a park never loses a wakeup, and a successful steal CAS acquires the stolen task's payload |
 //!
 //! The bug structs ([`SignalBugs`], [`GateBugs`], [`HazardBugs`],
-//! [`ScanBugs`], [`RerouteBugs`], [`RingBugs`], [`StealParkBugs`]) switch individual lines
+//! [`ScanBugs`], [`RingBugs`], [`StealParkBugs`]) switch individual lines
 //! of the protocols off or weaken their orderings. With all flags `false` the
 //! scenarios must survive *every* schedule (`tests/model.rs` asserts
 //! exhaustive passes); with any flag `true` the explorer must find a
@@ -498,74 +497,6 @@ pub fn scan_scenario(bugs: ScanBugs) -> impl Fn() + Send + Sync + 'static {
             crate::thread::yield_now();
         };
         assert_eq!(found, 7, "scan surfaced a value nobody enqueued");
-        producer.join();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Adaptive re-home: the emptiness-witness gate
-// ---------------------------------------------------------------------------
-
-/// Seeded bugs for [`reroute_scenario`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RerouteBugs {
-    /// Skip the gate's emptiness witness — re-home immediately instead
-    /// of waiting for the old home shard to drain. The producer's later
-    /// values then land on the new shard while earlier ones still sit on
-    /// the old one, and a consumer whose scan reaches the new shard
-    /// first consumes them out of order: the per-producer FIFO
-    /// violation `try_rehome`'s gate exists to rule out.
-    pub skip_empty_check: bool,
-}
-
-/// Replica of `ShardedHandle::try_rehome`
-/// (`crates/shard/src/lib.rs`): a producer enqueues value 1 to its home
-/// shard A, re-homes to shard B through the gate — *re-home only once
-/// the old home is observed empty* (`approx_len() == 0`, here a `SeqCst`
-/// load reading 0) — then enqueues value 2 to its new home. A consumer
-/// whose nearest-first order is B-then-A drains both values. In every
-/// schedule it must see 1 before 2: the producer reading A empty means
-/// the consumer's probe of A already happened, so value 2 cannot be
-/// consumed first. Shards are one-value cells as in [`scan_scenario`].
-pub fn reroute_scenario(bugs: RerouteBugs) -> impl Fn() + Send + Sync + 'static {
-    move || {
-        let shard_a = Arc::new(AtomicU64::new(0));
-        let shard_b = Arc::new(AtomicU64::new(0));
-        let (a_p, b_p) = (Arc::clone(&shard_a), Arc::clone(&shard_b));
-        let producer = spawn(move || {
-            // Enqueue seq 1 on the current home, A.
-            a_p.store(1, Ordering::SeqCst);
-            // try_rehome(B): the gate demands an emptiness witness for A
-            // *after* A's last enqueue. The producer's own store of 1 is
-            // coherence-ordered before this load, so reading 0 proves a
-            // consumer drained it.
-            if !bugs.skip_empty_check {
-                while a_p.load(Ordering::SeqCst) != 0 {
-                    crate::thread::yield_now();
-                }
-            }
-            // Home is now B; enqueue seq 2 there.
-            b_p.store(2, Ordering::SeqCst);
-        });
-        // The consumer: nearest-first scan order is B-then-A (its own
-        // home is B), probing until both values drained.
-        let mut order = Vec::new();
-        while order.len() < 2 {
-            for cell in [&shard_b, &shard_a] {
-                let v = cell.swap(0, Ordering::SeqCst);
-                if v != 0 {
-                    order.push(v);
-                }
-            }
-            if order.len() < 2 {
-                crate::thread::yield_now();
-            }
-        }
-        assert_eq!(
-            order,
-            [1, 2],
-            "re-homed producer's values consumed out of order"
-        );
         producer.join();
     }
 }

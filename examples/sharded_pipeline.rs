@@ -2,10 +2,10 @@
 //! queue shards, keeping per-producer order end to end.
 //!
 //! Four producers emit ordered event batches; four consumers drain them
-//! through a channel built over the sharded backend with `Rendezvous`
-//! routing: producers pin to shards (so each producer's events stay
-//! FIFO), while consumers sweep all shards from a globally rotating start
-//! index so no shard starves. Each consumer verifies on the fly that
+//! through a channel built over the sharded backend: producers pin to
+//! shards (so each producer's events stay FIFO), while each consumer scans
+//! every shard nearest-first from its own home shard, so no value is left
+//! behind on a shard it does not own. Each consumer verifies on the fly that
 //! every producer's events arrive in order — the relaxed-queue contract
 //! the sharded frontend guarantees. The channel facade adds the pipeline
 //! conveniences on top: consumers park while empty (no spin-waiting) and
@@ -16,7 +16,7 @@
 use std::sync::Arc;
 use wfqueue_sync::atomic::{AtomicU64, Ordering};
 
-use wfqueue_channel::{Backend, Channel, Endpoints, Routing};
+use wfqueue_channel::{Backend, Channel, Endpoints};
 
 const PRODUCERS: usize = 4;
 const CONSUMERS: usize = 4;
@@ -36,7 +36,6 @@ fn main() {
             senders: PRODUCERS,
             receivers: CONSUMERS,
         })
-        .routing(Routing::Rendezvous)
         .build()
         .unwrap();
     let consumed = Arc::new(AtomicU64::new(0));
@@ -87,7 +86,7 @@ fn main() {
     );
     println!(
         "pipelined {total} events from {PRODUCERS} producers to {CONSUMERS} consumers over \
-         {SHARDS} wait-free shards (Rendezvous routing)"
+         {SHARDS} wait-free shards (nearest-first receive scans)"
     );
     println!(
         "per-producer FIFO verified by every consumer; each shard kept the paper's \

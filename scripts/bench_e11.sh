@@ -1,12 +1,10 @@
 #!/usr/bin/env bash
 # Records the E11-shard throughput sweep as BENCH_e11.json so the perf
-# trajectory accumulates across PRs. The sweep covers all routing
-# policies with a distinct perf story: per-producer (capacity win, both
-# variants), rendezvous (legacy rotating-ticket sweep), nearest
-# (contention-aware hint-guided scan, E11b) and adaptive (nearest +
-# re-homing feedback). The binary itself asserts the acceptance
-# criteria: per-producer strictly increases S=1..4, and nearest's S=8
-# holds >= 95% of its S=4 (the degradation the scan removes).
+# trajectory accumulates across PRs. The sweep covers both routing
+# policies: per-producer (capacity win, both variants) and nearest
+# (contention-aware hint-guided scan, E11b). The binary itself asserts
+# the acceptance criteria: per-producer strictly increases S=1..4, and
+# nearest's S=8 holds >= 95% of its S=4.
 # Run from the repo root:
 #
 #   scripts/bench_e11.sh            # writes ./BENCH_e11.json

@@ -10,8 +10,8 @@ use proptest::prelude::*;
 
 use wfqueue_channel::{
     bounded, bounded_with, sharded, unbounded, unbounded_with, Backend, BoundedConfig, Channel,
-    Endpoints, PlacementConfig, Receiver, ReclaimPolicy, Routing, Sender, ShardedConfig,
-    TryRecvError, TrySendError, UnboundedConfig,
+    Endpoints, PlacementConfig, Receiver, ReclaimPolicy, Sender, ShardedConfig, TryRecvError,
+    TrySendError, UnboundedConfig,
 };
 use wfqueue_harness::channel_api::{ChannelMode, WfChannel};
 use wfqueue_harness::lincheck;
@@ -116,12 +116,16 @@ fn try_path_parity_sharded() {
             senders: 1,
             receivers: 1,
         },
-        routing: Routing::Rendezvous,
         placement: PlacementConfig::Flat,
         reclaim: ReclaimPolicy::Off,
     };
     let (mut tx, mut rx) = sharded::<u64>(cfg);
-    let raw = wfqueue_shard::ShardedUnbounded::<u64>::new(2, 2, Routing::Rendezvous);
+    let raw = wfqueue_shard::ShardedUnbounded::<u64>::new_placed(
+        2,
+        2,
+        wfqueue_shard::Routing::Nearest,
+        PlacementConfig::Flat,
+    );
     let mut raw_enq = raw.try_handle().unwrap();
     let mut raw_deq = raw.try_handle().unwrap();
 
@@ -297,7 +301,6 @@ fn free_constructors_are_step_identical_to_builder() {
             senders: 2,
             receivers: 2,
         },
-        routing: Routing::Nearest,
         placement: PlacementConfig::Flat,
         reclaim: ReclaimPolicy::EveryKRootBlocks(8),
     };
@@ -307,7 +310,6 @@ fn free_constructors_are_step_identical_to_builder() {
             Channel::builder()
                 .backend(Backend::Sharded { shards: cfg.shards })
                 .endpoints(cfg.endpoints)
-                .routing(cfg.routing)
                 .placement(cfg.placement)
                 .reclaim(cfg.reclaim)
                 .build()
@@ -555,7 +557,6 @@ proptest! {
         check_drop_script(&script, || sharded(ShardedConfig {
             shards: 2,
             endpoints: Endpoints { senders: 3, receivers: 3 },
-            routing: Routing::Rendezvous,
             placement: PlacementConfig::Flat,
             reclaim: ReclaimPolicy::Off,
         }))?;

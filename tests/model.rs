@@ -9,8 +9,7 @@
 //! (`crates/channel/src/wait.rs`), the capacity gate
 //! (`crates/channel/src/endpoint.rs`), the reclamation hazard protocol
 //! (`crates/core/src/unbounded/reclaim.rs`), the contention-aware
-//! nearest scan (`crates/shard/src/policy.rs`), the re-home
-//! emptiness gate (`crates/shard/src/lib.rs`), and the ring backend's
+//! nearest scan (`crates/shard/src/policy.rs`), and the ring backend's
 //! phase-tagged slot/record handshake (`crates/ring/src/lib.rs`); see
 //! the module docs of
 //! `protocols` for the exact correspondence, and
@@ -102,18 +101,6 @@ fn scan_finds_stranded_value_in_every_schedule() {
         protocols::scan_scenario(protocols::ScanBugs::default()),
     );
     report("scan", r);
-}
-
-/// The re-home gate's emptiness witness preserves per-producer FIFO in
-/// every schedule: a producer that saw its old home drain can never have
-/// its post-re-home values consumed before its pre-re-home ones.
-#[test]
-fn rehome_gate_preserves_fifo_in_every_schedule() {
-    let r = explore(
-        opts(),
-        protocols::reroute_scenario(protocols::RerouteBugs::default()),
-    );
-    report("reroute", r);
 }
 
 /// The ring's phase tags confine every helper to its announced ticket in

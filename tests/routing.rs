@@ -1,45 +1,36 @@
-//! Cross-crate behaviour of the **routing layer** (ISSUE 7): the
-//! contention-aware `Nearest` scan and the re-homing `Adaptive` policy.
+//! Cross-crate behaviour of the **routing layer**: the contention-aware
+//! `Nearest` scan.
 //!
-//! Three layers of evidence that adaptive re-routing cannot break the
+//! Three layers of evidence that the hint-ordered scan cannot break the
 //! per-producer FIFO contract:
 //!
 //! 1. a proptest driving multiple handles through arbitrary interleaved
-//!    scripts with *forced* re-homes at arbitrary points (plus the
-//!    `AdaptivePolicy::aggressive()` proposer running underneath), checking
-//!    every consumed value against its producer's sequence;
+//!    scripts, checking every consumed value against its producer's
+//!    sequence;
 //! 2. a multi-threaded adversarial-scheduler hunt (in `tests/sharded.rs`,
-//!    `FIFO_ROUTINGS` includes `Nearest` and `Adaptive`);
-//! 3. a Wing–Gong linearizability round against the contention-aware scan
-//!    (below): per-shard sub-histories under `Nearest`, and the composite
-//!    at `S = 1` where it must be one linearizable FIFO.
+//!    whose `ROUTINGS` includes `Nearest`);
+//! 3. a Wing–Gong linearizability round against the scan (below):
+//!    per-shard sub-histories under `Nearest`, and the composite at
+//!    `S = 1` where it must be one linearizable FIFO.
 
 use proptest::prelude::*;
 
 use wfqueue_harness::lincheck::{self, Event, Op};
 use wfqueue_harness::queue_api::{PlacementConfig, Routing, WfShardedUnbounded};
-use wfqueue_harness::workload::{run_workload, WorkloadSpec};
-use wfqueue_shard::{AdaptivePolicy, ShardedQueue, ShardedUnbounded};
+use wfqueue_shard::ShardedUnbounded;
 
 // ---------------------------------------------------------------------------
-// Per-producer FIFO across arbitrary re-route points (proptest)
+// Per-producer FIFO across arbitrary interleavings (proptest)
 // ---------------------------------------------------------------------------
 
-/// One scripted step: `(handle, action)` where `action` selects enqueue /
-/// dequeue / batch variants / a forced re-home attempt toward a target.
+/// One scripted step: `(handle, action, size)` where `action` selects
+/// enqueue / dequeue / batch variants and `size` a batch length.
 type Step = (u8, u8, u8);
 
-fn check_fifo_with_rehoming(script: &[Step], shards: usize) -> Result<(), TestCaseError> {
+fn check_fifo(script: &[Step], shards: usize) -> Result<(), TestCaseError> {
     const HANDLES: usize = 3;
-    // Aggressive adaptive: reviews after every enqueue, proposes on any
-    // signal — maximises policy-driven re-route attempts under the script.
-    let q = ShardedQueue::build_with_policy(
-        shards,
-        HANDLES,
-        Box::new(AdaptivePolicy::aggressive()),
-        PlacementConfig::Flat,
-        wfqueue::unbounded::Queue::<u64>::new,
-    );
+    let q: ShardedUnbounded<u64> =
+        ShardedUnbounded::new_placed(shards, HANDLES, Routing::Nearest, PlacementConfig::Flat);
     let mut handles = q.handles();
     // Values are tagged (producer, seq): FIFO per producer means each
     // producer's consumed seqs are strictly increasing, no matter which
@@ -58,9 +49,9 @@ fn check_fifo_with_rehoming(script: &[Step], shards: usize) -> Result<(), TestCa
         last_seen[producer] = Some(seq);
         Ok(())
     };
-    for &(h, action, target) in script {
+    for &(h, action, size) in script {
         let h = h as usize % HANDLES;
-        match action % 6 {
+        match action % 5 {
             0 | 1 => {
                 let v = ((h as u64) << 32) | next_seq[h];
                 next_seq[h] += 1;
@@ -72,26 +63,21 @@ fn check_fifo_with_rehoming(script: &[Step], shards: usize) -> Result<(), TestCa
                 }
             }
             3 => {
-                let n = (target % 4) as u64 + 1;
+                let n = (size % 4) as u64 + 1;
                 let batch: Vec<u64> = (0..n)
                     .map(|j| ((h as u64) << 32) | (next_seq[h] + j))
                     .collect();
                 next_seq[h] += n;
                 handles[h].enqueue_batch(batch);
             }
-            4 => {
+            _ => {
                 for v in handles[h]
-                    .dequeue_batch(target as usize % 4 + 1)
+                    .dequeue_batch(size as usize % 4 + 1)
                     .into_iter()
                     .flatten()
                 {
                     check(v)?;
                 }
-            }
-            // Forced re-home attempt at an arbitrary point: must either
-            // refuse (gate closed) or preserve FIFO — never corrupt it.
-            _ => {
-                let _ = handles[h].try_rehome(target as usize % shards);
             }
         }
     }
@@ -108,14 +94,14 @@ fn check_fifo_with_rehoming(script: &[Step], shards: usize) -> Result<(), TestCa
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    // Adaptive re-routing never violates per-producer FIFO, for any
-    // interleaving of operations and re-home points the generator finds.
+    // The nearest-first scan never violates per-producer FIFO, for any
+    // interleaving of operations the generator finds.
     #[test]
-    fn adaptive_rerouting_preserves_per_producer_fifo(
-        script in proptest::collection::vec((0u8..3, 0u8..6, 0u8..8), 0..120),
+    fn nearest_scans_preserve_per_producer_fifo(
+        script in proptest::collection::vec((0u8..3, 0u8..5, 0u8..8), 0..120),
         shards in 2usize..5,
     ) {
-        check_fifo_with_rehoming(&script, shards)?;
+        check_fifo(&script, shards)?;
     }
 }
 
@@ -123,8 +109,8 @@ proptest! {
 // Wing–Gong rounds against the contention-aware scan
 // ---------------------------------------------------------------------------
 
-/// The shard a recorded value lives on under a pinned, non-re-homing
-/// policy (`Nearest`): `record_history` tags the producing thread in the
+/// The shard a recorded value lives on under `Nearest`:
+/// `record_history` tags the producing thread in the
 /// upper bits, and handle `i` pins to shard `i % S`.
 fn shard_of(value: u32, shards: usize) -> usize {
     ((value >> 16) as usize) % shards
@@ -170,31 +156,8 @@ fn wing_gong_nearest_per_shard_sub_histories() {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrent audits + hint sanity
+// Hint sanity
 // ---------------------------------------------------------------------------
-
-#[test]
-fn adaptive_concurrent_workload_audits_hold() {
-    // Multi-threaded run with the default (non-aggressive) Adaptive
-    // policy: per-producer FIFO and no-duplication audits must hold, and
-    // per-shard invariants stay intact, whether or not any handle actually
-    // re-homed during the run.
-    for shards in [2usize, 4] {
-        let q = WfShardedUnbounded::new_placed(shards, 8, Routing::Adaptive, PlacementConfig::Flat);
-        let spec = WorkloadSpec {
-            threads: 8,
-            ops_per_thread: 800,
-            enqueue_permille: 550,
-            prefill: 0,
-            seed: 0xADA7 + shards as u64,
-        };
-        let r = run_workload(&q, &spec);
-        assert!(r.audits_ok(), "Adaptive S={shards}: {r:?}");
-        for shard in q.0.shards() {
-            wfqueue::unbounded::introspect::check_invariants(shard).unwrap();
-        }
-    }
-}
 
 #[test]
 fn nearest_scan_finds_values_other_policies_leave_stranded() {

@@ -13,24 +13,11 @@ use wfqueue_harness::workload::{run_workload, WorkloadSpec};
 use wfqueue_harness::QueueHandle;
 use wfqueue_shard::{ShardedBounded, ShardedUnbounded};
 
-const ALL_ROUTINGS: [Routing; 5] = [
-    Routing::PerProducer,
-    Routing::RoundRobin,
-    Routing::Rendezvous,
-    Routing::Nearest,
-    Routing::Adaptive,
-];
-/// The routing policies that preserve per-producer FIFO on the composite.
-const FIFO_ROUTINGS: [Routing; 4] = [
-    Routing::PerProducer,
-    Routing::Rendezvous,
-    Routing::Nearest,
-    Routing::Adaptive,
-];
-/// The FIFO policies that additionally keep handle `i` pinned to shard
-/// `i % S` forever (no re-homing), so a value's shard is derivable from
-/// its producer tag — what the per-shard sub-history filter needs.
-const PINNED_ROUTINGS: [Routing; 3] = [Routing::PerProducer, Routing::Rendezvous, Routing::Nearest];
+/// Both routing policies. Each preserves per-producer FIFO on the
+/// composite and keeps handle `i`'s enqueues on shard `i % S`, so a
+/// value's shard is derivable from its producer tag — what the per-shard
+/// sub-history filter needs.
+const ROUTINGS: [Routing; 2] = [Routing::PerProducer, Routing::Nearest];
 
 // ---------------------------------------------------------------------------
 // S = 1 is the inner queue
@@ -74,7 +61,7 @@ proptest! {
     // every routing policy and on both variants.
     #[test]
     fn sharded_s1_matches_inner_queue(script in proptest::collection::vec((0u8..4, 1u8..6), 0..48)) {
-        for routing in ALL_ROUTINGS {
+        for routing in ROUTINGS {
             let sharded: ShardedUnbounded<u64> = ShardedUnbounded::new(1, 1, routing);
             let inner = wfqueue::unbounded::Queue::new(1);
             let mut sh = sharded.try_handle().expect("one handle");
@@ -131,9 +118,9 @@ fn sharded_s1_cas_parity_with_inner_queue() {
 
 #[test]
 fn composite_with_one_shard_is_linearizable() {
-    // Both the legacy rotating-ticket sweep and the contention-aware
-    // nearest scan: at S = 1 the composite must be one linearizable FIFO.
-    for routing in [Routing::Rendezvous, Routing::Nearest] {
+    // Under either policy the composite at S = 1 must be one
+    // linearizable FIFO.
+    for routing in ROUTINGS {
         for round in 0..10u64 {
             let q = WfShardedUnbounded::new(1, 3, routing);
             let h = lincheck::record_history(&q, 3, 4, 500, round * 13 + 1);
@@ -159,7 +146,7 @@ fn per_shard_sub_histories_are_linearizable() {
     // composite intervals contain the shard-op intervals, and dropping
     // null dequeues (which touch several shards and change no state) never
     // hides a violation.
-    for routing in PINNED_ROUTINGS {
+    for routing in ROUTINGS {
         for shards in [2usize, 3] {
             for round in 0..12u64 {
                 let q = WfShardedUnbounded::new(shards, 4, routing);
@@ -190,10 +177,10 @@ fn per_shard_sub_histories_are_linearizable() {
 fn adversarial_fifo_hunt_on_composites() {
     // With every read-to-CAS window yielding, lost CASes and helping paths
     // fire constantly inside each shard while the frontend routes around
-    // them. Per-producer FIFO and no-duplication must survive on every
-    // FIFO-preserving policy, shard count and variant.
+    // them. Per-producer FIFO and no-duplication must survive under both
+    // policies, every shard count and both variants.
     wfqueue_metrics::set_adversary(true);
-    for routing in FIFO_ROUTINGS {
+    for routing in ROUTINGS {
         for shards in [2usize, 4] {
             let spec = WorkloadSpec {
                 threads: 8,
@@ -223,27 +210,4 @@ fn adversarial_fifo_hunt_on_composites() {
         }
     }
     wfqueue_metrics::set_adversary(false);
-}
-
-#[test]
-fn round_robin_conserves_values_without_fifo_promise() {
-    // RoundRobin sprays one producer's values across shards, so the
-    // per-producer FIFO audit may legitimately fail — but no value may
-    // ever be duplicated, and all enqueued values must remain dequeueable.
-    let q = WfShardedUnbounded::new(3, 4, Routing::RoundRobin);
-    let spec = WorkloadSpec {
-        threads: 4,
-        ops_per_thread: 1_000,
-        enqueue_permille: 600,
-        prefill: 0,
-        seed: 0x22B,
-    };
-    let r = run_workload(&q, &spec);
-    assert!(r.no_duplicates, "{r:?}");
-    let remaining: usize = q.0.approx_len();
-    assert_eq!(
-        remaining as u64,
-        r.enqueued - r.dequeued,
-        "value conservation across shards"
-    );
 }
