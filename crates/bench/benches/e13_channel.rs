@@ -32,6 +32,7 @@
 
 use std::time::{Duration, Instant};
 
+use wfqueue_bench::exp::percentile;
 use wfqueue_channel::{unbounded_with, Endpoints, ReclaimPolicy, UnboundedConfig};
 use wfqueue_harness::channel_api::{ChannelMode, WfChannel};
 use wfqueue_harness::queue_api::WfUnbounded;
@@ -83,11 +84,6 @@ struct Latency {
     max: f64,
 }
 
-fn percentile(sorted: &[Duration], q: f64) -> f64 {
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx].as_secs_f64() * 1e6
-}
-
 /// One paced sender, one parked receiver: each sample is the wall time
 /// from just before `send` to the parked `recv` returning the value.
 fn measure_wakeup_latency() -> Latency {
@@ -102,7 +98,7 @@ fn measure_wakeup_latency() -> Latency {
         let mut samples = Vec::with_capacity(LATENCY_SAMPLES);
         while samples.len() < LATENCY_SAMPLES {
             match rx.recv() {
-                Ok(sent_at) => samples.push(sent_at.elapsed()),
+                Ok(sent_at) => samples.push(sent_at.elapsed().as_nanos() as u64),
                 Err(_) => break,
             }
         }
@@ -118,11 +114,12 @@ fn measure_wakeup_latency() -> Latency {
     let mut samples = consumer.join().expect("consumer thread");
     assert_eq!(samples.len(), LATENCY_SAMPLES);
     samples.sort_unstable();
+    let us = |permille| percentile(&samples, permille) as f64 / 1e3;
     Latency {
-        p50: percentile(&samples, 0.50),
-        p90: percentile(&samples, 0.90),
-        p99: percentile(&samples, 0.99),
-        max: percentile(&samples, 1.0),
+        p50: us(500),
+        p90: us(900),
+        p99: us(990),
+        max: us(1_000),
     }
 }
 

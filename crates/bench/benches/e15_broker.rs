@@ -16,7 +16,7 @@
 //! Every message carries its publish timestamp; subscriber workers record
 //! the enqueue-to-deliver latency of every delivery. At each wave
 //! boundary the generator waits for per-topic quiescence
-//! (`delivered == published`, the seal/gauge certification) and samples
+//! (`delivered == published`, the drain certificate) and samples
 //! the broker's live-block footprint (the E12 introspection counters), in
 //! total and for the truncating `ingest` topic alone.
 //! With `feature = "async"` the same bursty profile additionally runs
@@ -38,6 +38,7 @@
 use std::sync::Barrier;
 use std::time::Instant;
 
+use wfqueue_bench::exp::percentile;
 use wfqueue_broker::{Broker, Publisher, ReclaimPolicy, Subscriber, TopicConfig};
 use wfqueue_harness::table::Table;
 
@@ -103,11 +104,6 @@ struct Phase {
 }
 
 impl Phase {
-    fn percentile(&self, permille: u64) -> u64 {
-        let idx = (self.latencies_ns.len() as u64 - 1) * permille / 1_000;
-        self.latencies_ns[idx as usize]
-    }
-
     fn throughput(&self) -> f64 {
         self.total_msgs as f64 / self.elapsed_secs
     }
@@ -136,7 +132,7 @@ fn broker_with_topics() -> Broker {
 }
 
 /// Spins until every topic certifies `delivered == published` — the
-/// quiescence the seal/gauge counters make checkable from outside.
+/// quiescence the topic counters make checkable from outside.
 fn await_quiescence(broker: &Broker) {
     loop {
         if broker.stats().iter().all(|s| s.delivered == s.published) {
@@ -310,9 +306,9 @@ fn async_phase() -> Phase {
 fn check_phase(label: &str, phase: &Phase) {
     assert!(phase.total_msgs > 0, "{label}: empty load");
     let (p50, p99, p999) = (
-        phase.percentile(500),
-        phase.percentile(990),
-        phase.percentile(999),
+        percentile(&phase.latencies_ns, 500),
+        percentile(&phase.latencies_ns, 990),
+        percentile(&phase.latencies_ns, 999),
     );
     assert!(
         0 < p50 && p50 <= p99 && p99 <= p999,
@@ -326,9 +322,9 @@ fn phase_json(phase: &Phase) -> String {
          \"latency_ns\": {{\"p50\": {}, \"p99\": {}, \"p999\": {}}}}}",
         phase.total_msgs,
         phase.throughput(),
-        phase.percentile(500),
-        phase.percentile(990),
-        phase.percentile(999)
+        percentile(&phase.latencies_ns, 500),
+        percentile(&phase.latencies_ns, 990),
+        percentile(&phase.latencies_ns, 999)
     )
 }
 
@@ -405,9 +401,9 @@ fn main() {
             label.to_string(),
             p.total_msgs.to_string(),
             format!("{:.0}", p.throughput()),
-            format!("{:.1}", p.percentile(500) as f64 / 1_000.0),
-            format!("{:.1}", p.percentile(990) as f64 / 1_000.0),
-            format!("{:.1}", p.percentile(999) as f64 / 1_000.0),
+            format!("{:.1}", percentile(&p.latencies_ns, 500) as f64 / 1_000.0),
+            format!("{:.1}", percentile(&p.latencies_ns, 990) as f64 / 1_000.0),
+            format!("{:.1}", percentile(&p.latencies_ns, 999) as f64 / 1_000.0),
         ]
     };
     table.row_owned(row("sync", &sync));

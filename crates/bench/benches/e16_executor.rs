@@ -31,6 +31,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use wfqueue_bench::exp::percentile;
 use wfqueue_executor::{Executor, ExecutorConfig, ExecutorStats};
 use wfqueue_harness::table::Table;
 use wfqueue_sync::atomic::{AtomicU64, Ordering};
@@ -57,12 +58,6 @@ fn mix(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
-}
-
-/// Sorted-sample permille percentile.
-fn percentile(sorted_ns: &[u64], permille: u64) -> u64 {
-    let idx = (sorted_ns.len() as u64 - 1) * permille / 1_000;
-    sorted_ns[idx as usize]
 }
 
 fn check_tail(label: &str, sorted_ns: &[u64]) -> (u64, u64, u64) {

@@ -21,3 +21,15 @@ pub fn p_sweep() -> &'static [usize] {
 pub fn log2(x: f64) -> f64 {
     x.log2()
 }
+
+/// The `permille`/1000 percentile of ascending-sorted samples, by the
+/// floor rule: the sample at index `⌊(n − 1) · permille / 1000⌋`, so
+/// `500` is the median and `1000` the maximum.
+///
+/// # Panics
+///
+/// Panics if `sorted_ns` is empty.
+pub fn percentile(sorted_ns: &[u64], permille: u64) -> u64 {
+    let idx = (sorted_ns.len() as u64 - 1) * permille / 1_000;
+    sorted_ns[idx as usize]
+}

@@ -177,8 +177,9 @@ pub enum TryConsumeError {
     /// still open (or a publish is still in flight) — a value may arrive.
     Empty,
     /// The topic is closed **and** drained: no value can ever arrive.
-    /// Reported only after the seal/gauge handshake and a final drain
-    /// attempt, so a publish that returned `Ok` is never stranded.
+    /// Reported only once the topic's seal is drained and a final
+    /// dequeue came back empty, so a publish that returned `Ok` is never
+    /// stranded.
     Closed,
 }
 

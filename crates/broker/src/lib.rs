@@ -27,8 +27,8 @@
 //!   observe `Closed`, publishers get their value handed back. Dropping
 //!   subscriber handles never strands published values: the registry keeps
 //!   root endpoints alive, and a later-minted subscriber drains the
-//!   backlog. The protocol (a seal flag plus an in-flight publish gauge)
-//!   is documented in the `topic` module.
+//!   backlog. The protocol is the channel crate's
+//!   [`Seal`](wfqueue_channel::Seal), applied in the `topic` module.
 //!
 //! # Ordering contract
 //!

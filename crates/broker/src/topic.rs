@@ -1,46 +1,29 @@
 //! Topics and their publisher/subscriber handles.
 //!
-//! # The seal/gauge close protocol
+//! # Drain-then-close
 //!
 //! The broker's headline guarantee — *a publish that returned `Ok` is
 //! never lost, even across an arbitrary interleaving of closes and handle
 //! drops* — cannot be delegated to the channel's drop-disconnect protocol:
 //! the topic registry keeps a root endpoint pair alive for minting, so the
-//! channel never observes "all senders dropped". Instead each topic runs
-//! its own two-word handshake above the channel:
-//!
-//! * every publish brackets its enqueue with an in-flight **gauge**
-//!   (`publishing += 1` → check `sealed` → enqueue → `publishing -= 1`,
-//!   notify);
-//! * [`Topic::close`] **seals** the topic (`sealed = true`, notify both
-//!   signals) — it never waits;
-//! * a consumer that finds the channel empty reports
-//!   [`TryConsumeError::Closed`] only after observing `sealed == true`
-//!   **and** `publishing == 0` **and** one more failed dequeue.
-//!
-//! The no-lost-value argument is the same store-buffer (Dekker) shape as
-//! the channel's `Signal` handshake, with `SeqCst` ordering both sides:
-//! a publisher's gauge increment precedes its seal check, and a consumer's
-//! seal read precedes its gauge read. If the consumer saw `sealed` and
-//! `publishing == 0`, then every publisher that passed its seal check
-//! (reading `false`, hence ordered before the seal store) has already
-//! completed its gauge decrement — which follows its enqueue — so the
-//! consumer's final dequeue observes the value (or another subscriber
-//! already consumed it, i.e. it was delivered). A publisher whose gauge
-//! increment came later reads `sealed == true` and hands its value back
-//! without counting it as published. `tests/broker.rs` hunts this
-//! handshake under the adversarial scheduler and drop-interleaving
-//! proptests.
+//! channel never observes "all senders dropped". Instead each topic holds
+//! a [`Seal`] above the channel: every publish runs inside a
+//! [`Seal::enter`] entry (enqueue, count it as published, drop the entry),
+//! [`Topic::close`] seals it, and a consumer that finds the channel empty
+//! reports [`TryConsumeError::Closed`] only once [`Seal::is_drained`]
+//! holds *and* one more dequeue came back empty. The proof is on
+//! [`Seal`]; `tests/broker.rs` hunts the protocol under the adversarial
+//! scheduler and drop-interleaving proptests.
 
 use std::any::Any;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use wfqueue_channel::{
-    Backend, Channel, Endpoints, MemoryStats, PlacementConfig, Receiver, ReclaimPolicy, Sender,
-    Signal, TryRecvError, TrySendError,
+    Backend, Channel, Endpoints, MemoryStats, PlacementConfig, Receiver, ReclaimPolicy, Seal,
+    Sender, Signal, TryRecvError, TrySendError,
 };
-use wfqueue_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use wfqueue_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use crate::error::{
     BrokerError, ConsumeError, ConsumeTimeoutError, PublishError, TryConsumeError, TryPublishError,
@@ -186,17 +169,16 @@ struct Roots<T: Clone + Send + Sync + 'static> {
     rx: Receiver<T>,
 }
 
-/// One topic's shared state: the root endpoints, the seal/gauge close
-/// protocol words, the broker-level signals and the stats counters.
+/// One topic's shared state: the root endpoints, the close [`Seal`], the
+/// broker-level signals and the stats counters.
 pub(crate) struct TopicCore<T: Clone + Send + Sync + 'static> {
     name: String,
     /// Locked only on the rare paths (handle minting, stats snapshots);
     /// the publish/consume fast paths never touch it.
     roots: Mutex<Roots<T>>,
-    /// The seal: set once by `close`, checked by every publish.
-    sealed: AtomicBool,
-    /// In-flight publish gauge — see the module docs.
-    publishing: AtomicUsize,
+    /// Every publish runs inside an entry; `close` seals it. Its wake
+    /// signal is `not_empty` — see the module docs.
+    seal: Seal,
     /// Values accepted by a publish (`Ok` returns).
     published: AtomicU64,
     /// Values handed to a subscriber.
@@ -238,8 +220,7 @@ impl<T: Clone + Send + Sync + 'static> TopicCore<T> {
         Ok(Arc::new(TopicCore {
             name: name.to_string(),
             roots: Mutex::new(Roots { tx, rx }),
-            sealed: AtomicBool::new(false),
-            publishing: AtomicUsize::new(0),
+            seal: Seal::default(),
             published: AtomicU64::new(0),
             delivered: AtomicU64::new(0),
             publishers: AtomicUsize::new(0),
@@ -257,46 +238,10 @@ impl<T: Clone + Send + Sync + 'static> TopicCore<T> {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// The publisher half of the seal handshake: gauge up, then check the
-    /// seal. Returns `false` (after undoing the gauge) on a sealed topic.
-    fn begin_publish(&self) -> bool {
-        // ORDERING: SeqCst gauge increment *before* the seal check — the
-        // publisher's half of the seal/gauge Dekker handshake (module
-        // docs): a consumer that later reads `publishing == 0` is
-        // guaranteed this publisher's seal check already resolved.
-        self.publishing.fetch_add(1, Ordering::SeqCst);
-        wfqueue_metrics::adversary_yield();
-        // ORDERING: SeqCst seal read, ordered after the gauge publication.
-        if self.sealed.load(Ordering::SeqCst) {
-            self.end_publish();
-            return false;
-        }
-        true
-    }
-
-    /// The closing bracket of every publish attempt (successful or not):
-    /// gauge down, then wake consumers. The notify is unconditional — a
-    /// consumer may be parked waiting for the gauge to drain on a sealed
-    /// topic, not just for a value.
-    fn end_publish(&self) {
-        // ORDERING: SeqCst gauge decrement before the notify's fence, so
-        // a parked consumer woken here re-reads the drained gauge.
-        self.publishing.fetch_sub(1, Ordering::SeqCst);
-        self.not_empty.notify();
-    }
-
     fn close(&self) {
-        // ORDERING: SeqCst seal store — the close's half of the Dekker
-        // handshake; ordered before the two notifies' fences so every
-        // parked publisher and subscriber wakes to observe it.
-        self.sealed.store(true, Ordering::SeqCst);
+        self.seal.seal();
         self.not_empty.notify();
         self.not_full.notify();
-    }
-
-    fn is_closed(&self) -> bool {
-        // ORDERING: SeqCst, consistent with the publish paths' seal check.
-        self.sealed.load(Ordering::SeqCst)
     }
 
     fn stats(&self) -> TopicStats {
@@ -313,7 +258,7 @@ impl<T: Clone + Send + Sync + 'static> TopicCore<T> {
             // mint/drop increments.
             publishers: self.publishers.load(Ordering::SeqCst),
             subscribers: self.subscribers.load(Ordering::SeqCst),
-            closed: self.is_closed(),
+            closed: self.seal.is_sealed(),
             capacity: roots.tx.capacity(),
         }
     }
@@ -366,7 +311,7 @@ impl<T: Clone + Send + Sync + 'static> std::fmt::Debug for Topic<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Topic")
             .field("name", &self.core.name)
-            .field("closed", &self.core.is_closed())
+            .field("closed", &self.core.seal.is_sealed())
             .finish_non_exhaustive()
     }
 }
@@ -456,7 +401,7 @@ impl<T: Clone + Send + Sync + 'static> Topic<T> {
     /// draining the backlog.
     #[must_use]
     pub fn is_closed(&self) -> bool {
-        self.core.is_closed()
+        self.core.seal.is_sealed()
     }
 
     /// A snapshot of the topic's counters.
@@ -521,26 +466,37 @@ impl<T: Clone + Send + Sync + 'static> Publisher<T> {
     /// assert!(publisher.try_publish(8).unwrap_err().is_closed());
     /// ```
     pub fn try_publish(&mut self, value: T) -> Result<(), TryPublishError<T>> {
-        if !self.core.begin_publish() {
-            return Err(TryPublishError::Closed(value));
-        }
+        self.try_publish_counted(value, 1, Sender::try_send)
+    }
+
+    /// One non-blocking publish of `count` values inside a seal entry:
+    /// `send` enqueues them, and an accepted send is counted in
+    /// `published` before the entry drops.
+    fn try_publish_counted<V>(
+        &mut self,
+        values: V,
+        count: u64,
+        send: impl FnOnce(&mut Sender<T>, V) -> Result<(), TrySendError<V>>,
+    ) -> Result<(), TryPublishError<V>> {
+        let Some(entry) = self.core.seal.enter(&self.core.not_empty) else {
+            return Err(TryPublishError::Closed(values));
+        };
         wfqueue_metrics::adversary_yield();
-        let result = self.tx.try_send(value);
+        let result = send(&mut self.tx, values);
         if result.is_ok() {
             // ORDERING: SeqCst published-counter increment *before* the
-            // gauge drop below: once a consumer certifies the gauge
-            // drained, `published` already covers this value.
-            self.core.published.fetch_add(1, Ordering::SeqCst);
+            // entry drops: once a consumer sees the seal drained,
+            // `published` already covers these values.
+            self.core.published.fetch_add(count, Ordering::SeqCst);
         }
-        self.core.end_publish();
-        match result {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(v)) => Err(TryPublishError::Full(v)),
+        drop(entry);
+        result.map_err(|e| match e {
+            TrySendError::Full(v) => TryPublishError::Full(v),
             // The registry's root receiver pins the channel connected, so
             // a channel-level disconnect means the whole topic (registry
             // included) is gone — report it as closed.
-            Err(TrySendError::Disconnected(v)) => Err(TryPublishError::Closed(v)),
-        }
+            TrySendError::Disconnected(v) => TryPublishError::Closed(v),
+        })
     }
 
     /// Publishes, blocking while a capacity-bounded topic is full
@@ -593,23 +549,8 @@ impl<T: Clone + Send + Sync + 'static> Publisher<T> {
         if values.is_empty() {
             return Ok(());
         }
-        if !self.core.begin_publish() {
-            return Err(TryPublishError::Closed(values));
-        }
         let count = values.len() as u64;
-        wfqueue_metrics::adversary_yield();
-        let result = self.tx.try_send_all(values);
-        if result.is_ok() {
-            // ORDERING: as in `try_publish` — counted before the gauge
-            // drop certifies the batch to consumers.
-            self.core.published.fetch_add(count, Ordering::SeqCst);
-        }
-        self.core.end_publish();
-        match result {
-            Ok(()) => Ok(()),
-            Err(TrySendError::Full(v)) => Err(TryPublishError::Full(v)),
-            Err(TrySendError::Disconnected(v)) => Err(TryPublishError::Closed(v)),
-        }
+        self.try_publish_counted(values, count, |tx, values| tx.try_send_all(values))
     }
 
     /// Blocking batch publish: splits the batch into capacity-sized
@@ -699,7 +640,7 @@ impl<T: Clone + Send + Sync + 'static> Publisher<T> {
     /// Whether the topic has been sealed (publishes would fail).
     #[must_use]
     pub fn is_closed(&self) -> bool {
-        self.core.is_closed()
+        self.core.seal.is_sealed()
     }
 
     #[cfg(feature = "async")]
@@ -760,9 +701,9 @@ impl<T: Clone + Send + Sync + 'static> Subscriber<T> {
     ///
     /// [`TryConsumeError::Empty`] if the topic holds no value right now
     /// but is still open (or a publish is mid-flight);
-    /// [`TryConsumeError::Closed`] only once the topic is sealed, the
-    /// in-flight publish gauge has drained **and** a final dequeue came
-    /// back empty — so a publish that returned `Ok` is never stranded.
+    /// [`TryConsumeError::Closed`] only once the topic's [`Seal`] is
+    /// drained **and** a final dequeue came back empty — so a publish
+    /// that returned `Ok` is never stranded.
     ///
     /// # Examples
     ///
@@ -791,22 +732,15 @@ impl<T: Clone + Send + Sync + 'static> Subscriber<T> {
             Err(TryRecvError::Disconnected) => return Err(TryConsumeError::Closed),
             Err(TryRecvError::Empty) => {}
         }
-        // ORDERING: SeqCst seal read — the consumer's half of the
-        // seal/gauge Dekker handshake (module docs), ordered before the
-        // gauge read below.
-        if !self.core.sealed.load(Ordering::SeqCst) {
-            return Err(TryConsumeError::Empty);
-        }
-        // ORDERING: SeqCst gauge read after the seal read: a non-zero
-        // gauge means a publish that may still land is in flight, so
-        // `Closed` cannot be reported yet.
-        if self.core.publishing.load(Ordering::SeqCst) != 0 {
+        // Open, or a publish that may still land is in flight: `Closed`
+        // cannot be reported yet.
+        if !self.core.seal.is_drained() {
             return Err(TryConsumeError::Empty);
         }
         wfqueue_metrics::adversary_yield();
-        // Sealed with a drained gauge: every accepted publish has
-        // completed its enqueue, so one more dequeue either drains a
-        // remaining value or proves the topic empty forever.
+        // Drained: every accepted publish has completed its enqueue, so
+        // one more dequeue either drains a remaining value or proves the
+        // topic empty forever.
         match self.rx.try_recv() {
             Ok(value) => {
                 self.booked(1);
@@ -929,7 +863,7 @@ impl<T: Clone + Send + Sync + 'static> Subscriber<T> {
     /// values to drain.
     #[must_use]
     pub fn is_closed(&self) -> bool {
-        self.core.is_closed()
+        self.core.seal.is_sealed()
     }
 
     #[cfg(feature = "async")]

@@ -1,11 +1,12 @@
-//! The channel's wakeup primitive: an event count with an optional async
-//! waker registry behind it.
+//! The channel's wakeup primitive — an event count with an optional async
+//! waker registry behind it — and the drain-then-close [`Seal`] built on
+//! it.
 //!
 //! [`Signal`] solves the one problem the wait-free queue does not:
 //! *waiting for data without spinning*. The protocol is the classic
 //! event-count / sequence-lock handshake:
 //!
-//! * A waiter calls [`Signal::listen`] (publishing itself in `waiters` and
+//! * A waiter calls [`Signal::listen`] (registering itself in `waiters` and
 //!   snapshotting `epoch`), **re-checks the condition it is waiting for**,
 //!   and only then parks in [`Signal::wait`] — which refuses to sleep if
 //!   the epoch already advanced.
@@ -28,13 +29,15 @@
 //!
 //! The primitive is deliberately channel-agnostic (it never touches the
 //! queue), so higher layers that need the same lost-wakeup-free handshake
-//! over *their own* state — the `wfqueue_broker` topic seal protocol, for
-//! one — reuse it instead of re-deriving the Dekker argument. That is why
-//! [`Signal`] and [`ListenKey`] are public.
+//! over *their own* state reuse it instead of re-deriving the Dekker
+//! argument. That is why [`Signal`] and [`ListenKey`] are public.
+//!
+//! [`Seal`] builds the layers' drain-then-close promise on the same
+//! handshake; its docs carry that argument.
 
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
-use wfqueue_sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
+use wfqueue_sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// Proof that a waiter published itself: the epoch it observed.
 ///
@@ -232,12 +235,134 @@ impl Signal {
     }
 }
 
+/// A drain-then-close seal. The layers above the channel — broker topics,
+/// the executor's pool and its timer wheel — promise that closing never
+/// loses an accepted value: an operation that reported success is
+/// delivered (or run), one that was refused hands its value back. A
+/// `Seal` keeps that promise with a `sealed` flag and an `in_flight`
+/// count:
+///
+/// * an operation calls [`Seal::enter`], which raises `in_flight` and
+///   *then* reads `sealed`; on a sealed `Seal` it lowers the count again
+///   and is refused, otherwise it does its work (an enqueue, a counter
+///   bump) and drops the returned [`Entry`], which lowers the count;
+/// * closing is [`Seal::seal`]: one store, it never waits;
+/// * a drainer asks [`Seal::is_drained`], which reads `sealed` *then*
+///   `in_flight`, and only then trusts one last look at the queue.
+///
+/// The no-lost-value argument is the same store-buffer (Dekker) shape as
+/// [`Signal`]'s, with `SeqCst` on both sides: the entrant writes
+/// `in_flight` then reads `sealed`; the drainer's close wrote `sealed`
+/// and it then reads `in_flight`. If the drainer saw `sealed` and
+/// `in_flight == 0`, every entrant that read `sealed == false` raised the
+/// count before the seal store, so it had already lowered it again — and
+/// it lowers it only after its work, so the drainer's last look sees that
+/// work. An entrant whose raise came later reads `sealed == true` and is
+/// refused. Every decrement (a finished entry *and* a refusal) is
+/// followed by a `notify` on the caller's wake [`Signal`], because a
+/// drainer may be parked waiting for the count to reach zero, not for
+/// data. The type makes both rules structural: `enter` is the only way
+/// to raise the count and it raises before it reads, and the count only
+/// goes down through `enter`'s refusal or `Entry`'s `Drop`, both of which
+/// notify. `seal_scenario` in `wfqueue_sync::model::protocols` checks the
+/// handshake exhaustively, with a seeded bug for each rule and one for an
+/// entry dropped before its work.
+///
+/// ```
+/// use wfqueue_channel::{Seal, Signal};
+///
+/// let (seal, wake) = (Seal::default(), Signal::default());
+/// let entry = seal.enter(&wake).expect("open");
+/// seal.seal();
+/// assert!(seal.enter(&wake).is_none(), "sealed: refused");
+/// assert!(!seal.is_drained(), "one entry still in flight");
+/// drop(entry);
+/// assert!(seal.is_drained());
+/// ```
+#[derive(Debug, Default)]
+pub struct Seal {
+    /// Set once by [`Seal::seal`]; read by every [`Seal::enter`].
+    sealed: AtomicBool,
+    /// Entries between their `enter` and their drop.
+    in_flight: AtomicUsize,
+}
+
+/// An operation admitted by [`Seal::enter`]. Dropping it lowers the
+/// seal's in-flight count and notifies the wake [`Signal`]; drop it only
+/// after the operation's effects (the enqueue, the counter bump) are
+/// done.
+#[must_use = "dropping the entry ends the admitted operation"]
+#[derive(Debug)]
+pub struct Entry<'a> {
+    seal: &'a Seal,
+    wake: &'a Signal,
+}
+
+impl Seal {
+    /// Admits one operation: raises the in-flight count, then reads the
+    /// seal. Returns `None` on a sealed `Seal`, after lowering the count
+    /// again and notifying `wake` — a drainer parked on `wake` may be
+    /// waiting for exactly that decrement.
+    pub fn enter<'a>(&'a self, wake: &'a Signal) -> Option<Entry<'a>> {
+        // ORDERING: SeqCst raise *before* the seal read — the entrant's
+        // half of the Dekker handshake (type docs): a drainer that later
+        // reads `in_flight == 0` knows this entrant's seal read resolved.
+        self.in_flight.fetch_add(1, Ordering::SeqCst);
+        wfqueue_metrics::adversary_yield();
+        let entry = Entry { seal: self, wake };
+        // ORDERING: SeqCst seal read, globally ordered after the raise.
+        if self.sealed.load(Ordering::SeqCst) {
+            return None; // `entry` drops here: lower, then notify.
+        }
+        Some(entry)
+    }
+
+    /// Seals: every later [`Seal::enter`] is refused. Never waits;
+    /// idempotent. Callers notify their own signals afterwards.
+    pub fn seal(&self) {
+        // ORDERING: SeqCst seal store — the closer's half of the Dekker
+        // handshake, in the same total order as `enter`'s read.
+        self.sealed.store(true, Ordering::SeqCst);
+    }
+
+    /// Whether [`Seal::seal`] has run. Entries may still be in flight.
+    #[must_use]
+    pub fn is_sealed(&self) -> bool {
+        // ORDERING: SeqCst, consistent with `seal` and `enter`.
+        self.sealed.load(Ordering::SeqCst)
+    }
+
+    /// Whether the seal is set *and* no entry is in flight: from here on
+    /// every admitted operation's effects are visible, and none can
+    /// follow.
+    #[must_use]
+    pub fn is_drained(&self) -> bool {
+        // ORDERING: SeqCst seal read first, then the count — the reverse
+        // of `enter`'s raise-then-read, which is what closes the race.
+        if !self.sealed.load(Ordering::SeqCst) {
+            return false;
+        }
+        wfqueue_metrics::adversary_yield();
+        // ORDERING: SeqCst count read, ordered after the seal read.
+        self.in_flight.load(Ordering::SeqCst) == 0
+    }
+}
+
+impl Drop for Entry<'_> {
+    fn drop(&mut self) {
+        // ORDERING: SeqCst decrement after the entry's work and before
+        // the notify's fence, so a drainer woken here re-reads a count
+        // that covers the work.
+        self.seal.in_flight.fetch_sub(1, Ordering::SeqCst);
+        self.wake.notify();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
     use std::time::Duration;
-    use wfqueue_sync::atomic::AtomicBool;
 
     #[test]
     fn cancel_keeps_waiters_balanced() {
@@ -272,6 +397,45 @@ mod tests {
         assert!(!woken);
         // ORDERING: test-only assertion.
         assert_eq!(s.waiters.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn refused_enter_releases_a_pending_listen() {
+        let (seal, wake) = (Seal::default(), Signal::default());
+        // A drainer parked for the count to fall, not for data.
+        let key = wake.listen();
+        seal.seal();
+        assert!(seal.enter(&wake).is_none());
+        // The refusal's notify advanced the epoch, so the wait returns at
+        // once instead of timing out.
+        assert!(wake.wait_deadline(key, Instant::now() + Duration::from_secs(60)));
+        assert!(seal.is_drained());
+    }
+
+    #[test]
+    fn is_drained_waits_for_the_last_entry() {
+        let (seal, wake) = (Seal::default(), Signal::default());
+        let first = seal.enter(&wake).expect("open");
+        let second = seal.enter(&wake).expect("open");
+        assert!(!seal.is_drained(), "not sealed yet");
+        seal.seal();
+        assert!(!seal.is_drained(), "two entries in flight");
+        drop(first);
+        assert!(!seal.is_drained(), "one entry in flight");
+        drop(second);
+        assert!(seal.is_drained());
+    }
+
+    #[test]
+    fn seal_is_idempotent() {
+        let (seal, wake) = (Seal::default(), Signal::default());
+        assert!(!seal.is_sealed());
+        seal.seal();
+        seal.seal();
+        assert!(seal.is_sealed() && seal.is_drained());
+        assert!(seal.enter(&wake).is_none());
+        // ORDERING: test-only assertion.
+        assert_eq!(seal.in_flight.load(Ordering::SeqCst), 0);
     }
 
     #[test]

@@ -36,13 +36,14 @@
 //!
 //! # Shutdown certification
 //!
-//! [`Executor::shutdown`] seals spawns with the same seal/gauge Dekker
-//! handshake the broker uses to close topics: a spawner raises the
-//! `gauge` *before* reading the seal, workers read the seal *before*
-//! requiring `gauge == 0`, so a spawn that slipped past the seal read is
-//! always drained. Workers only exit once `sealed && gauge == 0 &&
-//! spawned == completed`, and `shutdown()` asserts that final equality —
-//! the "no task stranded" certificate.
+//! Every spawn path — [`Executor::spawn`], [`Spawner::spawn`],
+//! [`Executor::spawn_after`] and the timeout worker's firing — runs
+//! inside an entry of the pool's [`Seal`], the same drain-then-close type
+//! broker topics use (its proof lives with the type). A spawn enters,
+//! enqueues, counts itself in `spawned` and drops the entry;
+//! [`Executor::shutdown`] seals. Workers only exit once the seal is
+//! drained and `spawned == completed`, and `shutdown()` asserts that
+//! final equality — the "no task stranded" certificate.
 //!
 //! # Quickstart
 //!
@@ -68,14 +69,14 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use wfqueue::unbounded;
-use wfqueue_channel::Signal;
+use wfqueue_channel::{Entry, Seal, Signal};
 use wfqueue_ring::{Ring, RingHandle};
 use wfqueue_shard::{ReclaimPolicy, Routing, ShardedHandle, ShardedUnbounded};
-use wfqueue_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use wfqueue_sync::atomic::{AtomicU64, Ordering};
 use wfqueue_sync::thread;
 
 use task::{Task, TaskRef};
-use timer::{InsertOutcome, TimerWheel};
+use timer::TimerWheel;
 
 /// How many tasks one injection-queue sweep pulls into a worker.
 const INJECTION_BATCH: usize = 32;
@@ -242,57 +243,37 @@ struct Inner {
     wheel: TimerWheel,
     /// Idle-worker parking lot (the lost-wakeup-free event count).
     signal: Signal,
-    /// The shutdown seal: once set, no new task is admitted.
-    sealed: AtomicBool,
-    /// In-flight spawns between their seal check and their enqueue — the
-    /// gauge half of the seal/gauge Dekker handshake (crate docs).
-    gauge: AtomicUsize,
+    /// Every spawn runs inside an entry; shutdown seals it. Its wake
+    /// signal is `signal`: workers park there while entries drain.
+    seal: Seal,
     counters: Counters,
     pool_id: u64,
     workers: usize,
 }
 
 impl Inner {
-    /// Spawner half of the seal/gauge handshake. On `true` the caller
-    /// *must* enqueue a task and then [`Inner::commit`].
-    fn admit(&self) -> bool {
-        // ORDERING: SeqCst gauge raise *before* the seal read; workers
-        // read seal-then-gauge, so one side always sees the other
-        // (Dekker). Same protocol as the broker's topic close.
-        self.gauge.fetch_add(1, Ordering::SeqCst);
-        // ORDERING: SeqCst seal read, globally after the gauge raise.
-        if self.sealed.load(Ordering::SeqCst) {
-            // ORDERING: SeqCst withdrawal mirroring the raise.
-            self.gauge.fetch_sub(1, Ordering::SeqCst);
-            // A parked worker may be waiting on `gauge == 0` to exit;
-            // re-open its exit window.
-            self.signal.notify();
-            false
-        } else {
-            true
-        }
-    }
-
-    /// Publishes an admitted-and-enqueued task: count it, lower the
-    /// gauge, wake a worker.
-    fn commit(&self) {
-        // ORDERING: SeqCst spawned increment *before* the gauge drop, so
-        // a worker observing `gauge == 0` sees every admitted task in
-        // `spawned` and cannot exit while one is still queued.
+    /// Ends a spawn's seal entry once its task is enqueued: counts the
+    /// task in `spawned` first, so a worker that sees the seal drained
+    /// sees every admitted task in `spawned`.
+    fn spawned(&self, entry: Entry<'_>) {
+        // ORDERING: SeqCst spawned increment *before* the entry drops;
+        // pairs with the workers' `exit_ready` read.
         self.counters.spawned.fetch_add(1, Ordering::SeqCst);
-        // ORDERING: SeqCst gauge drop; pairs with the workers' exit read.
-        self.gauge.fetch_sub(1, Ordering::SeqCst);
-        self.signal.notify();
+        drop(entry);
     }
 
-    /// Worker half of the handshake: safe to exit only when the pool is
-    /// sealed, no spawn is in flight, and every admitted task has run.
+    /// Counts a spawn the seal refused and hands its closure back.
+    fn reject<F>(&self, f: F) -> Rejected<F> {
+        self.counters.rejected.fetch_add(1, Ordering::Relaxed);
+        Rejected(f)
+    }
+
+    /// Safe for a worker to exit: the seal is drained (no spawn in
+    /// flight, none to come) and every admitted task has run.
     fn exit_ready(&self) -> bool {
-        // ORDERING: SeqCst seal read first, then gauge, then the counter
-        // pair — the reverse of the spawner's raise-then-check order, so
-        // a racing spawn is either rejected or visible in gauge/spawned.
-        self.sealed.load(Ordering::SeqCst)
-            && self.gauge.load(Ordering::SeqCst) == 0
+        // ORDERING: SeqCst counter pair, read after the seal — a racing
+        // spawn is either refused or visible in `spawned`.
+        self.seal.is_drained()
             && self.counters.spawned.load(Ordering::SeqCst)
                 == self.counters.completed.load(Ordering::SeqCst)
     }
@@ -310,9 +291,9 @@ impl Inner {
         // ORDERING: SeqCst completion increment — the last task's
         // completion must be visible to peers evaluating `exit_ready`.
         self.counters.completed.fetch_add(1, Ordering::SeqCst);
-        // ORDERING: SeqCst seal read; only sealed pools have peers parked
-        // waiting for quiescence rather than for work.
-        if self.sealed.load(Ordering::SeqCst) {
+        // Only sealed pools have peers parked waiting for quiescence
+        // rather than for work.
+        if self.seal.is_sealed() {
             self.signal.notify();
         }
     }
@@ -339,10 +320,10 @@ impl Inner {
     fn stats(&self) -> ExecutorStats {
         ExecutorStats {
             workers: self.workers,
-            // ORDERING: SeqCst mirrors the commit-side writes — these
-            // three counters form the seal/gauge drain certificate
-            // (`exit_ready` compares them against `sealed`/the gauges),
-            // so reads must join that single total order.
+            // ORDERING: SeqCst mirrors the spawn-side writes — these
+            // three counters form the drain certificate (`exit_ready`
+            // compares them after the seal), so reads must join that
+            // single total order.
             spawned: self.counters.spawned.load(Ordering::SeqCst),
             completed: self.counters.completed.load(Ordering::SeqCst),
             rejected: self.counters.rejected.load(Ordering::SeqCst),
@@ -422,13 +403,12 @@ impl Spawner {
         F: FnOnce() -> T + Send + 'static,
         T: Send + 'static,
     {
-        if !self.inner.admit() {
-            self.inner.counters.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(Rejected(f));
-        }
+        let Some(entry) = self.inner.seal.enter(&self.inner.signal) else {
+            return Err(self.inner.reject(f));
+        };
         let (task, handle, _cancel) = Task::package(f);
         self.handle.enqueue(task);
-        self.inner.commit();
+        self.inner.spawned(entry);
         Ok(handle)
     }
 }
@@ -494,8 +474,7 @@ impl Executor {
             rings,
             wheel: TimerWheel::new(),
             signal: Signal::default(),
-            sealed: AtomicBool::new(false),
-            gauge: AtomicUsize::new(0),
+            seal: Seal::default(),
             counters: Counters::default(),
             pool_id: POOL_IDS.fetch_add(1, Ordering::Relaxed),
             workers,
@@ -549,13 +528,12 @@ impl Executor {
         F: FnOnce() -> T + Send + 'static,
         T: Send + 'static,
     {
-        if !self.inner.admit() {
-            self.inner.counters.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(Rejected(f));
-        }
+        let Some(entry) = self.inner.seal.enter(&self.inner.signal) else {
+            return Err(self.inner.reject(f));
+        };
         let (task, handle, _cancel) = Task::package(f);
         self.inner.route_spawn(task);
-        self.inner.commit();
+        self.inner.spawned(entry);
         Ok(handle)
     }
 
@@ -581,9 +559,12 @@ impl Executor {
     ///
     /// # Errors
     ///
-    /// [`Rejected`] (returning `f`) if the pool is already sealed. A
-    /// seal racing the registration instead yields `Ok` with the handle
-    /// resolving to [`JoinError::Cancelled`].
+    /// [`Rejected`] (returning `f`) if the pool is sealed. The
+    /// registration runs inside a seal entry, so a seal that lands after
+    /// this call was let in cannot refuse it: the timer is registered,
+    /// and shutdown cancels it (its handle resolves to
+    /// [`JoinError::Cancelled`], counted in
+    /// [`ExecutorStats::timer_cancelled`]).
     pub fn spawn_after<T, F>(
         &self,
         delay: Duration,
@@ -593,49 +574,27 @@ impl Executor {
         F: FnOnce() -> T + Send + 'static,
         T: Send + 'static,
     {
-        // ORDERING: SeqCst pre-check so an already-sealed pool can hand
-        // `f` back; the authoritative check is inside `insert`'s gauge.
-        if self.inner.sealed.load(Ordering::SeqCst) {
-            self.inner.counters.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(Rejected(f));
-        }
+        // The entry wakes `signal`, not the wheel's: workers park on it
+        // while entries drain. The timeout worker waits for the seal to
+        // drain before its final sweep, so this registration is in it.
+        let Some(entry) = self.inner.seal.enter(&self.inner.signal) else {
+            return Err(self.inner.reject(f));
+        };
         let (task, handle, cancel) = Task::package(f);
-        let deadline = Instant::now() + delay;
-        match self
+        let (slot, id) = self
             .inner
             .wheel
-            .insert(deadline, task, cancel, &self.inner.sealed)
-        {
-            InsertOutcome::Inserted { slot, id } => {
-                self.inner.wheel.signal.notify();
-                Ok((
-                    handle,
-                    TimerKey {
-                        inner: Arc::clone(&self.inner),
-                        slot,
-                        id,
-                    },
-                ))
-            }
-            InsertOutcome::Sealed { task, cancel } => {
-                drop(task);
-                cancel();
-                self.inner
-                    .counters
-                    .timer_cancelled
-                    .fetch_add(1, Ordering::Relaxed);
-                // A dead key: id 0 is never minted, so `cancel` is a
-                // no-op returning false.
-                Ok((
-                    handle,
-                    TimerKey {
-                        inner: Arc::clone(&self.inner),
-                        slot: 0,
-                        id: 0,
-                    },
-                ))
-            }
-        }
+            .insert(Instant::now() + delay, task, cancel);
+        self.inner.wheel.signal.notify();
+        drop(entry);
+        Ok((
+            handle,
+            TimerKey {
+                inner: Arc::clone(&self.inner),
+                slot,
+                id,
+            },
+        ))
     }
 
     /// Blocks the calling thread for `duration` using the timer wheel
@@ -675,9 +634,7 @@ impl Executor {
             !matches!(here, Some((pool, _)) if pool == self.inner.pool_id),
             "shutdown() called from inside one of the pool's own tasks"
         );
-        // ORDERING: SeqCst seal store — the close half of the seal/gauge
-        // handshake; every later admit() observes it.
-        self.inner.sealed.store(true, Ordering::SeqCst);
+        self.inner.seal.seal();
         self.inner.signal.notify();
         self.inner.wheel.signal.notify();
         let mut guard = lock(&self.threads);
@@ -702,9 +659,7 @@ impl Drop for Executor {
             // Dropped inside one of our own tasks: joining would
             // deadlock. Seal and detach; workers drain and exit on their
             // own.
-            // ORDERING: SeqCst — the seal is the flag side of the
-            // admit/commit Dekker handshake (see `Inner::admit`).
-            self.inner.sealed.store(true, Ordering::SeqCst);
+            self.inner.seal.seal();
             self.inner.signal.notify();
             self.inner.wheel.signal.notify();
             lock(&self.threads).clear();
@@ -841,27 +796,26 @@ fn push_local(
 }
 
 /// The timeout worker: fires due timer entries into the injection queue
-/// in deadline order; on seal, waits out in-flight inserts and cancels
-/// every remaining entry (wheel module docs describe the handshake).
+/// in deadline order; on seal, waits for the seal to drain (so every
+/// registration that was let in is in the wheel) and cancels every
+/// remaining entry.
 fn timer_loop(inner: &Arc<Inner>) {
     let mut inj = inner
         .injection
         .try_handle()
         .expect("injection sized for the timeout worker");
     loop {
-        // ORDERING: SeqCst seal read before the gauge wait + final drain
-        // — the worker half of the wheel's insert handshake.
-        if inner.sealed.load(Ordering::SeqCst) {
+        if inner.seal.is_sealed() {
             break;
         }
         let now = Instant::now();
         let due = inner.wheel.take_due(now);
         if !due.is_empty() {
             for entry in due {
-                if inner.admit() {
+                if let Some(seal_entry) = inner.seal.enter(&inner.signal) {
                     inj.enqueue(entry.task);
                     inner.counters.timer_fired.fetch_add(1, Ordering::Relaxed);
-                    inner.commit();
+                    inner.spawned(seal_entry);
                 } else {
                     (entry.cancel)();
                     inner
@@ -875,9 +829,7 @@ fn timer_loop(inner: &Arc<Inner>) {
         let key = inner.wheel.signal.listen();
         // Post-listen re-check: an insert (or the seal) that landed
         // before our listen must not be slept through.
-        // ORDERING: SeqCst pairs with the SeqCst seal store — the
-        // Dekker re-check must not be reordered before `listen()`.
-        if inner.sealed.load(Ordering::SeqCst) {
+        if inner.seal.is_sealed() {
             inner.wheel.signal.cancel(key);
             break;
         }
@@ -891,7 +843,10 @@ fn timer_loop(inner: &Arc<Inner>) {
             None => inner.wheel.signal.wait(key),
         }
     }
-    inner.wheel.wait_inserts_drained();
+    // A seal entry lasts a handful of instructions: the wait is short.
+    while !inner.seal.is_drained() {
+        thread::yield_now();
+    }
     for entry in inner.wheel.drain_all() {
         (entry.cancel)();
         inner

@@ -10,18 +10,17 @@
 //! queue in deadline order, and parks on the wheel's [`Signal`] until the
 //! earliest remaining deadline (or an insert with an earlier one wakes it).
 //!
-//! Shutdown uses the same insert-gauge Dekker handshake as the pool's
-//! spawn seal: an inserter raises `pending_inserts` *before* reading the
-//! seal, the timeout worker reads the seal *before* waiting out
-//! `pending_inserts == 0` and draining — so an insert that slipped past
-//! the seal read is always still observed by the final drain (and
-//! cancelled, never stranded).
+//! The wheel itself knows nothing of shutdown. `spawn_after` inserts from
+//! inside an entry of the pool's [`wfqueue_channel::Seal`], and the
+//! timeout worker waits for that seal to drain before its final sweep —
+//! so an insert that was let in before the seal is always in the sweep
+//! (and cancelled, never stranded). The proof is the `Seal` type's.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use wfqueue_channel::Signal;
-use wfqueue_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use wfqueue_sync::atomic::{AtomicU64, Ordering};
 
 use crate::task::{CancelFn, TaskRef};
 
@@ -41,25 +40,13 @@ pub(crate) struct TimerEntry {
     pub(crate) cancel: CancelFn,
 }
 
-/// Outcome of [`TimerWheel::insert`].
-pub(crate) enum InsertOutcome {
-    /// The entry is registered; the returned pair addresses it for
-    /// [`TimerWheel::remove`].
-    Inserted { slot: usize, id: u64 },
-    /// The pool sealed concurrently; the entry was not registered and its
-    /// task and canceller are handed back for the caller to resolve.
-    Sealed { task: TaskRef, cancel: CancelFn },
-}
-
-/// The hashed timer wheel. See the module docs for the protocol.
+/// The hashed timer wheel. See the module docs.
 pub(crate) struct TimerWheel {
     slots: Vec<Mutex<Vec<TimerEntry>>>,
     /// Wakes the timeout worker: on insert (the new deadline may be the
     /// earliest) and on shutdown.
     pub(crate) signal: Signal,
     next_id: AtomicU64,
-    /// In-flight inserts — the gauge half of the shutdown handshake.
-    pending_inserts: AtomicUsize,
     base: Instant,
 }
 
@@ -69,7 +56,6 @@ impl TimerWheel {
             slots: (0..WHEEL_SLOTS).map(|_| Mutex::new(Vec::new())).collect(),
             signal: Signal::default(),
             next_id: AtomicU64::new(1),
-            pending_inserts: AtomicUsize::new(0),
             base: Instant::now(),
         }
     }
@@ -79,26 +65,14 @@ impl TimerWheel {
         (ticks as usize) & (WHEEL_SLOTS - 1)
     }
 
-    /// Registers an entry, or reports the seal if `sealed` flipped
-    /// concurrently (gauge-protected: see the module docs).
+    /// Registers an entry and returns the `(slot, id)` pair that
+    /// addresses it for [`TimerWheel::remove`].
     pub(crate) fn insert(
         &self,
         deadline: Instant,
         task: TaskRef,
         cancel: CancelFn,
-        sealed: &AtomicBool,
-    ) -> InsertOutcome {
-        // ORDERING: SeqCst gauge increment *before* the seal read — the
-        // inserter half of the seal/gauge Dekker handshake (module docs);
-        // the timeout worker reads the pair in the opposite order.
-        self.pending_inserts.fetch_add(1, Ordering::SeqCst);
-        // ORDERING: SeqCst seal read, globally ordered after the gauge
-        // publication above.
-        if sealed.load(Ordering::SeqCst) {
-            // ORDERING: SeqCst withdrawal, mirroring the increment.
-            self.pending_inserts.fetch_sub(1, Ordering::SeqCst);
-            return InsertOutcome::Sealed { task, cancel };
-        }
+    ) -> (usize, u64) {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let slot = self.slot_of(deadline);
         self.slots[slot]
@@ -110,11 +84,7 @@ impl TimerWheel {
                 task,
                 cancel,
             });
-        // ORDERING: SeqCst withdrawal after the bucket push, so a timeout
-        // worker that observed the seal and then `pending_inserts == 0`
-        // is guaranteed to find this entry in its final drain.
-        self.pending_inserts.fetch_sub(1, Ordering::SeqCst);
-        InsertOutcome::Inserted { slot, id }
+        (slot, id)
     }
 
     /// Removes the entry `(slot, id)` if it has neither fired nor been
@@ -177,18 +147,6 @@ impl TimerWheel {
         }
         all
     }
-
-    /// Spin-yields until no insert is in flight. Called by the timeout
-    /// worker after it observed the seal and before its final drain; each
-    /// in-flight insert is a handful of instructions, so the wait is
-    /// bounded and short.
-    pub(crate) fn wait_inserts_drained(&self) {
-        // ORDERING: SeqCst gauge read — the worker half of the seal/gauge
-        // handshake; ordered after the caller's seal observation.
-        while self.pending_inserts.load(Ordering::SeqCst) != 0 {
-            wfqueue_sync::thread::yield_now();
-        }
-    }
 }
 
 impl std::fmt::Debug for TimerWheel {
@@ -198,10 +156,6 @@ impl std::fmt::Debug for TimerWheel {
             .finish()
     }
 }
-
-/// Keeps `TimerEntry` constructible from `lib.rs` tests.
-#[allow(dead_code, reason = "Arc re-exported for wheel-internal tests")]
-pub(crate) type SharedWheel = Arc<TimerWheel>;
 
 #[cfg(test)]
 mod tests {
@@ -214,12 +168,9 @@ mod tests {
         entries.iter().map(|e| e.id).collect()
     }
 
-    fn insert_noop(wheel: &TimerWheel, deadline: Instant, sealed: &AtomicBool) -> (usize, u64) {
+    fn insert_noop(wheel: &TimerWheel, deadline: Instant) -> (usize, u64) {
         let (task, _handle, cancel) = Task::package(|| ());
-        match wheel.insert(deadline, task, cancel, sealed) {
-            InsertOutcome::Inserted { slot, id } => (slot, id),
-            InsertOutcome::Sealed { .. } => panic!("wheel sealed unexpectedly"),
-        }
+        wheel.insert(deadline, task, cancel)
     }
 
     /// Entries registered at the *identical* `Instant` (an exact deadline
@@ -229,11 +180,8 @@ mod tests {
     #[test]
     fn exact_deadline_ties_fire_in_insertion_order() {
         let wheel = TimerWheel::new();
-        let sealed = AtomicBool::new(false);
         let tie = wheel.base + Duration::from_millis(5);
-        let ids: Vec<u64> = (0..4)
-            .map(|_| insert_noop(&wheel, tie, &sealed).1)
-            .collect();
+        let ids: Vec<u64> = (0..4).map(|_| insert_noop(&wheel, tie).1).collect();
         assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids mint in order");
         let due = wheel.take_due(tie);
         assert_eq!(entry_ids(&due), ids, "exact ties break by insertion id");
@@ -245,16 +193,14 @@ mod tests {
     #[test]
     fn take_due_orders_across_buckets_and_remove_is_one_shot() {
         let wheel = TimerWheel::new();
-        let sealed = AtomicBool::new(false);
         // Spread over more than WHEEL_SLOTS ms so at least two land in
         // different buckets; register in scrambled deadline order.
         let offsets = [90u64, 10, 130, 50];
         let keys: Vec<(usize, u64)> = offsets
             .iter()
-            .map(|&ms| insert_noop(&wheel, wheel.base + Duration::from_millis(ms), &sealed))
+            .map(|&ms| insert_noop(&wheel, wheel.base + Duration::from_millis(ms)))
             .collect();
-        let (later_slot, later_id) =
-            insert_noop(&wheel, wheel.base + Duration::from_millis(500), &sealed);
+        let (later_slot, later_id) = insert_noop(&wheel, wheel.base + Duration::from_millis(500));
         let due = wheel.take_due(wheel.base + Duration::from_millis(200));
         // Sorted by deadline: offsets 10, 50, 90, 130 → ids minted 2nd,
         // 4th, 1st, 3rd.

@@ -1,7 +1,7 @@
 //! [`ConcurrentQueue`] adapters for the broker layer, so the Wing–Gong
 //! linearizability rounds, adversarial-scheduler audits and proptest
 //! workloads run unchanged against a `wfqueue_broker` **topic** — the full
-//! stack of registry, seal/gauge close protocol, publisher/subscriber
+//! stack of registry, drain-then-close seal, publisher/subscriber
 //! handle accounting and topic-level wakeup signals, not just the raw
 //! channel underneath.
 //!

@@ -9,7 +9,7 @@
 //!   `wfqueue_channel` facade, so the same checkers cover the channel
 //!   layer in its try, blocking and (`feature = "async"`) async modes;
 //! * [`broker_api`] — the same adapters one layer up, against a
-//!   `wfqueue_broker` topic (registry + seal/gauge close protocol
+//!   `wfqueue_broker` topic (registry + drain-then-close seal
 //!   included);
 //! * [`executor_api`] — the adapter for the `wfqueue_executor`
 //!   work-stealing pool (a harness enqueue spawns, a dequeue joins), so

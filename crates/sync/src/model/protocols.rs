@@ -1,4 +1,4 @@
-//! Executable replicas of the three trickiest lock-free protocols in this
+//! Executable replicas of the seven trickiest lock-free protocols in this
 //! workspace, with *seeded-bug* switches, for exhaustive checking under
 //! [`super::explore`].
 //!
@@ -14,15 +14,16 @@
 //! | [`scan_scenario`] | `plan_nearest_scan`/`ShardHints` in `crates/shard/src/policy.rs` | an enqueued value is never stranded by a stale `Relaxed` emptiness hint (the fallback pass makes correctness hint-independent) |
 //! | [`ring_scenario`] | slot/record handshake of `crates/ring/src/lib.rs` | a stalled helper from an earlier ticket can never fill a recycled slot or deliver into a later operation's result (the phase tags) |
 //! | [`steal_park_scenario`] | worker park/steal drain in `crates/executor/src/lib.rs` | a steal racing a park never loses a wakeup, and a successful steal CAS acquires the stolen task's payload |
+//! | [`seal_scenario`] | `Seal` in `crates/channel/src/wait.rs` (broker topic close, executor shutdown, timer inserts) | a consumer that reports `Closed` has received every value counted as published, and a drainer parked on the in-flight count is always woken |
 //!
 //! The bug structs ([`SignalBugs`], [`GateBugs`], [`HazardBugs`],
-//! [`ScanBugs`], [`RingBugs`], [`StealParkBugs`]) switch individual lines
-//! of the protocols off or weaken their orderings. With all flags `false` the
-//! scenarios must survive *every* schedule (`tests/model.rs` asserts
-//! exhaustive passes); with any flag `true` the explorer must find a
-//! failing schedule (`tests/checker_power.rs` asserts detection — that is
-//! the evidence the checker has teeth, not just that the protocols are
-//! green).
+//! [`ScanBugs`], [`RingBugs`], [`StealParkBugs`], [`SealBugs`]) switch
+//! individual lines of the protocols off or weaken their orderings. With
+//! all flags `false` the scenarios must survive *every* schedule
+//! (`tests/model.rs` asserts exhaustive passes); with any flag `true` the
+//! explorer must find a failing schedule (`tests/checker_power.rs` asserts
+//! detection — that is the evidence the checker has teeth, not just that
+//! the protocols are green).
 //!
 //! Replicas, not the real types, are what get checked because the real
 //! hot paths intermix metrics recording and epoch pins that are sound by
@@ -35,7 +36,7 @@
 
 use std::sync::Arc;
 
-use crate::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
+use crate::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 use super::{spawn, Condvar, Mutex};
 
@@ -699,26 +700,6 @@ impl MiniRing {
     }
 }
 
-/// The slot-recycle scenario on a capacity-1 mini ring: the main thread
-/// runs two full enqueue→dequeue laps (values 7 then 9) through the
-/// announcement record, while a helper thread helps whatever
-/// announcement it observes — reading `word`, then `aux`, then
-/// revalidating `word` (the real helpers' handshake) before its CAS. The
-/// explorer can park the helper between that revalidation and its CAS
-/// for arbitrarily long, which is exactly the stale-helper window the
-/// ring's phase tags exist for. In every schedule both laps must return
-/// their own value: with [`RingBugs::untagged_slot_cas`] a lapped
-/// enqueue helper re-fills the recycled slot with value 7 during lap 2,
-/// The slot-recycle scenario on a capacity-1 mini ring: the main thread
-/// runs two full enqueue→dequeue laps (values 7 then 9) through the
-/// announcement record, while a helper thread helps whatever
-/// announcement it observes — reading `word`, then `aux`, then
-/// revalidating `word` (the real helpers' handshake) before its CAS. The
-/// explorer can park the helper between that revalidation and its CAS
-/// for arbitrarily long, which is exactly the stale-helper window the
-/// ring's phase tags exist for. In every schedule both laps must return
-/// their own value: with [`RingBugs::untagged_slot_cas`] a lapped
-/// enqueue helper re-fills the recycled slot with value 7 during lap 2,
 // ---------------------------------------------------------------------------
 // Executor steal/park: the drain handshake between stealing and parking
 // ---------------------------------------------------------------------------
@@ -750,7 +731,7 @@ pub struct StealParkBugs {
 /// - the **producer** (main virtual thread) publishes the task — payload
 ///   store (deliberately `Relaxed`: the slot publication is what carries
 ///   the edge, exactly as the ring hands a `TaskRef` across), then the
-///   `SeqCst` slot store, then `notify` (the spawn `commit`);
+///   `SeqCst` slot store, then `notify` (the spawn's seal entry drop);
 /// - the **worker** runs the real loop: exit check, pop attempt
 ///   (`SeqCst` CAS — the ring's own protocol is `SeqCst`-heavy), then
 ///   `listen` → re-check (queue probe + exit condition; the seeded skip)
@@ -840,7 +821,7 @@ pub fn steal_park_scenario(bugs: StealParkBugs) -> impl Fn() + Send + Sync + 'st
         });
 
         // The producer (spawn path): payload, then the slot publication,
-        // then `commit`'s notify.
+        // then the seal entry drop's notify.
         payload.store(7, Ordering::Relaxed);
         slot.store(1, Ordering::SeqCst);
         sig.notify(SignalBugs::default());
@@ -912,5 +893,156 @@ pub fn ring_scenario(bugs: RingBugs) -> impl Fn() + Send + Sync + 'static {
         );
         done.store(1, Ordering::SeqCst);
         helper.join();
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Seal: drain-then-close under topic close, pool shutdown and timer inserts
+// ---------------------------------------------------------------------------
+
+/// Seeded bugs for [`seal_scenario`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SealBugs {
+    /// Read the seal *before* raising the in-flight count. A publisher
+    /// can read "open", stall, and raise the count only after the closer
+    /// sealed and the consumer found the count at zero and the queue
+    /// empty: the consumer reports `Closed` and the publish lands after
+    /// it — a lost value.
+    pub check_before_raise: bool,
+    /// Lower the count (and notify) *before* the enqueue instead of after
+    /// it. The consumer can see the seal drained and the queue empty in
+    /// the window between the two — a lost value.
+    pub exit_before_enqueue: bool,
+    /// A refused entry lowers the count without notifying the wake
+    /// signal. A consumer parked because the count was still raised then
+    /// sleeps forever — a lost wakeup, detected as a deadlock.
+    pub silent_refusal: bool,
+}
+
+/// What one `try_recv` of [`SealTopic`] saw.
+enum Consumed {
+    Value,
+    Empty,
+    Closed,
+}
+
+/// Replica of a broker topic over `Seal` (`crates/channel/src/wait.rs`,
+/// applied in `crates/broker/src/topic.rs`): the seal flag and in-flight
+/// count, the consumers' wake signal, a one-slot queue (`0` = empty) and
+/// the `published` counter.
+struct SealTopic {
+    sealed: AtomicBool,
+    in_flight: AtomicUsize,
+    wake: SignalProto,
+    slot: AtomicU64,
+    published: AtomicUsize,
+}
+
+impl SealTopic {
+    /// `Entry::drop`: lower the count, then notify.
+    fn exit(&self) {
+        self.in_flight.fetch_sub(1, Ordering::SeqCst);
+        self.wake.notify(SignalBugs::default());
+    }
+
+    /// `try_publish`: `Seal::enter`, enqueue, count, drop the entry.
+    fn publish(&self, value: u64, bugs: SealBugs) {
+        let sealed = if bugs.check_before_raise {
+            let sealed = self.sealed.load(Ordering::SeqCst);
+            self.in_flight.fetch_add(1, Ordering::SeqCst);
+            sealed
+        } else {
+            self.in_flight.fetch_add(1, Ordering::SeqCst);
+            self.sealed.load(Ordering::SeqCst)
+        };
+        if sealed {
+            if bugs.silent_refusal {
+                self.in_flight.fetch_sub(1, Ordering::SeqCst);
+            } else {
+                self.exit();
+            }
+            return;
+        }
+        if bugs.exit_before_enqueue {
+            self.exit();
+        }
+        self.slot.store(value, Ordering::SeqCst);
+        self.published.fetch_add(1, Ordering::SeqCst);
+        if !bugs.exit_before_enqueue {
+            self.exit();
+        }
+    }
+
+    /// `Subscriber::try_recv`: dequeue; on empty, `Closed` only if
+    /// `Seal::is_drained` (seal, then count) holds and a final dequeue
+    /// is empty too.
+    fn try_recv(&self) -> Consumed {
+        if self.slot.swap(0, Ordering::SeqCst) != 0 {
+            return Consumed::Value;
+        }
+        if !self.sealed.load(Ordering::SeqCst) || self.in_flight.load(Ordering::SeqCst) != 0 {
+            return Consumed::Empty;
+        }
+        if self.slot.swap(0, Ordering::SeqCst) != 0 {
+            Consumed::Value
+        } else {
+            Consumed::Closed
+        }
+    }
+}
+
+/// The drain-then-close scenario: a publisher publishes one value, the
+/// main thread closes (seal, then notify), and a consumer runs the
+/// blocking `recv` loop — `try_recv`, then `listen` → re-check → `wait`
+/// — until it sees `Closed`. In every schedule all three threads
+/// terminate, and the consumer has received every value counted as
+/// published.
+pub fn seal_scenario(bugs: SealBugs) -> impl Fn() + Send + Sync + 'static {
+    move || {
+        let topic = Arc::new(SealTopic {
+            sealed: AtomicBool::new(false),
+            in_flight: AtomicUsize::new(0),
+            wake: SignalProto::new(),
+            slot: AtomicU64::new(0),
+            published: AtomicUsize::new(0),
+        });
+        let t = Arc::clone(&topic);
+        let consumer = spawn(move || {
+            let mut received = 0usize;
+            loop {
+                match t.try_recv() {
+                    Consumed::Value => {
+                        received += 1;
+                        continue;
+                    }
+                    Consumed::Closed => return received,
+                    Consumed::Empty => {}
+                }
+                let key = t.wake.listen();
+                match t.try_recv() {
+                    Consumed::Value => {
+                        t.wake.cancel();
+                        received += 1;
+                    }
+                    Consumed::Closed => {
+                        t.wake.cancel();
+                        return received;
+                    }
+                    Consumed::Empty => t.wake.wait(key),
+                }
+            }
+        });
+        let t = Arc::clone(&topic);
+        let publisher = spawn(move || t.publish(7, bugs));
+        // The closer: `Topic::close`.
+        topic.sealed.store(true, Ordering::SeqCst);
+        topic.wake.notify(SignalBugs::default());
+        let received = consumer.join();
+        publisher.join();
+        assert_eq!(
+            received,
+            topic.published.load(Ordering::SeqCst),
+            "the consumer reported Closed before receiving every published value"
+        );
     }
 }

@@ -1,5 +1,5 @@
 //! Cross-crate behaviour of the **broker layer**: per-topic round trips on
-//! every backend, fan-in/fan-out partitioning, the seal/gauge
+//! every backend, fan-in/fan-out partitioning, the `Seal`
 //! drain-then-close protocol, strict per-topic backpressure isolation
 //! (hunted adversarially), Wing–Gong linearizability through the harness
 //! broker adapters, a multi-topic drop-interleaving proptest (a publish

@@ -361,4 +361,63 @@ mod model_checker_power {
             "expected a stale-payload assert, got: {failure}"
         );
     }
+
+    /// Reading the seal before raising the in-flight count lets a
+    /// publisher that read "open" land its value after the consumer
+    /// already certified the topic drained and reported `Closed`.
+    #[test]
+    fn seal_check_before_raise_detected() {
+        let failure = try_explore(
+            opts(),
+            protocols::seal_scenario(protocols::SealBugs {
+                check_before_raise: true,
+                ..Default::default()
+            }),
+        )
+        .expect_err("seal read before the count raise must be caught");
+        assert!(
+            failure
+                .message
+                .contains("before receiving every published value"),
+            "expected a lost-value assert, got: {failure}"
+        );
+    }
+
+    /// Lowering the in-flight count before the enqueue opens a window in
+    /// which the consumer sees the seal drained and the queue empty.
+    #[test]
+    fn seal_exit_before_enqueue_detected() {
+        let failure = try_explore(
+            opts(),
+            protocols::seal_scenario(protocols::SealBugs {
+                exit_before_enqueue: true,
+                ..Default::default()
+            }),
+        )
+        .expect_err("count lowered before the enqueue must be caught");
+        assert!(
+            failure
+                .message
+                .contains("before receiving every published value"),
+            "expected a lost-value assert, got: {failure}"
+        );
+    }
+
+    /// A refusal that lowers the count without a notify strands the
+    /// consumer parked on a sealed topic whose count was still raised.
+    #[test]
+    fn seal_silent_refusal_detected() {
+        let failure = try_explore(
+            opts(),
+            protocols::seal_scenario(protocols::SealBugs {
+                silent_refusal: true,
+                ..Default::default()
+            }),
+        )
+        .expect_err("a refusal without a notify must be caught");
+        assert!(
+            failure.message.contains("deadlock"),
+            "expected a lost-wakeup deadlock, got: {failure}"
+        );
+    }
 }

@@ -9,8 +9,10 @@
 //! (`crates/channel/src/wait.rs`), the capacity gate
 //! (`crates/channel/src/endpoint.rs`), the reclamation hazard protocol
 //! (`crates/core/src/unbounded/reclaim.rs`), the contention-aware
-//! nearest scan (`crates/shard/src/policy.rs`), and the ring backend's
-//! phase-tagged slot/record handshake (`crates/ring/src/lib.rs`); see
+//! nearest scan (`crates/shard/src/policy.rs`), the ring backend's
+//! phase-tagged slot/record handshake (`crates/ring/src/lib.rs`), the
+//! executor's park/steal drain, and the drain-then-close `Seal`
+//! (`crates/channel/src/wait.rs`); see
 //! the module docs of
 //! `protocols` for the exact correspondence, and
 //! `tests/checker_power.rs` for the proof that these checks have teeth
@@ -128,4 +130,17 @@ fn steal_park_drain_never_loses_a_wakeup() {
         protocols::steal_park_scenario(protocols::StealParkBugs::default()),
     );
     report("steal_park", r);
+}
+
+/// The drain-then-close `Seal` (`crates/channel/src/wait.rs`) as a broker
+/// topic applies it: in every schedule of publisher vs closer vs parked
+/// consumer, a consumer that reports `Closed` has received every value
+/// counted as published, and nobody sleeps through the last wakeup.
+#[test]
+fn seal_close_never_loses_a_published_value() {
+    let r = explore(
+        opts(),
+        protocols::seal_scenario(protocols::SealBugs::default()),
+    );
+    report("seal", r);
 }
