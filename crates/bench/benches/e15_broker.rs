@@ -431,6 +431,6 @@ fn main() {
          burst profile and the every-{PERIOD} truncation — growth across\n\
          waves would be a broker-layer leak. The total swings with the §6\n\
          topic's GC phase; live KiB (the unbounded topic's blocks and slot\n\
-         storage) grows by the chunk directory's one pointer per 64 slots.\n"
+         storage) grows only by the page table's one pointer per 4096 slots.\n"
     );
 }

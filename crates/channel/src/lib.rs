@@ -85,13 +85,19 @@
 //! **Wait-freedom is a property of the queue operations, not of waiting
 //! for data.** Every enqueue and dequeue under this facade — including the
 //! ones issued by `send`, `recv` and the futures — completes in the
-//! paper's bounded number of steps regardless of what other threads do.
+//! paper's bounded number of steps regardless of what other threads do,
+//! once it has entered the queue. On the reclaiming backends
+//! ([`Backend::Unbounded`], the default, and [`Backend::Sharded`]) the
+//! entry itself is only lock-free: the hazard handshake that protects
+//! truncation retries whenever a truncator advances the frontier, and the
+//! offline epoch shim pins under a process-wide lock (see
+//! `wfqueue::unbounded::reclaim`).
 //! *Blocking until the channel is non-empty (or non-full) is a different
 //! problem*: "wait until someone else produces" is by definition not
 //! wait-free, and no channel can make it so. What the facade guarantees:
 //!
 //! * `try_send` / `try_recv` / `recv_up_to` are exactly as wait-free as
-//!   the raw handles (asserted parity).
+//!   the raw handles (asserted parity), entry handshake included.
 //! * `send` on an [`unbounded`]/[`sharded`] channel never waits at all.
 //! * `recv` / full-`send` park on an event count whose handshake is
 //!   lost-wakeup-free (publish → re-check → sleep vs update → fence →

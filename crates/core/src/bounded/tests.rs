@@ -249,8 +249,14 @@ fn values_with_drop_are_reclaimed() {
         }
     }
     drop(q);
-    // Flush epoch garbage so deferred tree versions are reclaimed.
-    for _ in 0..64 {
+    // Flush epoch garbage so deferred tree versions are reclaimed. The
+    // epoch is process-wide: a guard that a concurrently running test
+    // pinned before these defers (and was preempted holding) blocks every
+    // free until it drops, so keep flushing until that happens.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    crossbeam_epoch::pin().flush();
+    while Arc::strong_count(&token) >= 64 && std::time::Instant::now() < deadline {
+        wfqueue_sync::thread::yield_now();
         crossbeam_epoch::pin().flush();
     }
     let _ = DROPS.load(Ordering::Relaxed);

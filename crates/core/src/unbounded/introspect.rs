@@ -478,7 +478,8 @@ where
 
 /// An RSS proxy: bytes retained by the tree's storage — live blocks (block
 /// headers plus the capacity of their element payloads) and each node's
-/// slot storage (the `SegVec` chunks still linked plus its directory).
+/// slot storage (the `SegVec` chunks and pages still linked plus its page
+/// table).
 /// Used by experiments E12 and E15; like every introspection helper it is
 /// exact at quiescence.
 pub fn live_block_bytes<T>(queue: &Queue<T>) -> usize

@@ -10,11 +10,12 @@
 //! sentinel* (`Block::summary_of`: the replaced block's scalar fields,
 //! payload dropped) left at each node's new boundary so every prefix-sum
 //! and interval computation that touches the boundary still resolves
-//! exactly. The slot-storage chunks lying wholly below each new boundary
-//! ([`SegVec::take_chunks_below`](wfqueue_segvec::SegVec::take_chunks_below))
+//! exactly. The slot-storage chunks lying wholly below each new boundary,
+//! and the pages of 64 chunk pointers whose chunks all do
+//! ([`SegVec::take_chunks_below`](wfqueue_segvec::SegVec::take_chunks_below)),
 //! are deferred the same way, so the tree's memory follows what is live,
-//! not its history (only the chunk directory, one pointer per 64 slots,
-//! still grows).
+//! not its history. Only each node's page table still grows, by one 8-byte
+//! pointer per 4096 slots.
 //!
 //! # When is a root block dead?
 //!
@@ -50,13 +51,14 @@
 //! the *memory* behind a reference a reader already holds stays alive until
 //! that reader unpins — which also covers introspection (`dump`,
 //! `check_invariants`, `approx_len`), whose scans are not bounded by the
-//! hindex protocol. Unlinked blocks and released chunks are passed to
-//! [`crossbeam_epoch::Guard::defer_destroy`] and freed once every guard
-//! pinned before the unlink has dropped. A chunk is released only when all
-//! its slots lie below the node's boundary and were already unlinked; the
-//! chunk holding the boundary summary stays, so an operation (which never
-//! indexes below its `hindex - 1 >= boundary`) never meets a released
-//! chunk, and an introspection scan that does sees an empty slot.
+//! hindex protocol. Unlinked blocks and released chunks and pages are
+//! passed to [`crossbeam_epoch::Guard::defer_destroy`] and freed once every
+//! guard pinned before the unlink has dropped. A chunk is released only
+//! when all its slots lie below the node's boundary and were already
+//! unlinked, and a page only when all its chunks are; the chunk holding
+//! the boundary summary stays, with its page, so an operation (which never
+//! indexes below its `hindex - 1 >= boundary`) never meets released
+//! storage, and an introspection scan that does sees an empty slot.
 //!
 //! # Cost model
 //!
@@ -69,6 +71,17 @@
 //! because they are), one hazard store on exit, and an epoch pin/unpin
 //! (uncounted: the vendored shim's mutex is an artifact of the offline
 //! build; real crossbeam pins with a handful of unshared atomics).
+//!
+//! The entry handshake is **lock-free, not wait-free**: the
+//! publish-then-recheck loop in `Queue::begin_op` retries every time a
+//! truncator advances the frontier between its load and its recheck, and
+//! truncations keep coming for as long as other operations complete. A
+//! frontier only advances past root blocks that other operations
+//! installed, so each retry means the system progressed, but one operation
+//! can retry without bound. The shim's pin also takes its
+//! process-wide lock. So with reclamation on, an operation is wait-free
+//! once it has entered, and its entry is not.
+//!
 //! Truncation itself is maintenance work serialized by a try-lock — it is
 //! *not* wait-free, but operations never wait on it: a handle that loses the
 //! try-lock simply skips the attempt — and it records **no** algorithm
@@ -232,6 +245,10 @@ impl<T: Clone + Send + Sync> Queue<T> {
     /// Begins an operation for `pid`: pins the epoch and publishes the
     /// handle's hazard index using the standard publish-then-recheck loop.
     /// Returns `None` (touching nothing) when reclamation is off.
+    ///
+    /// The loop is lock-free, not wait-free: it retries whenever a
+    /// truncator advances the frontier between the load and the recheck,
+    /// which nothing bounds (see the module docs' cost model).
     pub(crate) fn begin_op(&self, pid: usize) -> Option<OpGuard> {
         let st = self.reclaim();
         if !st.enabled() {
@@ -459,14 +476,21 @@ impl<T: Clone + Send + Sync> Queue<T> {
         }
         node.set_boundary(cut);
         // Every slot of a chunk wholly below `cut` was taken above or by an
-        // earlier pass, so the chunks now hold nothing but dead storage.
-        // The chunk holding the summary at `cut` stays.
-        for chunk in node.blocks.take_chunks_below(cut) {
+        // earlier pass, so the chunks — and the pages whose chunks all lie
+        // below `cut` — now hold nothing but dead storage. The chunk
+        // holding the summary at `cut` stays, and so does its page.
+        let released = node.blocks.take_chunks_below(cut);
+        for chunk in released.chunks {
             // SAFETY: the chunk was unlinked by `take_chunks_below` and is
             // deferred exactly once; readers that looked it up before the
             // unlink are pinned, and no operation indexes below its hindex
             // - 1 >= cut.
             unsafe { guard.defer_destroy(Shared::from_ptr(chunk)) };
+        }
+        for page in released.pages {
+            // SAFETY: as for the chunks; dropping the page drops the
+            // chunks still linked in it, which nobody else holds.
+            unsafe { guard.defer_destroy(Shared::from_ptr(page)) };
         }
         if !self.topology().is_leaf(v) {
             // `blk` stays valid: it is deferred, not freed, while our guard

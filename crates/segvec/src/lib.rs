@@ -7,7 +7,8 @@
 //! model in Rust:
 //!
 //! * [`SegVec`] — an unbounded, lock-free, write-once vector built from
-//!   fixed-size chunks of 64 slots behind a geometrically growing directory,
+//!   fixed-size chunks of 64 slots: 16 chunk pointers inline, the rest in
+//!   fixed pages of 64 behind a geometrically growing page table,
 //!   supporting wait-free `get` and CAS-based `try_install`;
 //! * [`AtomicOnceCell`] — a single write-once slot, used for the `super`
 //!   approximation and `response` fields of blocks.
@@ -15,10 +16,12 @@
 //! Storage is freed when the structure drops, unless a reclaiming caller
 //! gives it back earlier: the unbounded queue's epoch-based truncation
 //! unlinks dead entries ([`SegVec::take_raw`]) and then the chunks lying
-//! wholly below its new boundary ([`SegVec::take_chunks_below`]), and frees
-//! both only once every reader that could still reach them has unpinned.
-//! The chunk holding the boundary is never released, so the slots a caller
-//! may still index stay allocated.
+//! wholly below its new boundary, and the pages whose chunks all do
+//! ([`SegVec::take_chunks_below`]), and frees them only once every reader
+//! that could still reach them has unpinned. The chunk holding the
+//! boundary is never released, nor is its page, so the slots a caller may
+//! still index stay allocated. What stays behind is the page table: one
+//! 8-byte pointer per 4096 slots of history.
 //!
 //! Both structures are the only place (besides the epoch-managed tree
 //! versions of the bounded queue) where this workspace uses `unsafe`; each
@@ -30,4 +33,4 @@ mod once_cell;
 mod seg_vec;
 
 pub use once_cell::AtomicOnceCell;
-pub use seg_vec::{Chunk, SegVec};
+pub use seg_vec::{Chunk, Page, Released, SegVec};

@@ -13,17 +13,24 @@ use wfqueue_metrics as metrics;
 const CHUNK: usize = 64;
 /// log2 of [`CHUNK`].
 const CHUNK_LOG2: u32 = CHUNK.trailing_zeros();
-/// Chunk pointers in directory segment 0 (stored inline, so the first
-/// 1024 slots are two dependent loads away); segment `s` holds
-/// `DIR_BASE << s` chunk pointers.
-const DIR_BASE: usize = 16;
-/// log2 of [`DIR_BASE`].
-const DIR_BASE_LOG2: u32 = DIR_BASE.trailing_zeros();
-/// Heap-allocated directory segments (segments `1..=DIR_SEGMENTS`). Total
-/// capacity is `(2^(DIR_SEGMENTS + 1) - 1) * DIR_BASE` chunks, i.e.
-/// `(2^51 - 1) * 1024` ≥ 2^60 slots: effectively unbounded (an index
-/// beyond it panics).
-const DIR_SEGMENTS: usize = 50;
+/// Chunk pointers stored inline in the vector (chunks `0..INLINE`, i.e.
+/// slots `0..1024`), so that a fresh vector's first install allocates one
+/// chunk and nothing else.
+const INLINE: usize = 16;
+/// Chunk pointers per page: chunk `c >= INLINE` lives in page
+/// `(c - INLINE) / PAGE`, which covers 4096 slots.
+const PAGE: usize = 64;
+/// log2 of [`PAGE`].
+const PAGE_LOG2: u32 = PAGE.trailing_zeros();
+/// Page pointers in page-table segment 0; segment `s` holds
+/// `TABLE_BASE << s` page pointers.
+const TABLE_BASE: usize = 8;
+/// log2 of [`TABLE_BASE`].
+const TABLE_BASE_LOG2: u32 = TABLE_BASE.trailing_zeros();
+/// Page-table segments. Total capacity is `(2^TABLE_SEGMENTS - 1) *
+/// TABLE_BASE` pages of 4096 slots, i.e. `(2^46 - 1) * 2^15` ≥ 2^60 slots:
+/// effectively unbounded (an index beyond it panics).
+const TABLE_SEGMENTS: usize = 46;
 
 /// One fixed-size block of 64 slots of a [`SegVec`].
 ///
@@ -66,6 +73,82 @@ impl<T> Drop for Chunk<T> {
     }
 }
 
+/// A fixed-size page of 64 chunk pointers (4096 slots) of a [`SegVec`].
+///
+/// Only ever seen behind the raw pointers that
+/// [`SegVec::take_chunks_below`] hands back. Dropping a page drops every
+/// chunk still linked in it.
+pub struct Page<T> {
+    chunks: [AtomicPtr<Chunk<T>>; PAGE],
+    /// A page owns (and drops) its chunks and so their values, so it is
+    /// `Send`/`Sync` only when `T` is.
+    _marker: PhantomData<T>,
+}
+
+impl<T> Page<T> {
+    fn new() -> Box<Self> {
+        Box::new(Page {
+            chunks: [(); PAGE].map(|()| AtomicPtr::new(ptr::null_mut())),
+            _marker: PhantomData,
+        })
+    }
+
+    /// Bytes of this page plus the chunks linked in it.
+    fn heap_bytes(&self) -> usize {
+        size_of::<Self>() + linked_chunk_bytes(&self.chunks)
+    }
+}
+
+impl<T> fmt::Debug for Page<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.pad("Page { .. }")
+    }
+}
+
+impl<T> Drop for Page<T> {
+    fn drop(&mut self) {
+        free_chunks(&mut self.chunks);
+    }
+}
+
+/// Bytes of the chunks linked in `entries`.
+fn linked_chunk_bytes<T>(entries: &[AtomicPtr<Chunk<T>>]) -> usize {
+    let linked = entries
+        .iter()
+        .filter(|e| !e.load(Ordering::Acquire).is_null())
+        .count();
+    linked * size_of::<Chunk<T>>()
+}
+
+/// Frees the chunks linked in `entries` (exclusive access).
+fn free_chunks<T>(entries: &mut [AtomicPtr<Chunk<T>>]) {
+    for entry in entries {
+        let chunk = *entry.get_mut();
+        if !chunk.is_null() {
+            // SAFETY: exclusive access (`&mut`); a linked chunk came from
+            // `Box::into_raw` in `link_chunk` and was never handed back (a
+            // hand-back nulls its entry first).
+            unsafe { drop(Box::from_raw(chunk)) };
+        }
+    }
+}
+
+/// Slot storage that [`SegVec::take_chunks_below`] unlinked and handed
+/// back to its caller.
+///
+/// The caller owns every pointer here and frees each one with
+/// `Box::from_raw` exactly once, after every reader that could have looked
+/// it up before the unlink is gone. A page is handed back whole, together
+/// with the chunks still linked in it (dropping it drops them).
+#[derive(Debug)]
+pub struct Released<T> {
+    /// Chunks unlinked on their own: those of the inline prefix, and those
+    /// of a page that still holds chunks at or above the index.
+    pub chunks: Vec<*mut Chunk<T>>,
+    /// Pages whose chunks all lie below the index.
+    pub pages: Vec<*mut Page<T>>,
+}
+
 /// An unbounded, lock-free, **write-once** vector.
 ///
 /// `SegVec<T>` models the paper's infinite `blocks` array: each index can be
@@ -73,24 +156,25 @@ impl<T> Drop for Chunk<T> {
 /// `try_install`. Readers get `&T` references with no synchronisation
 /// beyond a few atomic loads.
 ///
-/// Storage is a sequence of chunks of 64 slots each, reached through a
-/// directory of chunk pointers whose segments grow geometrically
-/// (16, 32, 64, ... chunk pointers; the first segment is inline). `get` and
-/// `try_install` are wait-free with O(1) work, and installing never moves
-/// existing entries.
+/// Storage is a sequence of chunks of 64 slots each. The first 16 chunk
+/// pointers are inline; above them, chunk pointers sit in fixed pages of 64
+/// (4096 slots each), reached through a page table whose segments grow
+/// geometrically (8, 16, 32, ... page pointers). `get` and `try_install`
+/// are wait-free with O(1) work, and installing never moves existing
+/// entries.
 ///
 /// # Explicit unlinking
 ///
 /// A caller that never unlinks gets the plain write-once contract: every
-/// value and every chunk lives until the `SegVec` is dropped. A
+/// value, chunk and page lives until the `SegVec` is dropped. A
 /// *reclaiming* caller (the unbounded queue's epoch-based tree truncation)
 /// can give storage back early, in two steps:
 ///
 /// * [`SegVec::take_raw`] and [`SegVec::replace_raw`] unlink single
 ///   entries and hand back the raw pointer that was installed;
 /// * [`SegVec::take_chunks_below`] unlinks every chunk lying wholly below
-///   an index and hands back the raw chunk pointers. The chunk holding the
-///   index itself always stays.
+///   an index, and every page whose chunks all do, and hands them back.
+///   The chunk holding the index itself always stays.
 ///
 /// In both cases the caller owns what it gets back and must free it only
 /// once no concurrent reader can still use it (e.g. through an epoch
@@ -98,6 +182,10 @@ impl<T> Drop for Chunk<T> {
 /// stay valid. A released index reads as empty. Unlinking records no
 /// shared-memory step: it is maintenance work outside the algorithms' step
 /// accounting (like [`SegVec::get_untracked`]).
+///
+/// What a reclaiming caller cannot give back is the page table: it keeps
+/// one 8-byte pointer per 4096 slots of history (rounded up to its
+/// segments' doubling), 1/64 of a directory with one pointer per chunk.
 ///
 /// # Examples
 ///
@@ -110,16 +198,16 @@ impl<T> Drop for Chunk<T> {
 /// assert_eq!(v.get(3).map(String::as_str), Some("hello"));
 /// ```
 pub struct SegVec<T> {
-    /// Directory segment 0: the pointers to chunks `0..DIR_BASE`, inline so
-    /// that a fresh vector's first install allocates one chunk and nothing
-    /// else.
-    first: [AtomicPtr<Chunk<T>>; DIR_BASE],
-    /// `directory[s - 1]` points to an array of `DIR_BASE << s` chunk
-    /// pointers, or is null if that segment has not been allocated yet.
-    /// Directory segments are freed only with the vector.
-    directory: [AtomicPtr<AtomicPtr<Chunk<T>>>; DIR_SEGMENTS],
+    /// The pointers to chunks `0..INLINE`.
+    first: [AtomicPtr<Chunk<T>>; INLINE],
+    /// `table[s]` points to an array of `TABLE_BASE << s` page pointers, or
+    /// is null if that segment has not been allocated yet. Table segments
+    /// are freed only with the vector; the pages they point to may be
+    /// handed back earlier.
+    table: [AtomicPtr<AtomicPtr<Page<T>>>; TABLE_SEGMENTS],
     /// Every chunk below this index has been handed back by
-    /// [`SegVec::take_chunks_below`]; the next call resumes its scan here.
+    /// [`SegVec::take_chunks_below`] (alone or inside its page); the next
+    /// call resumes its scan here.
     released: AtomicUsize,
     _marker: PhantomData<T>,
 }
@@ -130,15 +218,22 @@ unsafe impl<T: Send + Sync> Send for SegVec<T> {}
 // SAFETY: see above.
 unsafe impl<T: Send + Sync> Sync for SegVec<T> {}
 
-/// Maps a chunk number to its `(directory segment, offset)`.
+/// Maps a page number to its `(table segment, offset)`.
 ///
-/// Segment `s` covers chunks `[(2^s - 1) * DIR_BASE, (2^(s+1) - 1) * DIR_BASE)`.
+/// Segment `s` covers pages `[(2^s - 1) * TABLE_BASE, (2^(s+1) - 1) * TABLE_BASE)`.
 #[inline]
-fn locate(chunk: usize) -> (usize, usize) {
-    let d = (chunk >> DIR_BASE_LOG2) + 1;
+fn locate(page: usize) -> (usize, usize) {
+    let d = (page >> TABLE_BASE_LOG2) + 1;
     let seg = (usize::BITS - 1 - d.leading_zeros()) as usize;
-    let seg_start = ((1usize << seg) - 1) << DIR_BASE_LOG2;
-    (seg, chunk - seg_start)
+    let seg_start = ((1usize << seg) - 1) << TABLE_BASE_LOG2;
+    (seg, page - seg_start)
+}
+
+/// Maps a chunk number `>= INLINE` to its `(page, offset in the page)`.
+#[inline]
+fn page_of(chunk: usize) -> (usize, usize) {
+    let paged = chunk - INLINE;
+    (paged >> PAGE_LOG2, paged & (PAGE - 1))
 }
 
 impl<T> SegVec<T> {
@@ -153,8 +248,8 @@ impl<T> SegVec<T> {
     #[must_use]
     pub fn new() -> Self {
         SegVec {
-            first: [(); DIR_BASE].map(|()| AtomicPtr::new(ptr::null_mut())),
-            directory: [(); DIR_SEGMENTS].map(|()| AtomicPtr::new(ptr::null_mut())),
+            first: [(); INLINE].map(|()| AtomicPtr::new(ptr::null_mut())),
+            table: [(); TABLE_SEGMENTS].map(|()| AtomicPtr::new(ptr::null_mut())),
             released: AtomicUsize::new(0),
             _marker: PhantomData,
         }
@@ -286,34 +381,71 @@ impl<T> SegVec<T> {
         }
     }
 
-    /// Unlinks every chunk lying wholly below `index` and hands back the
-    /// raw chunk pointers. The chunk that holds `index` is never released.
+    /// Unlinks every chunk lying wholly below `index`, and every page whose
+    /// chunks all do, and hands them back. The chunk that holds `index` is
+    /// never released, nor is the page that holds that chunk.
     ///
-    /// Ownership of each chunk passes to the caller under the
+    /// Ownership of each chunk and page passes to the caller under the
     /// deferred-destruction contract of [`SegVec::take_raw`]: a reader may
-    /// still be inside a chunk it looked up before the unlink. Dropping a
-    /// chunk drops any value still installed in it, so a caller that first
+    /// still be inside a chunk or page it looked up before the unlink.
+    /// Dropping a chunk drops any value still installed in it, and dropping
+    /// a page drops any chunk still linked in it, so a caller that first
     /// [`take_raw`](SegVec::take_raw)s the values below `index` frees only
     /// the slot storage here. After the call, every index below the
-    /// returned chunks reads as empty; as with `take_raw`, callers must not
-    /// reuse released indices (writing one allocates a fresh chunk that is
-    /// kept until the vector drops). Each chunk is handed back at most
-    /// once, even to concurrent callers, and a call resumes where the
-    /// previous one stopped, so its work is proportional to what it
-    /// releases. Records no step (maintenance work).
+    /// returned storage reads as empty; as with `take_raw`, callers must
+    /// not reuse released indices (writing one allocates a fresh chunk,
+    /// and page if needed, that is kept until the vector drops). Each chunk
+    /// and page is handed back at most once, even to concurrent callers,
+    /// and a call resumes where the previous one stopped, so its work is
+    /// proportional to what it releases. Records no step (maintenance
+    /// work).
     #[must_use]
-    pub fn take_chunks_below(&self, index: usize) -> Vec<*mut Chunk<T>> {
+    pub fn take_chunks_below(&self, index: usize) -> Released<T> {
         let end = index >> CHUNK_LOG2;
         let mut start = self.released.load(Ordering::Acquire);
-        let mut taken = Vec::new();
-        for chunk in start..end {
-            if let Some(entry) = self.chunk_entry(chunk) {
-                // The swap makes each hand-back unique, even when a racing
-                // caller scans the same range.
+        let (mut chunks, mut pages) = (Vec::new(), Vec::new());
+        // The swaps make each hand-back unique, even when a racing caller
+        // scans the same range.
+        let mut take_chunk = |entry: &AtomicPtr<Chunk<T>>| {
+            let old = entry.swap(ptr::null_mut(), Ordering::AcqRel);
+            if !old.is_null() {
+                chunks.push(old);
+            }
+        };
+        let mut chunk = start;
+        while chunk < end {
+            if chunk < INLINE {
+                take_chunk(&self.first[chunk]);
+                chunk += 1;
+                continue;
+            }
+            let (page, off) = page_of(chunk);
+            let page_end = chunk - off + PAGE;
+            let Some(entry) = self.page_entry(page) else {
+                // Table segment never allocated: nothing linked up to here.
+                chunk = page_end;
+                continue;
+            };
+            if page_end <= end {
+                // The whole page lies below the index: hand it back with
+                // whatever chunks are still linked in it.
                 let old = entry.swap(ptr::null_mut(), Ordering::AcqRel);
                 if !old.is_null() {
-                    taken.push(old);
+                    pages.push(old);
                 }
+                chunk = page_end;
+            } else {
+                let linked = entry.load(Ordering::Acquire);
+                if !linked.is_null() {
+                    // SAFETY: a linked page is freed either in Drop or —
+                    // after a hand-back — by a caller who defers the free
+                    // past every reader that could have loaded the pointer.
+                    let page = unsafe { &*linked };
+                    for entry in &page.chunks[off..off + (end - chunk)] {
+                        take_chunk(entry);
+                    }
+                }
+                chunk = end;
             }
         }
         // Advance the watermark monotonically, so a racing caller with a
@@ -328,49 +460,49 @@ impl<T> SegVec<T> {
                 Err(current) => start = current,
             }
         }
-        taken
+        Released { chunks, pages }
     }
 
     /// Bytes of slot storage the vector holds right now: its allocated
-    /// directory segments plus every chunk still linked. Excludes the
-    /// values themselves and the inline part of the struct. Reads only
-    /// untracked atomics; exact at quiescence.
+    /// page-table segments, every page still linked and every chunk still
+    /// linked. Excludes the values themselves and the inline part of the
+    /// struct. Reads only untracked atomics; exact at quiescence.
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
-        let linked = |entries: &[AtomicPtr<Chunk<T>>]| {
-            let chunks = entries
-                .iter()
-                .filter(|e| !e.load(Ordering::Acquire).is_null())
-                .count();
-            chunks * size_of::<Chunk<T>>()
-        };
-        let mut bytes = linked(&self.first);
-        for (i, dir) in self.directory.iter().enumerate() {
-            let seg_ptr = dir.load(Ordering::Acquire);
-            if !seg_ptr.is_null() {
-                let len = DIR_BASE << (i + 1);
-                // SAFETY: a published directory segment holds `len` chunk
-                // pointers and is freed only in Drop.
-                let entries = unsafe { &*ptr::slice_from_raw_parts(seg_ptr, len) };
-                bytes += len * size_of::<AtomicPtr<Chunk<T>>>() + linked(entries);
+        let mut bytes = linked_chunk_bytes(&self.first);
+        for (s, seg) in self.table.iter().enumerate() {
+            let seg_ptr = seg.load(Ordering::Acquire);
+            if seg_ptr.is_null() {
+                continue;
+            }
+            let len = TABLE_BASE << s;
+            // SAFETY: a published table segment holds `len` page pointers
+            // and is freed only in Drop.
+            let entries = unsafe { &*ptr::slice_from_raw_parts(seg_ptr, len) };
+            bytes += len * size_of::<AtomicPtr<Page<T>>>();
+            for entry in entries {
+                let page = entry.load(Ordering::Acquire);
+                if !page.is_null() {
+                    // SAFETY: as in `chunk_entry`.
+                    bytes += unsafe { &*page }.heap_bytes();
+                }
             }
         }
         bytes
     }
 
-    /// Allocates directory segment `seg >= 1` and publishes it in `dir`,
-    /// returning the published segment. Losing allocators free their
-    /// candidate.
+    /// Allocates table segment `seg` and publishes it in `slot`, returning
+    /// the published segment. Losing allocators free their candidate.
     #[cold]
-    fn link_dir_segment(
-        dir: &AtomicPtr<AtomicPtr<Chunk<T>>>,
+    fn link_table_segment(
+        slot: &AtomicPtr<AtomicPtr<Page<T>>>,
         seg: usize,
-    ) -> *mut AtomicPtr<Chunk<T>> {
-        let len = DIR_BASE << seg;
-        let mut fresh: Vec<AtomicPtr<Chunk<T>>> = Vec::with_capacity(len);
+    ) -> *mut AtomicPtr<Page<T>> {
+        let len = TABLE_BASE << seg;
+        let mut fresh: Vec<AtomicPtr<Page<T>>> = Vec::with_capacity(len);
         fresh.resize_with(len, || AtomicPtr::new(ptr::null_mut()));
-        let raw = Box::into_raw(fresh.into_boxed_slice()).cast::<AtomicPtr<Chunk<T>>>();
-        match dir.compare_exchange(ptr::null_mut(), raw, Ordering::AcqRel, Ordering::Acquire) {
+        let raw = Box::into_raw(fresh.into_boxed_slice()).cast::<AtomicPtr<Page<T>>>();
+        match slot.compare_exchange(ptr::null_mut(), raw, Ordering::AcqRel, Ordering::Acquire) {
             Ok(_) => raw,
             Err(winner) => {
                 // SAFETY: our candidate lost the race and was never
@@ -381,43 +513,67 @@ impl<T> SegVec<T> {
         }
     }
 
-    /// The directory entry for `chunk`, or `None` if its directory segment
-    /// has not been allocated.
+    /// The table entry for `page`, or `None` if its table segment has not
+    /// been allocated.
     #[inline]
-    fn chunk_entry(&self, chunk: usize) -> Option<&AtomicPtr<Chunk<T>>> {
-        let (seg, off) = locate(chunk);
-        let base = if seg == 0 {
-            self.first.as_ptr()
-        } else {
-            let dir = self.directory[seg - 1].load(Ordering::Acquire);
-            if dir.is_null() {
-                return None;
-            }
-            dir.cast_const()
-        };
-        // SAFETY: `base` is directory segment `seg` (inline, or published
-        // with Release and freed only in Drop), which holds
-        // `DIR_BASE << seg` entries; `off < DIR_BASE << seg` by `locate`.
+    fn page_entry(&self, page: usize) -> Option<&AtomicPtr<Page<T>>> {
+        let (seg, off) = locate(page);
+        let base = self.table[seg].load(Ordering::Acquire);
+        if base.is_null() {
+            return None;
+        }
+        // SAFETY: `base` is table segment `seg` (published with Release and
+        // freed only in Drop), which holds `TABLE_BASE << seg` entries;
+        // `off < TABLE_BASE << seg` by `locate`.
         Some(unsafe { &*base.add(off) })
     }
 
-    /// [`Self::chunk_entry`], allocating the directory segment if needed.
+    /// [`Self::page_entry`], allocating the table segment if needed.
+    #[inline]
+    fn page_entry_or_alloc(&self, page: usize) -> &AtomicPtr<Page<T>> {
+        let (seg, off) = locate(page);
+        let slot = &self.table[seg];
+        let mut base = slot.load(Ordering::Acquire);
+        if base.is_null() {
+            base = Self::link_table_segment(slot, seg);
+        }
+        // SAFETY: as in `page_entry`.
+        unsafe { &*base.add(off) }
+    }
+
+    /// The entry for `chunk`, or `None` if its page is not linked (never
+    /// allocated, or released).
+    #[inline]
+    fn chunk_entry(&self, chunk: usize) -> Option<&AtomicPtr<Chunk<T>>> {
+        if chunk < INLINE {
+            return Some(&self.first[chunk]);
+        }
+        let (page, off) = page_of(chunk);
+        let page = self.page_entry(page)?.load(Ordering::Acquire);
+        if page.is_null() {
+            return None;
+        }
+        // SAFETY: a linked page is freed either in Drop or — after
+        // `take_chunks_below` — by a caller who defers the free past every
+        // reader that could have loaded the pointer.
+        Some(unsafe { &(*page).chunks[off] })
+    }
+
+    /// [`Self::chunk_entry`], allocating the table segment and page if
+    /// needed.
     #[inline]
     fn chunk_entry_or_alloc(&self, chunk: usize) -> &AtomicPtr<Chunk<T>> {
-        let (seg, off) = locate(chunk);
-        let base = if seg == 0 {
-            self.first.as_ptr()
-        } else {
-            let dir = &self.directory[seg - 1];
-            let current = dir.load(Ordering::Acquire);
-            if current.is_null() {
-                Self::link_dir_segment(dir, seg)
-            } else {
-                current
-            }
-        };
+        if chunk < INLINE {
+            return &self.first[chunk];
+        }
+        let (page, off) = page_of(chunk);
+        let entry = self.page_entry_or_alloc(page);
+        let mut page = entry.load(Ordering::Acquire);
+        if page.is_null() {
+            page = link(entry, Page::new());
+        }
         // SAFETY: as in `chunk_entry`.
-        unsafe { &*base.add(off) }
+        unsafe { &(*page).chunks[off] }
     }
 
     /// The slot for `index`, or `None` if its chunk is not linked (never
@@ -430,40 +586,24 @@ impl<T> SegVec<T> {
         if chunk.is_null() {
             return None;
         }
-        // SAFETY: a linked chunk is freed either in Drop or — after
-        // `take_chunks_below` — by a caller who defers the free past every
-        // reader that could have loaded the pointer.
+        // SAFETY: a linked chunk is freed either with its page, in Drop, or
+        // — after `take_chunks_below` — by a caller who defers the free past
+        // every reader that could have loaded the pointer.
         Some(unsafe { &(*chunk).slots[index & (CHUNK - 1)] })
     }
 
-    /// The slot for `index`, allocating and linking its chunk (and
-    /// directory segment) if necessary. The allocation CASes are not
-    /// recorded steps.
+    /// The slot for `index`, allocating and linking its chunk (and page and
+    /// table segment) if necessary. The allocation CASes are not recorded
+    /// steps.
     #[inline]
     fn slot_or_alloc(&self, index: usize) -> &AtomicPtr<T> {
         let entry = self.chunk_entry_or_alloc(index >> CHUNK_LOG2);
         let mut chunk = entry.load(Ordering::Acquire);
         if chunk.is_null() {
-            chunk = Self::link_chunk(entry);
+            chunk = link(entry, Chunk::new());
         }
         // SAFETY: `chunk` is linked (see `slot`).
         unsafe { &(*chunk).slots[index & (CHUNK - 1)] }
-    }
-
-    /// Allocates a chunk and links it at `entry`, returning the linked
-    /// chunk. Losing allocators free their candidate.
-    #[cold]
-    fn link_chunk(entry: &AtomicPtr<Chunk<T>>) -> *mut Chunk<T> {
-        let raw = Box::into_raw(Chunk::new());
-        match entry.compare_exchange(ptr::null_mut(), raw, Ordering::AcqRel, Ordering::Acquire) {
-            Ok(_) => raw,
-            Err(winner) => {
-                // SAFETY: our candidate lost the race and was never
-                // published; it holds no values.
-                unsafe { drop(Box::from_raw(raw)) };
-                winner
-            }
-        }
     }
 
     /// Returns an iterator over installed entries in `0..len`, yielding
@@ -479,6 +619,22 @@ impl<T> SegVec<T> {
     /// ```
     pub fn iter_prefix(&self, len: usize) -> impl Iterator<Item = Option<&T>> + '_ {
         (0..len).map(move |i| self.get(i))
+    }
+}
+
+/// Links the empty `fresh` at `entry`, returning the linked pointer. A
+/// losing allocator frees its candidate and returns the winner.
+#[cold]
+fn link<X>(entry: &AtomicPtr<X>, fresh: Box<X>) -> *mut X {
+    let raw = Box::into_raw(fresh);
+    match entry.compare_exchange(ptr::null_mut(), raw, Ordering::AcqRel, Ordering::Acquire) {
+        Ok(_) => raw,
+        Err(winner) => {
+            // SAFETY: our candidate lost the race and was never published;
+            // it holds nothing.
+            unsafe { drop(Box::from_raw(raw)) };
+            winner
+        }
     }
 }
 
@@ -507,27 +663,24 @@ impl<T: fmt::Debug> fmt::Debug for SegVec<T> {
 
 impl<T> Drop for SegVec<T> {
     fn drop(&mut self) {
-        let free_chunks = |entries: &mut [AtomicPtr<Chunk<T>>]| {
-            for entry in entries {
-                let chunk = *entry.get_mut();
-                if !chunk.is_null() {
-                    // SAFETY: exclusive access (`&mut self`); a linked chunk
-                    // came from `Box::into_raw` in `slot_or_alloc`.
-                    unsafe { drop(Box::from_raw(chunk)) };
-                }
-            }
-        };
         free_chunks(&mut self.first);
-        for (i, dir) in self.directory.iter_mut().enumerate() {
-            let seg_ptr = *dir.get_mut();
+        for (s, seg) in self.table.iter_mut().enumerate() {
+            let seg_ptr = *seg.get_mut();
             if seg_ptr.is_null() {
                 continue;
             }
-            let len = DIR_BASE << (i + 1);
+            let len = TABLE_BASE << s;
             // SAFETY: exclusive access (`&mut self`); the segment was
-            // allocated by `chunk_entry_or_alloc` with exactly this length.
+            // allocated by `link_table_segment` with exactly this length.
             let mut segment = unsafe { Box::from_raw(ptr::slice_from_raw_parts_mut(seg_ptr, len)) };
-            free_chunks(&mut segment);
+            for entry in segment.iter_mut() {
+                let page = *entry.get_mut();
+                if !page.is_null() {
+                    // SAFETY: exclusive access; a linked page came from
+                    // `Box::into_raw` in `link` and was never handed back.
+                    unsafe { drop(Box::from_raw(page)) };
+                }
+            }
         }
     }
 }
@@ -544,15 +697,20 @@ mod tests {
         }
     }
 
-    /// Frees chunks handed back by `take_chunks_below` (tests have no
-    /// concurrent readers, so immediate destruction is sound).
-    fn free(chunks: Vec<*mut Chunk<u64>>) -> usize {
-        let n = chunks.len();
-        for c in chunks {
+    /// Frees storage handed back by `take_chunks_below` (tests have no
+    /// concurrent readers, so immediate destruction is sound) and returns
+    /// how many chunks and pages it held.
+    fn free<T>(released: Released<T>) -> (usize, usize) {
+        let counts = (released.chunks.len(), released.pages.len());
+        for c in released.chunks {
             // SAFETY: handed back exactly once; no readers in these tests.
             unsafe { drop(Box::from_raw(c)) };
         }
-        n
+        for p in released.pages {
+            // SAFETY: as above.
+            unsafe { drop(Box::from_raw(p)) };
+        }
+        counts
     }
 
     /// Installs then `take_raw`s every index below `end`, as the queue's
@@ -570,12 +728,12 @@ mod tests {
 
     #[test]
     fn locate_covers_consecutive_indices() {
-        // Each chunk number maps to a unique (segment, offset) pair and the
+        // Each page number maps to a unique (segment, offset) pair and the
         // segment boundaries line up with geometric growth.
         let mut last = (0usize, usize::MAX);
         for c in 0..100_000 {
             let (seg, off) = locate(c);
-            assert!(off < DIR_BASE << seg, "offset in range at {c}");
+            assert!(off < TABLE_BASE << seg, "offset in range at {c}");
             if seg == last.0 {
                 assert_eq!(off, last.1.wrapping_add(1), "offsets consecutive at {c}");
             } else {
@@ -589,13 +747,25 @@ mod tests {
     #[test]
     fn locate_boundaries() {
         assert_eq!(locate(0), (0, 0));
-        assert_eq!(locate(DIR_BASE - 1), (0, DIR_BASE - 1));
-        assert_eq!(locate(DIR_BASE), (1, 0));
-        assert_eq!(locate(3 * DIR_BASE - 1), (1, 2 * DIR_BASE - 1));
-        assert_eq!(locate(3 * DIR_BASE), (2, 0));
-        // The last heap segment ends at the documented capacity.
-        let last_chunk = ((1usize << (DIR_SEGMENTS + 1)) - 1) * DIR_BASE - 1;
-        assert_eq!(locate(last_chunk).0, DIR_SEGMENTS);
+        assert_eq!(locate(TABLE_BASE - 1), (0, TABLE_BASE - 1));
+        assert_eq!(locate(TABLE_BASE), (1, 0));
+        assert_eq!(locate(3 * TABLE_BASE - 1), (1, 2 * TABLE_BASE - 1));
+        assert_eq!(locate(3 * TABLE_BASE), (2, 0));
+        // The last table segment ends at the documented capacity.
+        let last_page = ((1usize << TABLE_SEGMENTS) - 1) * TABLE_BASE - 1;
+        assert_eq!(locate(last_page).0, TABLE_SEGMENTS - 1);
+        assert!((last_page + 1) * PAGE * CHUNK >= 1 << 60);
+        // Pages start right above the inline chunks.
+        assert_eq!(page_of(INLINE), (0, 0));
+        assert_eq!(page_of(INLINE + PAGE - 1), (0, PAGE - 1));
+        assert_eq!(page_of(INLINE + PAGE), (1, 0));
+    }
+
+    #[test]
+    fn struct_stays_within_its_size_budget() {
+        // Every node of the unbounded queue embeds one; the paged layout
+        // must not make it larger than the directory layout it replaced.
+        assert!(size_of::<SegVec<u64>>() <= 536);
     }
 
     #[test]
@@ -604,6 +774,13 @@ mod tests {
         assert_eq!(v.heap_bytes(), 0);
         v.try_install(0, Box::new(1)).unwrap();
         assert_eq!(v.heap_bytes(), CHUNK * size_of::<usize>());
+        // The first slot above the inline chunks adds table segment 0, a
+        // page and a chunk.
+        v.try_install(INLINE * CHUNK, Box::new(2)).unwrap();
+        assert_eq!(
+            v.heap_bytes(),
+            TABLE_BASE * size_of::<usize>() + size_of::<Page<u64>>() + 2 * size_of::<Chunk<u64>>()
+        );
     }
 
     #[test]
@@ -730,22 +907,27 @@ mod tests {
         }
         let full = v.heap_bytes();
         // An index inside chunk 0 releases nothing: chunk 0 holds it.
-        assert_eq!(free(v.take_chunks_below(CHUNK - 1)), 0);
+        assert_eq!(free(v.take_chunks_below(CHUNK - 1)), (0, 0));
         // Exactly the chunks wholly below the index go, never its own.
-        assert_eq!(free(v.take_chunks_below(3 * CHUNK + 5)), 3);
+        assert_eq!(free(v.take_chunks_below(3 * CHUNK + 5)), (3, 0));
         assert_eq!(full - v.heap_bytes(), 3 * size_of::<Chunk<u64>>());
-        // A chunk boundary index releases everything below it, across
-        // directory segments; the chunk starting at the index stays.
-        assert_eq!(free(v.take_chunks_below(18 * CHUNK)), 15);
-        assert_eq!(free(v.take_chunks_below(18 * CHUNK)), 0, "released once");
+        // A chunk boundary index releases everything below it, from the
+        // inline chunks into the first page; the chunk starting at the
+        // index stays, and so does its page.
+        assert_eq!(free(v.take_chunks_below(18 * CHUNK)), (15, 0));
+        assert_eq!(
+            free(v.take_chunks_below(18 * CHUNK)),
+            (0, 0),
+            "released once"
+        );
         // A lower index than before releases nothing more.
-        assert_eq!(free(v.take_chunks_below(2 * CHUNK)), 0);
+        assert_eq!(free(v.take_chunks_below(2 * CHUNK)), (0, 0));
         assert_eq!(full - v.heap_bytes(), 18 * size_of::<Chunk<u64>>());
         assert_eq!(v.get(n), Some(&(n as u64)));
         // Chunks that were never allocated are skipped, not invented.
         let sparse: SegVec<u64> = SegVec::new();
         sparse.try_install(40 * CHUNK, Box::new(1)).unwrap();
-        assert_eq!(free(sparse.take_chunks_below(40 * CHUNK)), 0);
+        assert_eq!(free(sparse.take_chunks_below(40 * CHUNK)), (0, 0));
         assert_eq!(sparse.get(40 * CHUNK), Some(&1));
     }
 
@@ -761,7 +943,7 @@ mod tests {
         let summary = v.replace_raw(boundary, Box::new(7)).expect("installed");
         // SAFETY: unlinked once, no concurrent readers.
         drop(unsafe { Box::from_raw(summary) });
-        assert_eq!(free(v.take_chunks_below(boundary)), 2);
+        assert_eq!(free(v.take_chunks_below(boundary)), (2, 0));
         // Released indices read as empty; `take_raw` finds nothing there.
         for i in [0, 1, CHUNK - 1, CHUNK, 2 * CHUNK - 1] {
             assert!(v.get(i).is_none(), "released index {i} reads empty");
@@ -779,7 +961,7 @@ mod tests {
         assert!(v.replace_raw(CHUNK + 3, Box::new(99)).is_none());
         assert_eq!(v.get(CHUNK + 3), Some(&99));
         assert!(v.get(CHUNK + 2).is_none());
-        assert_eq!(free(v.take_chunks_below(boundary)), 0);
+        assert_eq!(free(v.take_chunks_below(boundary)), (0, 0));
         assert_eq!(v.get(CHUNK + 3), Some(&99));
     }
 
@@ -800,12 +982,7 @@ mod tests {
                 // SAFETY: unlinked exactly once, no concurrent readers.
                 drop(unsafe { Box::from_raw(raw) });
             }
-            let chunks = v.take_chunks_below(2 * CHUNK + 3);
-            released_chunks = chunks.len();
-            for c in chunks {
-                // SAFETY: handed back exactly once, no concurrent readers.
-                drop(unsafe { Box::from_raw(c) });
-            }
+            released_chunks = free(v.take_chunks_below(2 * CHUNK + 3)).0;
             assert_eq!(drops.load(Ordering::Relaxed), 2 * CHUNK);
             // Installs after a release land in retained storage as usual.
             v.try_install(n, Box::new(CountDrop(Arc::clone(&drops))))
@@ -823,20 +1000,114 @@ mod tests {
             v.try_install(i, Box::new(CountDrop(Arc::clone(&drops))))
                 .ok();
         }
-        let chunks = v.take_chunks_below(CHUNK);
-        assert_eq!(chunks.len(), 1);
+        let released = v.take_chunks_below(CHUNK);
+        assert_eq!(released.chunks.len(), 1);
         assert_eq!(
             drops.load(Ordering::Relaxed),
             0,
             "release frees nothing yet"
         );
-        for c in chunks {
-            // SAFETY: handed back exactly once, no concurrent readers.
-            drop(unsafe { Box::from_raw(c) });
-        }
+        free(released);
         assert_eq!(drops.load(Ordering::Relaxed), CHUNK);
         drop(v);
         assert_eq!(drops.load(Ordering::Relaxed), CHUNK + 1);
+    }
+
+    #[test]
+    fn take_chunks_below_hands_back_whole_pages() {
+        let v: SegVec<u64> = SegVec::new();
+        let page_slots = PAGE * CHUNK;
+        let paged = INLINE * CHUNK;
+        // The inline chunks, two full pages and five chunks of a third.
+        let n = paged + 2 * page_slots + 5 * CHUNK;
+        fill_and_take(&v, paged + 2 * page_slots);
+        for i in paged + 2 * page_slots..n {
+            v.try_install(i, Box::new(i as u64)).unwrap();
+        }
+        let full = v.heap_bytes();
+        // Below a point three chunks into page 1: the inline chunks go one
+        // by one, page 0 goes whole with its chunks, and page 1 stays but
+        // gives back the three chunks below the index.
+        let cut = paged + page_slots + 3 * CHUNK + 7;
+        assert_eq!(free(v.take_chunks_below(cut)), (INLINE + 3, 1));
+        let page_bytes = size_of::<Page<u64>>() + PAGE * size_of::<Chunk<u64>>();
+        assert_eq!(
+            full - v.heap_bytes(),
+            (INLINE + 3) * size_of::<Chunk<u64>>() + page_bytes
+        );
+        assert!(v.get(paged).is_none() && v.get_untracked(cut - 1).is_none());
+        // At the end of page 1 it goes whole, with the 61 chunks still in
+        // it; the chunk starting at the index, in page 2, stays.
+        let end = paged + 2 * page_slots;
+        assert_eq!(free(v.take_chunks_below(end)), (0, 1));
+        assert_eq!(free(v.take_chunks_below(end)), (0, 0), "released once");
+        assert_eq!(
+            full - v.heap_bytes(),
+            (INLINE + 3) * size_of::<Chunk<u64>>() + 2 * page_bytes - 3 * size_of::<Chunk<u64>>()
+        );
+        assert_eq!(v.get(end), Some(&(end as u64)));
+        assert_eq!(v.get(n - 1), Some(&(n as u64 - 1)));
+        // Writing a released index links a fresh page and chunk, which the
+        // vector keeps.
+        assert!(v.replace_raw(paged + 1, Box::new(5)).is_none());
+        assert_eq!(v.get(paged + 1), Some(&5));
+        assert_eq!(free(v.take_chunks_below(end)), (0, 0));
+        // Pages whose table segment was never allocated are skipped.
+        let sparse: SegVec<u64> = SegVec::new();
+        sparse.try_install(0, Box::new(0)).unwrap();
+        assert_eq!(free(sparse.take_chunks_below(100 * page_slots)), (1, 0));
+    }
+
+    #[test]
+    fn releasing_a_page_drops_chunks_and_values_left_in_it() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let v = SegVec::new();
+        let end = (INLINE + PAGE) * CHUNK;
+        // Values in page 0 only, never taken.
+        for i in INLINE * CHUNK..end + 1 {
+            v.try_install(i, Box::new(CountDrop(Arc::clone(&drops))))
+                .ok();
+        }
+        let released = v.take_chunks_below(end);
+        assert_eq!((released.chunks.len(), released.pages.len()), (0, 1));
+        assert_eq!(
+            drops.load(Ordering::Relaxed),
+            0,
+            "release frees nothing yet"
+        );
+        free(released);
+        assert_eq!(drops.load(Ordering::Relaxed), PAGE * CHUNK);
+        drop(v);
+        assert_eq!(drops.load(Ordering::Relaxed), PAGE * CHUNK + 1);
+    }
+
+    #[test]
+    fn sliding_window_keeps_heap_flat() {
+        // The queue's pattern: install at the head, take the dead tail,
+        // release the storage below it. Only the page table keeps growing,
+        // by 8 B per 4096 slots: about 16 KiB after 2^22 installs, where a
+        // directory with one pointer per chunk would hold 512 KiB. Miri
+        // runs a shorter history of the same shape.
+        const WINDOW: usize = 1000;
+        const BOUND: usize = 32 << 10;
+        let installs: usize = if cfg!(miri) { 1 << 14 } else { 1 << 22 };
+        let v: SegVec<u64> = SegVec::new();
+        let mut peak = 0;
+        for i in 0..installs {
+            v.try_install(i, Box::new(i as u64)).unwrap();
+            let Some(dead) = i.checked_sub(WINDOW) else {
+                continue;
+            };
+            // SAFETY: unlinked exactly once, no concurrent readers.
+            drop(unsafe { Box::from_raw(v.take_raw(dead).expect("installed")) });
+            if dead % CHUNK == 0 {
+                free(v.take_chunks_below(dead));
+            }
+            if i % (PAGE * CHUNK) == 0 {
+                peak = peak.max(v.heap_bytes());
+            }
+        }
+        assert!(peak < BOUND, "slot storage grew to {peak} B");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! |---|---|---|
 //! | [`signal_scenario`] | `Signal` in `crates/channel/src/wait.rs` | no lost wakeup (a parked waiter is always woken) |
 //! | [`gate_scenario`] | `try_reserve`/`release` in `crates/channel/src/endpoint.rs` | capacity never exceeded; a reserved slot's previous cleanup is visible |
-//! | [`hazard_scenario`] | `begin_op`/`truncate_locked` in `crates/core/src/unbounded/reclaim.rs` | the truncator never frees a slot a published hazard still clamps to, nor releases the slot chunk that holds it |
+//! | [`hazard_scenario`] | `begin_op`/`truncate_locked` in `crates/core/src/unbounded/reclaim.rs` | the truncator never frees a slot a published hazard still clamps to, nor releases the slot chunk or page that holds it |
 //! | [`scan_scenario`] | `plan_nearest_scan`/`ShardHints` in `crates/shard/src/policy.rs` | an enqueued value is never stranded by a stale `Relaxed` emptiness hint (the fallback pass makes correctness hint-independent) |
 //! | [`ring_scenario`] | slot/record handshake of `crates/ring/src/lib.rs` | a stalled helper from an earlier ticket can never fill a recycled slot or deliver into a later operation's result (the phase tags) |
 //! | [`steal_park_scenario`] | worker park/steal drain in `crates/executor/src/lib.rs` | a steal racing a park never loses a wakeup, and a successful steal CAS acquires the stolen task's payload |
@@ -332,39 +332,51 @@ pub struct HazardBugs {
     /// boundary slot `f_final - 1`, which is exactly the slot a held
     /// hazard clamps to.
     pub round_chunk_release_up: bool,
+    /// Round the page release *up* to the next page boundary instead of
+    /// down: the truncator then also releases the page that holds the
+    /// boundary chunk, and with it the chunk and slot a held hazard
+    /// clamps to.
+    pub round_page_release_up: bool,
 }
 
 /// Slots per chunk in the hazard replica (the real `SegVec` uses 64; two
 /// keep the boundary chunk and the released prefix both in reach of a
-/// three-slot frontier).
+/// five-slot frontier).
 const REPLICA_CHUNK: u64 = 2;
+/// Chunks per page in the hazard replica (the real `SegVec` uses 64; two
+/// let a truncation to the five-slot frontier release one whole page).
+const REPLICA_PAGE: u64 = 2;
 
 /// The reclamation-frontier scenario, replica of
 /// `crates/core/src/unbounded/reclaim.rs`: a reader runs `begin_op`'s
 /// publish-then-recheck loop and then touches the slot `frontier - 1` it
-/// clamped to, while a truncator advances the frontier to 3 using the
+/// clamped to, while a truncator advances the frontier to 5 using the
 /// real pass's order — *publish the new frontier, then scan hazards,
 /// then free below `min(frontier, hazards) - 1`, then release the slot
-/// chunks lying wholly below that boundary*. The reader asserts its clamp
-/// slot was never freed and that the chunk holding it was never released;
-/// `freed_below` stands for the unlinked prefix, `released_below` for the
-/// first slot of the oldest chunk still linked.
+/// chunks lying wholly below that boundary and the pages whose chunks
+/// all do*. The reader asserts its clamp slot was never freed and that
+/// neither the chunk nor the page holding it was released; `freed_below`
+/// stands for the unlinked prefix, `released_below` and
+/// `pages_released_below` for the first slot of the oldest chunk and
+/// page still linked.
 pub fn hazard_scenario(bugs: HazardBugs) -> impl Fn() + Send + Sync + 'static {
     move || {
         let frontier = Arc::new(AtomicU64::new(1));
         let hazard = Arc::new(AtomicU64::new(IDLE));
         let freed_below = Arc::new(AtomicU64::new(0));
         let released_below = Arc::new(AtomicU64::new(0));
-        let (frontier2, hazard2, freed2, released2) = (
+        let pages_released_below = Arc::new(AtomicU64::new(0));
+        let (frontier2, hazard2, freed2, released2, pages2) = (
             Arc::clone(&frontier),
             Arc::clone(&hazard),
             Arc::clone(&freed_below),
             Arc::clone(&released_below),
+            Arc::clone(&pages_released_below),
         );
         let truncator = spawn(move || {
-            // `truncate_locked`: two more root blocks proven dead.
+            // `truncate_locked`: four more root blocks proven dead.
             let cur = frontier2.load(Ordering::SeqCst);
-            let intent = cur.max(3);
+            let intent = cur.max(5);
             // Publish intent BEFORE scanning hazards — the line the
             // begin_op recheck argument leans on.
             frontier2.store(intent, Ordering::SeqCst);
@@ -384,6 +396,15 @@ pub fn hazard_scenario(bugs: HazardBugs) -> impl Fn() + Send + Sync + 'static {
             // ORDERING: SC like the free above, so the reader's SC check
             // sees the release in the same total order as the hazard scan.
             released2.store(chunks * REPLICA_CHUNK, Ordering::SeqCst);
+            // ... and the pages whose chunks all lie below the boundary
+            // chunk; the page holding it stays.
+            let pages = if bugs.round_page_release_up {
+                chunks / REPLICA_PAGE + 1
+            } else {
+                chunks / REPLICA_PAGE
+            };
+            // ORDERING: SC, as for the chunks.
+            pages2.store(pages * REPLICA_PAGE * REPLICA_CHUNK, Ordering::SeqCst);
         });
         // The reader: `begin_op`'s publish-then-recheck.
         let store_order = if bugs.relaxed_hazard_store {
@@ -404,11 +425,13 @@ pub fn hazard_scenario(bugs: HazardBugs) -> impl Fn() + Send + Sync + 'static {
         // `published - 1` (OpGuard::floor); it must stay allocated while
         // the hazard is up.
         let slot = published - 1;
-        // The chunk holding that slot must stay linked as well. Read the
-        // release before the free: the truncator stores them in the other
-        // order, so a release this read sees implies a free the next read
-        // sees, and a freed clamp slot is always reported as such.
-        // ORDERING: SC read of the release, mirroring the free's check.
+        // The chunk and page holding that slot must stay linked as well.
+        // Read the releases before the free, pages first: the truncator
+        // stores them in the other order, so a release this read sees
+        // implies the earlier stores the next reads see, and each failure
+        // is reported at its earliest cause.
+        // ORDERING: SC reads of the releases, mirroring the free's check.
+        let pages_released = pages_released_below.load(Ordering::SeqCst);
         let released = released_below.load(Ordering::SeqCst);
         assert!(
             slot >= freed_below.load(Ordering::SeqCst),
@@ -417,6 +440,10 @@ pub fn hazard_scenario(bugs: HazardBugs) -> impl Fn() + Send + Sync + 'static {
         assert!(
             slot >= released,
             "truncator released the chunk holding a published hazard's clamp slot"
+        );
+        assert!(
+            slot >= pages_released,
+            "truncator released the page holding a published hazard's clamp slot"
         );
         // `end_op`: clear the hazard.
         hazard.store(IDLE, Ordering::SeqCst);

@@ -257,6 +257,25 @@ mod model_checker_power {
         );
     }
 
+    /// Rounding the truncator's page release up to the next page boundary
+    /// releases the page that holds the boundary chunk — and with it the
+    /// slot a held hazard clamps to — even though that chunk was kept.
+    #[test]
+    fn hazard_page_release_rounded_up_detected() {
+        let failure = try_explore(
+            opts(),
+            protocols::hazard_scenario(protocols::HazardBugs {
+                round_page_release_up: true,
+                ..Default::default()
+            }),
+        )
+        .expect_err("page release rounded up must be caught");
+        assert!(
+            failure.message.contains("released the page"),
+            "expected a released-page assert, got: {failure}"
+        );
+    }
+
     /// Skipping the nearest scan's fallback pass strands a value behind
     /// a stale `Relaxed` hint: the consumer can re-read the lowered hint
     /// forever (coherence permits it) and never probe the shard —

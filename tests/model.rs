@@ -81,7 +81,7 @@ fn gate_capacity_never_exceeded_and_handoff_synchronizes() {
 }
 
 /// The truncator never frees the slot a published hazard index clamps
-/// to, nor releases the slot chunk holding it: `begin_op`'s
+/// to, nor releases the slot chunk or page holding it: `begin_op`'s
 /// publish-then-recheck vs `truncate_locked`'s publish-then-scan, in every
 /// interleaving.
 #[test]
