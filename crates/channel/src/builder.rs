@@ -174,8 +174,9 @@ impl<T: Clone + Send + Sync + 'static> ChannelBuilder<T> {
     }
 
     /// Sets the §6 GC period — [`Backend::BoundedTree`] only (default:
-    /// the paper's period for the tree size). `None` resets to the
-    /// default.
+    /// a period that follows the endpoints registered so far, capped at
+    /// the paper's `p²⌈log₂ p⌉` for the whole endpoint budget; see
+    /// [`wfqueue::bounded::Queue::new`]). `None` resets to the default.
     pub fn gc_period(mut self, period: impl Into<Option<usize>>) -> Self {
         self.gc_period = period.into();
         self

@@ -219,13 +219,14 @@ pub struct BoundedConfig {
     pub capacity: usize,
     /// Endpoint budget (sizes the ordering tree).
     pub endpoints: Endpoints,
-    /// GC period of the backing bounded-space queue; `None` uses the
-    /// paper's default for the tree size.
+    /// GC period of the backing bounded-space queue; `None` uses
+    /// `bounded::Queue::new`'s period, which follows the registered
+    /// endpoints up to the paper's `G` for the tree size.
     pub gc_period: Option<usize>,
 }
 
 impl BoundedConfig {
-    /// Defaults (default endpoints, paper-default GC period) at the given
+    /// Defaults (default endpoints, default GC period) at the given
     /// capacity.
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {

@@ -13,15 +13,15 @@ impl<T: Clone + Send + Sync, F: StoreFamily> Queue<T, F> {
     /// `SplitBlock(v)` — Figure 5 lines 234–248: the oldest block of `v`
     /// that a GC phase must keep.
     ///
-    /// At the root this is the block preceding `m = max(last[1..p])` (every
-    /// enqueue in root blocks `1..m−1` is dequeued by an operation that
-    /// `Help` completes, so they are finished; block `m−1` itself is kept so
-    /// that later searches can still read the predecessor of the first
-    /// unfinished block). Below the root the split point is mapped down
-    /// through the `endleft`/`endright` interval ends. If a block needed for
-    /// the mapping was already discarded by another GC phase, the node's
-    /// minimum block is used instead (line 247). Returns the block with its
-    /// index.
+    /// At the root this is the block preceding `m = max(last[1..r])` over
+    /// the `r` registered processes (every enqueue in root blocks
+    /// `1..m−1` is dequeued by an operation that `Help` completes, so they
+    /// are finished; block `m−1` itself is kept so that later searches can
+    /// still read the predecessor of the first unfinished block). Below the
+    /// root the split point is mapped down through the `endleft`/`endright`
+    /// interval ends. If a block needed for the mapping was already
+    /// discarded by another GC phase, the node's minimum block is used
+    /// instead (line 247). Returns the block with its index.
     pub(crate) fn split_block<'g>(
         &self,
         v: usize,
@@ -30,7 +30,10 @@ impl<T: Clone + Send + Sync, F: StoreFamily> Queue<T, F> {
         let topo = *self.topology();
         let tree = self.node(v).load(guard);
         let candidate = if v == topo.root() {
-            let m = (0..topo.num_processes())
+            // Only registered processes can have raised `last`; missing
+            // one that registers during the scan can only make `m`
+            // smaller, which keeps more blocks.
+            let m = (0..self.registered())
                 .map(|k| self.last_of(k))
                 .max()
                 .unwrap_or(0);
@@ -50,9 +53,15 @@ impl<T: Clone + Send + Sync, F: StoreFamily> Queue<T, F> {
     /// `Help` — Figure 5 lines 298–306: complete every pending dequeue that
     /// has already been propagated to the root, writing its response into
     /// its leaf block.
+    ///
+    /// Only the processes registered when `Help` starts are scanned. The
+    /// count is read after `SplitBlock` fixed the split point, so a process
+    /// registering later had an empty leaf then: like a registered process
+    /// whose dequeue starts after `Help` checked its leaf, its dequeue
+    /// reaches the root after the split point and loses no block it needs.
     pub(crate) fn help(&self, pid: usize) {
         let topo = *self.topology();
-        for k in 0..topo.num_processes() {
+        for k in 0..self.registered() {
             let leaf = topo.leaf_of(k);
             let (index, max_block, numdeq) = {
                 let guard = epoch::pin();

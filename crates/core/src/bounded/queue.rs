@@ -28,9 +28,12 @@ fn ceil_log2(p: usize) -> usize {
 /// 31 overall) while operations keep an amortized
 /// `O(log p · log(p + q_max))` step complexity (Theorem 32).
 ///
-/// A GC phase runs every `G` block insertions at a node; the paper picks
-/// `G = p²⌈log₂ p⌉`, which [`Queue::new`] uses. Tests can shrink the period
-/// with [`Queue::with_gc_period`] to exercise the discard paths constantly.
+/// A GC phase runs every `G` block insertions at a node. The paper picks
+/// `G = p²⌈log₂ p⌉` for the `p` processes that access the queue;
+/// [`Queue::new`] sizes `p` by the handles registered so far, capped at the
+/// paper's `G` once all of them are (see [`Queue::new`]). Tests can shrink
+/// the period with [`Queue::with_gc_period`] to exercise the discard paths
+/// constantly.
 ///
 /// # Examples
 ///
@@ -48,13 +51,24 @@ pub struct Queue<T: Clone + Send + Sync, F: StoreFamily = TreapBacked> {
     /// null dequeue or an enqueue whose element was dequeued (Appendix B).
     /// Written only by process `k`.
     last: Vec<CachePadded<AtomicUsize>>,
-    gc_period: usize,
+    /// The period set by [`Queue::with_gc_period`]; `None` for
+    /// [`Queue::new`]'s period that follows the registered handles.
+    fixed_gc_period: Option<usize>,
     next_pid: AtomicUsize,
 }
 
 impl<T: Clone + Send + Sync, F: StoreFamily> Queue<T, F> {
-    /// Creates a queue for at most `num_processes` processes with the
-    /// paper's GC period `G = p²⌈log₂ p⌉`.
+    /// Creates a queue for at most `num_processes` processes whose GC
+    /// period follows the handles registered so far.
+    ///
+    /// With `r` handles registered, a GC phase runs every
+    /// `G(r) = min(max(r, 2), p)²⌈log₂ p⌉` block insertions at a node. Once
+    /// all `p` handles are registered this is the paper's `G = p²⌈log₂ p⌉`;
+    /// before that, the backlog a node keeps between phases is sized by
+    /// the processes that can actually use the queue, not by its budget.
+    /// The floor of two keeps a single-handle queue from collecting every
+    /// `⌈log₂ p⌉` insertions. Any period keeps the queue correct, and
+    /// `G(r) ≤ G(p)` keeps the Theorem 31 space bound (DESIGN.md).
     ///
     /// # Panics
     ///
@@ -67,12 +81,14 @@ impl<T: Clone + Send + Sync, F: StoreFamily> Queue<T, F> {
     ///
     /// let q: Queue<u32> = Queue::new(4);
     /// assert_eq!(q.num_processes(), 4);
-    /// assert_eq!(q.gc_period(), 4 * 4 * 2, "G = p²⌈log₂ p⌉");
+    /// assert_eq!(q.gc_period(), 2 * 2 * 2, "no handle yet: G(2)");
+    /// let handles = q.handles();
+    /// assert_eq!(handles.len(), 4);
+    /// assert_eq!(q.gc_period(), 4 * 4 * 2, "all registered: G = p²⌈log₂ p⌉");
     /// ```
     #[must_use]
     pub fn new(num_processes: usize) -> Self {
-        let g = num_processes * num_processes * ceil_log2(num_processes);
-        Self::with_gc_period(num_processes, g.max(1))
+        Self::build(num_processes, None)
     }
 
     /// Creates a queue with an explicit GC period (must be ≥ 1). Smaller
@@ -97,6 +113,10 @@ impl<T: Clone + Send + Sync, F: StoreFamily> Queue<T, F> {
     #[must_use]
     pub fn with_gc_period(num_processes: usize, gc_period: usize) -> Self {
         assert!(gc_period > 0, "gc_period must be at least 1");
+        Self::build(num_processes, Some(gc_period))
+    }
+
+    fn build(num_processes: usize, fixed_gc_period: Option<usize>) -> Self {
         let topo = Topology::new(num_processes);
         let nodes = (0..topo.len()).map(|_| Node::new()).collect();
         let last = (0..num_processes)
@@ -106,7 +126,7 @@ impl<T: Clone + Send + Sync, F: StoreFamily> Queue<T, F> {
             topo,
             nodes,
             last,
-            gc_period,
+            fixed_gc_period,
             next_pid: AtomicUsize::new(0),
         }
     }
@@ -117,10 +137,31 @@ impl<T: Clone + Send + Sync, F: StoreFamily> Queue<T, F> {
         self.topo.num_processes()
     }
 
-    /// The GC period `G` in use.
+    /// The GC period `G` in force now: the fixed period of
+    /// [`Queue::with_gc_period`], or `G(r)` for the `r` handles registered
+    /// so far (see [`Queue::new`]).
     #[must_use]
     pub fn gc_period(&self) -> usize {
-        self.gc_period
+        self.fixed_gc_period
+            .unwrap_or_else(|| self.registered_period(self.next_pid.load(Ordering::Relaxed)))
+    }
+
+    /// `G(r) = min(max(r, 2), p)²⌈log₂ p⌉` for `r` registered handles.
+    fn registered_period(&self, r: usize) -> usize {
+        let p = self.topo.num_processes();
+        let r = r.max(2).min(p);
+        r * r * ceil_log2(p)
+    }
+
+    /// Reads the number of handles registered so far (one shared step).
+    /// The GC scans of `SplitBlock` and `Help` cover only these processes.
+    pub(crate) fn registered(&self) -> usize {
+        metrics::record_shared_load();
+        // ORDERING: SC, paired with the SC registration CAS: a process
+        // this read does not count registered after it in the SC order,
+        // so its leaf was empty when the GC phase fixed its split point
+        // (DESIGN.md, registered-only GC scans).
+        self.next_pid.load(Ordering::SeqCst)
     }
 
     /// The queue's size after the last operation propagated to the root —
@@ -164,10 +205,12 @@ impl<T: Clone + Send + Sync, F: StoreFamily> Queue<T, F> {
             if pid >= cap {
                 return None;
             }
+            // ORDERING: SC on success so the GC scans' `registered()`
+            // read is ordered against it; a failed claim just retries.
             match self.next_pid.compare_exchange_weak(
                 pid,
                 pid + 1,
-                Ordering::Relaxed,
+                Ordering::SeqCst,
                 Ordering::Relaxed,
             ) {
                 Ok(_) => return Some(Handle { queue: self, pid }),
@@ -369,7 +412,10 @@ impl<T: Clone + Send + Sync, F: StoreFamily> Queue<T, F> {
         guard: &epoch::Guard,
     ) -> BlockTree<T, F> {
         let key = index as u64;
-        if index.is_multiple_of(self.gc_period) {
+        let period = self
+            .fixed_gc_period
+            .unwrap_or_else(|| self.registered_period(self.registered()));
+        if index.is_multiple_of(period) {
             metrics::record_gc_phase();
             // s := SplitBlock(v).index (line 226).
             let (s, _) = self.split_block(v, guard);
@@ -391,7 +437,7 @@ impl<T: Clone + Send + Sync, F: StoreFamily> fmt::Debug for Queue<T, F> {
         f.debug_struct("bounded::Queue")
             .field("store", &F::NAME)
             .field("num_processes", &self.topo.num_processes())
-            .field("gc_period", &self.gc_period)
+            .field("gc_period", &self.gc_period())
             .field("registered", &self.next_pid.load(Ordering::Relaxed))
             .field("root_blocks", &root.tree.len())
             .finish()
@@ -530,7 +576,29 @@ mod unit_tests {
     #[test]
     fn default_gc_period_follows_paper() {
         let q: Queue<u8> = Queue::new(4);
+        let handles = q.handles();
+        assert_eq!(handles.len(), 4);
         assert_eq!(q.gc_period(), 4 * 4 * 2);
+    }
+
+    #[test]
+    fn default_gc_period_follows_registered_handles() {
+        let q: Queue<u8> = Queue::new(8);
+        assert_eq!(q.gc_period(), 2 * 2 * 3, "floor of two handles");
+        let mut handles = vec![q.register().unwrap()];
+        assert_eq!(q.gc_period(), 2 * 2 * 3);
+        handles.extend(q.register());
+        handles.extend(q.register());
+        assert_eq!(q.gc_period(), 3 * 3 * 3);
+        handles.extend(q.handles());
+        assert_eq!(q.gc_period(), 8 * 8 * 3, "capped at the paper's G");
+
+        let single: Queue<u8> = Queue::new(1);
+        let _h = single.register().unwrap();
+        assert_eq!(single.gc_period(), 1);
+        let fixed: Queue<u8> = Queue::with_gc_period(8, 5);
+        let _h = fixed.register().unwrap();
+        assert_eq!(fixed.gc_period(), 5, "a fixed period ignores registration");
     }
 
     #[test]

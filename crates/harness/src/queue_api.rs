@@ -201,7 +201,8 @@ impl<T: Clone + Send + Sync> QueueHandle<T> for wfqueue::unbounded::Handle<'_, T
 pub struct WfBounded<T: Clone + Send + Sync>(pub wfqueue::bounded::Queue<T>);
 
 impl<T: Clone + Send + Sync> WfBounded<T> {
-    /// Creates an adapter with the paper's default GC period.
+    /// Creates an adapter whose GC period follows the registered handles,
+    /// capped at the paper's `p²⌈log₂ p⌉` (see `bounded::Queue::new`).
     #[must_use]
     pub fn new(processes: usize) -> Self {
         WfBounded(wfqueue::bounded::Queue::new(processes))
@@ -259,7 +260,8 @@ impl<T: Clone + Send + Sync> QueueHandle<T> for wfqueue::bounded::Handle<'_, T> 
 pub struct WfBoundedAvl<T: Clone + Send + Sync>(pub wfqueue::bounded::AvlQueue<T>);
 
 impl<T: Clone + Send + Sync> WfBoundedAvl<T> {
-    /// Creates an adapter with the paper's default GC period.
+    /// Creates an adapter whose GC period follows the registered handles,
+    /// capped at the paper's `p²⌈log₂ p⌉` (see `bounded::Queue::new`).
     #[must_use]
     pub fn new(processes: usize) -> Self {
         WfBoundedAvl(wfqueue::bounded::AvlQueue::new(processes))

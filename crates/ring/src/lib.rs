@@ -17,21 +17,21 @@
 //! # Protocol
 //!
 //! The ring has `n = capacity.next_power_of_two()` slots. Each slot is a
-//! single `AtomicU64` packing a 16-bit **phase** (cycle tag) with a
-//! 48-bit pointer to the boxed value: `(phase << 48) | ptr`. Two global
+//! single `AtomicU64` packing a 16-bit **lap** tag (cycle tag) with a
+//! 48-bit pointer to the boxed value: `(lap << 48) | ptr`. Two global
 //! ticket counters, `head` and `tail`, are claimed by CAS. The slot for
 //! ticket `t` is `t & (n - 1)`, and its life cycle is
 //!
 //! ```text
-//! (phase(t)   | 0)    EMPTY  — awaiting enqueue ticket t
-//! (phase(t+1) | ptr)  FULL   — awaiting dequeue ticket t
-//! (phase(t+n) | 0)    EMPTY  — freed, awaiting enqueue ticket t+n
+//! (lap(t)   | 0)    EMPTY  — awaiting enqueue ticket t
+//! (lap(t)   | ptr)  FULL   — awaiting dequeue ticket t
+//! (lap(t+n) | 0)    EMPTY  — freed, awaiting enqueue ticket t+n
 //! ```
 //!
-//! where `phase(t) = t mod 2¹⁶`. Every transition is a single-word CAS
-//! whose *expected* value is the exact packed word, so stale competitors
-//! fail harmlessly (ABA is bounded by the 16-bit phase; see *Phase
-//! width* below).
+//! where `lap(t) = ⌊t / n⌋ mod 2¹⁶` counts the passes through the slot.
+//! Every transition is a single-word CAS whose *expected* value is the
+//! exact packed word, so stale competitors fail harmlessly (ABA is
+//! bounded by the 16-bit lap; see *Phase width* below).
 //!
 //! **Enqueue** claims ticket `t` by `CAS(tail, t, t+1)` after checking
 //! `tail - head < capacity` (reading `tail` before `head`, so a `Full`
@@ -77,14 +77,17 @@
 //!
 //! # Phase width
 //!
-//! Phases are 16 bits, so a slot's packed words repeat only after
-//! `2¹⁶` tickets pass through the *same* slot position. A helper or
-//! owner stalled across ≥ `2¹⁶` consecutive tickets of progress while
-//! holding a decoded word could mistake a lapped state for its own —
-//! the classic bounded-tag compromise every finite-cycle ring makes
-//! (wCQ's cycles are wider but equally finite). [`Ring::new`] caps the
-//! capacity at `2¹⁵` so the three states of one ticket are always
-//! distinct, and `debug_assert!`s verify the 48-bit pointer packing.
+//! Slot tags count laps of their own slot, so a slot's packed words
+//! repeat only after `2¹⁶` passes through that slot (`2¹⁶ · n` global
+//! tickets). A helper stalled that long while holding a decoded word
+//! could mistake a lapped state for its own — the classic bounded-tag
+//! compromise every finite-cycle ring makes (wCQ's cycles are wider but
+//! equally finite). A tag of `t mod 2¹⁶` would repeat after only
+//! `2¹⁶ / n` laps — two at `n = 2¹⁵` — and a stalled enqueue helper
+//! could then refill a recycled slot with a value already dequeued and
+//! freed. Record `result` words are tagged with `t mod 2¹⁶` instead:
+//! they must tell one operation of their owner from the next, which may
+//! share a lap. `debug_assert!`s verify the 48-bit pointer packing.
 //!
 //! # Examples
 //!
@@ -114,11 +117,10 @@ use wfqueue_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 const PTR_BITS: u32 = 48;
 /// Mask for the pointer field of a packed word.
 const PTR_MASK: u64 = (1 << PTR_BITS) - 1;
-/// Mask for the 16-bit phase (cycle tag) of a ticket.
+/// Mask for a 16-bit tag (a slot's lap, or a record result's phase).
 const PHASE_MASK: u64 = 0xFFFF;
-/// Largest logical capacity: `2¹⁵`, so that for every ticket `t` the
-/// phases of `t`, `t + 1` and `t + n` are pairwise distinguishable
-/// (together with the pointer field) within the 16-bit phase space.
+/// Largest logical capacity: `2¹⁵` slots of one cache line each, so one
+/// ring's slot array stays within 2 MiB.
 pub const MAX_CAPACITY: usize = 1 << 15;
 
 /// Record tag: no operation announced.
@@ -130,18 +132,18 @@ const TAG_DEQ: u64 = 2;
 /// Shift of the 2-bit tag inside a record word (ticket in the low 62).
 const TAG_SHIFT: u32 = 62;
 
-/// The 16-bit cycle tag of a ticket.
+/// The 16-bit tag of a record `result` word for `ticket`.
 fn phase(ticket: u64) -> u64 {
     ticket & PHASE_MASK
 }
 
-/// Packs a phase and a 48-bit pointer into one slot/result word.
-fn pack(phase: u64, ptr: u64) -> u64 {
+/// Packs a 16-bit tag and a 48-bit pointer into one slot/result word.
+fn pack(tag: u64, ptr: u64) -> u64 {
     debug_assert!(ptr <= PTR_MASK, "value pointer exceeds 48 bits");
-    (phase << PTR_BITS) | ptr
+    (tag << PTR_BITS) | ptr
 }
 
-/// Splits a slot/result word into `(phase, ptr)`.
+/// Splits a slot/result word into `(tag, ptr)`.
 fn unpack(word: u64) -> (u64, u64) {
     (word >> PTR_BITS, word & PTR_MASK)
 }
@@ -225,7 +227,7 @@ impl Record {
 /// A wait-free bounded MPMC circular queue (wCQ-style).
 ///
 /// Values are heap-boxed and owned by the ring while enqueued; each slot
-/// is one cache-padded `AtomicU64` packing a 16-bit cycle tag with the
+/// is one cache-padded `AtomicU64` packing a 16-bit lap tag with the
 /// 48-bit box pointer. See the [module docs](self) for the protocol and
 /// its progress guarantees.
 ///
@@ -251,6 +253,8 @@ pub struct Ring<T> {
     slots: Box<[CachePadded<AtomicU64>]>,
     /// `n - 1`, for ticket → slot indexing (`n` is a power of two).
     mask: u64,
+    /// `log₂ n`, for ticket → lap.
+    lap_shift: u32,
     /// Logical capacity (exact; `<= n`).
     capacity: usize,
     /// Next enqueue ticket, claimed by CAS.
@@ -289,14 +293,13 @@ impl<T> Ring<T> {
         assert!(capacity > 0, "ring capacity must be positive");
         assert!(
             capacity <= MAX_CAPACITY,
-            "ring capacity {capacity} exceeds MAX_CAPACITY ({MAX_CAPACITY}): \
-             the 16-bit cycle tags could no longer separate a ticket's states"
+            "ring capacity {capacity} exceeds MAX_CAPACITY ({MAX_CAPACITY})"
         );
         assert!(max_handles > 0, "need at least one handle");
         let n = capacity.next_power_of_two();
-        let slots = (0..n as u64)
-            // Slot i starts EMPTY awaiting enqueue ticket i.
-            .map(|i| CachePadded::new(AtomicU64::new(pack(phase(i), 0))))
+        let slots = (0..n)
+            // Slot i starts EMPTY awaiting enqueue ticket i, on lap 0.
+            .map(|_| CachePadded::new(AtomicU64::new(pack(0, 0))))
             .collect();
         let records = (0..max_handles)
             .map(|_| CachePadded::new(Record::new()))
@@ -304,6 +307,7 @@ impl<T> Ring<T> {
         Ring {
             slots,
             mask: n as u64 - 1,
+            lap_shift: n.trailing_zeros(),
             capacity,
             tail: CachePadded::new(AtomicU64::new(0)),
             head: CachePadded::new(AtomicU64::new(0)),
@@ -317,6 +321,11 @@ impl<T> Ring<T> {
     #[must_use]
     pub fn capacity(&self) -> usize {
         self.capacity
+    }
+
+    /// The 16-bit lap tag of `ticket`'s slot: `⌊t / n⌋ mod 2¹⁶`.
+    fn lap(&self, ticket: u64) -> u64 {
+        (ticket >> self.lap_shift) & PHASE_MASK
     }
 
     /// Maximum number of handles [`Ring::register`] can hand out.
@@ -393,14 +402,20 @@ impl<T> Ring<T> {
             return; // the record moved on; (ticket, aux) may be torn
         }
         metrics::adversary_yield();
+        self.help_announced(rec, tag, ticket, aux);
+    }
+
+    /// The CAS steps of [`Ring::try_help`] for a validated announcement
+    /// `(tag, ticket, aux)` of `rec`, however long ago it was validated.
+    fn help_announced(&self, rec: &Record, tag: u64, ticket: u64, aux: u64) {
         let slot = &self.slots[(ticket & self.mask) as usize];
         let n = self.mask + 1;
         match tag {
             TAG_ENQ => {
                 // Fill the stalled enqueue's slot with *its* pointer at
                 // *its* ticket; one winner ever, so help is idempotent.
-                let empty = pack(phase(ticket), 0);
-                let full = pack(phase(ticket.wrapping_add(1)), aux);
+                let empty = pack(self.lap(ticket), 0);
+                let full = pack(self.lap(ticket), aux);
                 if sc_cas(slot, empty, full).is_ok() {
                     // Mark the record complete so the owner can return
                     // even if the value is consumed before it looks at
@@ -416,14 +431,14 @@ impl<T> Ring<T> {
             TAG_DEQ => {
                 let s = sc_load(slot);
                 let (p, v) = unpack(s);
-                if p == phase(ticket.wrapping_add(1)) && v != 0 {
+                if p == self.lap(ticket) && v != 0 {
                     // The slot holds the dequeue's value: deliver it into
                     // the record (phase-guarded) and free the slot for
                     // the next lap (exact-word CAS, one winner).
                     if sc_cas(&rec.result, pack(phase(ticket), 0), pack(phase(ticket), v)).is_ok() {
                         metrics::record_help();
                     }
-                    let _ = sc_cas(slot, s, pack(phase(ticket.wrapping_add(n)), 0));
+                    let _ = sc_cas(slot, s, pack(self.lap(ticket.wrapping_add(n)), 0));
                 }
             }
             _ => {}
@@ -559,8 +574,8 @@ impl<T> RingHandle<'_, T> {
         sc_store(&rec.aux, ptr);
         sc_store(&rec.word, rec_word(TAG_ENQ, ticket));
         let slot = &self.ring.slots[(ticket & self.ring.mask) as usize];
-        let empty = pack(phase(ticket), 0);
-        let full = pack(phase(ticket.wrapping_add(1)), ptr);
+        let empty = pack(self.ring.lap(ticket), 0);
+        let full = pack(self.ring.lap(ticket), ptr);
         loop {
             let s = sc_load(slot);
             if s == empty {
@@ -616,12 +631,12 @@ impl<T> RingHandle<'_, T> {
         loop {
             let s = sc_load(slot);
             let (p, v) = unpack(s);
-            if p == phase(ticket.wrapping_add(1)) && v != 0 {
+            if p == self.ring.lap(ticket) && v != 0 {
                 // Our FULL word: deliver (phase-guarded, idempotent with
                 // any helper — same unique `v`) and free the slot.
                 let _ = sc_cas(&rec.result, pack(phase(ticket), 0), pack(phase(ticket), v));
                 metrics::adversary_yield();
-                let _ = sc_cas(slot, s, pack(phase(ticket.wrapping_add(n)), 0));
+                let _ = sc_cas(slot, s, pack(self.ring.lap(ticket.wrapping_add(n)), 0));
                 break;
             }
             let (_, delivered) = unpack(sc_load(&rec.result));
@@ -632,8 +647,8 @@ impl<T> RingHandle<'_, T> {
                 // never depend on a stalled helper resuming.
                 let s2 = sc_load(slot);
                 let (p2, v2) = unpack(s2);
-                if p2 == phase(ticket.wrapping_add(1)) && v2 != 0 {
-                    let _ = sc_cas(slot, s2, pack(phase(ticket.wrapping_add(n)), 0));
+                if p2 == self.ring.lap(ticket) && v2 != 0 {
+                    let _ = sc_cas(slot, s2, pack(self.ring.lap(ticket.wrapping_add(n)), 0));
                 }
                 break;
             }
@@ -775,6 +790,39 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use wfqueue_sync::thread;
+
+    /// An enqueue helper that validated ticket 0's announcement and then
+    /// stalled for two laps of a `MAX_CAPACITY` ring (`2¹⁶` tickets) must
+    /// not refill slot 0 with the long-dequeued pointer. With slot tags
+    /// of `t mod 2¹⁶`, slot 0 awaiting ticket `2n` held the very word
+    /// the helper expected, and the refill caused a double free.
+    #[test]
+    fn stalled_enqueue_helper_cannot_refill_a_slot_two_laps_later() {
+        let ring: Ring<u64> = Ring::new(MAX_CAPACITY, 1);
+        let mut h = ring.register().unwrap();
+        let laps = 2 * MAX_CAPACITY as u64;
+        for v in 0..laps {
+            assert!(h.try_enqueue(v).is_ok());
+            assert_eq!(h.dequeue(), Some(v));
+        }
+        // Slot 0 now awaits ticket 2n. The stale helper's pointer is a
+        // box of its own, so a wrongly installed one is freed only once.
+        let stale = Box::into_raw(Box::new(u64::MAX)) as u64;
+        let announced = Record::new();
+        ring.help_announced(&announced, TAG_ENQ, 0, stale);
+        let slot0 = ring.slots[0].load(Ordering::Relaxed);
+        assert_eq!(
+            slot0,
+            pack(ring.lap(laps), 0),
+            "stale helper refilled slot 0"
+        );
+        assert_eq!(h.dequeue(), None);
+        assert!(h.try_enqueue(7).is_ok());
+        assert_eq!(h.dequeue(), Some(7));
+        // SAFETY: the CAS above failed (asserted), so the ring never took
+        // ownership of the box; this is its only owner.
+        drop(unsafe { Box::from_raw(stale as *mut u64) });
+    }
 
     #[test]
     fn fifo_single_thread() {

@@ -608,9 +608,9 @@ impl<T: Clone + Send + Sync + 'static> ShardedUnbounded<T> {
 }
 
 impl<T: Clone + Send + Sync, F: bounded::StoreFamily> ShardedBounded<T, F> {
-    /// Creates a sharded queue over `num_shards` bounded-space shards with
-    /// the paper's default GC period, capped at `max_handles` composite
-    /// handles.
+    /// Creates a sharded queue over `num_shards` bounded-space shards
+    /// whose GC periods follow the handles each shard registers (see
+    /// [`bounded::Queue::new`]), capped at `max_handles` composite handles.
     ///
     /// # Panics
     ///

@@ -1,4 +1,4 @@
-//! Executable replicas of the seven trickiest lock-free protocols in this
+//! Executable replicas of the eight trickiest lock-free protocols in this
 //! workspace, with *seeded-bug* switches, for exhaustive checking under
 //! [`super::explore`].
 //!
@@ -15,11 +15,13 @@
 //! | [`ring_scenario`] | slot/record handshake of `crates/ring/src/lib.rs` | a stalled helper from an earlier ticket can never fill a recycled slot or deliver into a later operation's result (the phase tags) |
 //! | [`steal_park_scenario`] | worker park/steal drain in `crates/executor/src/lib.rs` | a steal racing a park never loses a wakeup, and a successful steal CAS acquires the stolen task's payload |
 //! | [`seal_scenario`] | `Seal` in `crates/channel/src/wait.rs` (broker topic close, executor shutdown, timer inserts) | a consumer that reports `Closed` has received every value counted as published, and a drainer parked on the in-flight count is always woken |
+//! | [`gc_scan_scenario`] | `SplitBlock`/`Help` in `crates/core/src/bounded/gc.rs` | a GC phase that scans only the registered processes never discards the root block of a dequeue it did not help |
 //!
 //! The bug structs ([`SignalBugs`], [`GateBugs`], [`HazardBugs`],
-//! [`ScanBugs`], [`RingBugs`], [`StealParkBugs`], [`SealBugs`]) switch
-//! individual lines of the protocols off or weaken their orderings. With
-//! all flags `false` the scenarios must survive *every* schedule
+//! [`ScanBugs`], [`RingBugs`], [`StealParkBugs`], [`SealBugs`],
+//! [`GcScanBugs`]) switch individual lines of the protocols off or weaken
+//! their orderings. With all flags `false` the scenarios must survive
+//! *every* schedule
 //! (`tests/model.rs` asserts exhaustive passes); with any flag `true` the
 //! explorer must find a failing schedule (`tests/checker_power.rs` asserts
 //! detection — that is the evidence the checker has teeth, not just that
@@ -1071,5 +1073,101 @@ pub fn seal_scenario(bugs: SealBugs) -> impl Fn() + Send + Sync + 'static {
             topic.published.load(Ordering::SeqCst),
             "the consumer reported Closed before receiving every published value"
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// GC scan: the §6 queue's registered-only `SplitBlock`/`Help` scan
+// ---------------------------------------------------------------------------
+
+/// Seeded bugs for [`gc_scan_scenario`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct GcScanBugs {
+    /// Read the registered count *before* `SplitBlock` fixes the split
+    /// point instead of after it. A process can then register, append a
+    /// dequeue and propagate it into a root block the split discards,
+    /// while `Help` skips its leaf as unregistered: the dequeue's block
+    /// is gone and nobody wrote its response (Invariant 27 broken).
+    pub count_before_split: bool,
+}
+
+/// The shared state of [`gc_scan_scenario`]'s two-process §6 queue.
+struct GcScanQueue {
+    /// The registration counter (`next_pid`).
+    next_pid: AtomicUsize,
+    /// Per leaf: `1` once its process appended a dequeue block.
+    leaves: [AtomicU64; 2],
+    /// Index of the newest root block.
+    root: AtomicU64,
+    /// Process 1's dequeue response (`0` = not written).
+    response: AtomicU64,
+    /// Root blocks below this index are discarded.
+    discarded_below: AtomicU64,
+}
+
+/// Replica of one §6 GC phase (`AddBlock` → `SplitBlock` → `Help` →
+/// discard in `crates/core/src/bounded/{queue,gc}.rs`) racing a process
+/// that registers, appends a dequeue and propagates it. Process 0 (the
+/// main thread) is registered and runs the GC phase; process 1 registers
+/// with the real capped CAS on `next_pid`. The root holds the sentinel
+/// block 0 and, once process 1's dequeue has propagated, block 1 (`root`
+/// is the newest root index). `SplitBlock` is reduced to "discard every
+/// root block that exists now"; `Help` scans the leaves of the processes
+/// counted as registered and writes the response of each pending dequeue
+/// already in the root. Process 1 then finishes its dequeue: if its root
+/// block was discarded, the response must be there — the fallback the
+/// real `dequeue_batch` spins on.
+pub fn gc_scan_scenario(bugs: GcScanBugs) -> impl Fn() + Send + Sync + 'static {
+    move || {
+        let queue = Arc::new(GcScanQueue {
+            next_pid: AtomicUsize::new(1),
+            leaves: [AtomicU64::new(0), AtomicU64::new(0)],
+            root: AtomicU64::new(0),
+            response: AtomicU64::new(0),
+            discarded_below: AtomicU64::new(0),
+        });
+        let q = Arc::clone(&queue);
+        let dequeuer = spawn(move || {
+            // `register`: the capped claim of the next process id.
+            let pid = q.next_pid.load(Ordering::Relaxed);
+            assert!(
+                q.next_pid
+                    .compare_exchange(pid, pid + 1, Ordering::SeqCst, Ordering::Relaxed)
+                    .is_ok(),
+                "only one process registers in this scenario"
+            );
+            // Append a dequeue block to the leaf, then propagate it into
+            // root block 1.
+            q.leaves[pid].store(1, Ordering::SeqCst);
+            q.root.store(1, Ordering::SeqCst);
+            // `complete_deq`: a discarded root block means a helper must
+            // have written the response first (Invariant 27).
+            if q.discarded_below.load(Ordering::SeqCst) > 1 {
+                assert_eq!(
+                    q.response.load(Ordering::SeqCst),
+                    7,
+                    "dequeue block discarded without a helped response (Invariant 27)"
+                );
+            }
+        });
+        // The GC phase of process 0.
+        let early = bugs
+            .count_before_split
+            .then(|| queue.next_pid.load(Ordering::SeqCst));
+        // `SplitBlock`: every root block that exists now is finished.
+        let split = queue.root.load(Ordering::SeqCst) + 1;
+        // `Help` over the registered processes, counted after the split.
+        let registered = early.unwrap_or_else(|| queue.next_pid.load(Ordering::SeqCst));
+        for leaf in queue.leaves.iter().take(registered) {
+            let pending = leaf.load(Ordering::SeqCst) != 0;
+            if pending && queue.root.load(Ordering::SeqCst) >= 1 {
+                let _ = queue
+                    .response
+                    .compare_exchange(0, 7, Ordering::SeqCst, Ordering::SeqCst);
+            }
+        }
+        // Discard the root blocks below the split point.
+        queue.discarded_below.store(split, Ordering::SeqCst);
+        dequeuer.join();
     }
 }

@@ -114,3 +114,42 @@ fn concurrent_churn_keeps_space_bounded() {
     );
     bintro::check_invariants(&q).unwrap();
 }
+
+#[test]
+fn gc_period_follows_registered_handles() {
+    // A 32-process budget of which two handles register: the period is
+    // G(2) = 2²⌈log₂ 32⌉ = 20, not the paper's G(32) = 32²·5 = 5,120.
+    const P: usize = 32;
+    let full_period = P * P * 5;
+    let q: BoundedQueue<u64> = BoundedQueue::new(P);
+    let (mut producer, mut consumer) = (q.register().unwrap(), q.register().unwrap());
+    let period = q.gc_period();
+    assert_eq!(period, 2 * 2 * 5);
+    let q_max = 1_025;
+    for v in 0..1_024 {
+        producer.enqueue(v);
+    }
+    let mut peak = 0;
+    for v in 0..10_000u64 {
+        producer.enqueue(v);
+        assert!(consumer.dequeue().is_some());
+        if v % 16 == 0 {
+            peak = peak.max(bintro::space_stats(&q).max_node_blocks);
+        }
+    }
+    // The two handles alternate, so each value in the queue spans an
+    // enqueue block and a dequeue block at the root: the live span is
+    // ~2·q_max blocks, plus the backlog of at most one period between
+    // GC phases. With the full period the peak here is ~7,100.
+    assert!(
+        peak <= 2 * q_max + 4 * period,
+        "peak {peak} blocks per node exceeds 2·q_max + 4·G(2) = {}",
+        2 * q_max + 4 * period
+    );
+    assert!(peak < full_period, "peak {peak} is not below G(32)");
+    bintro::check_invariants(&q).unwrap();
+
+    let rest = q.handles();
+    assert_eq!(rest.len(), P - 2);
+    assert_eq!(q.gc_period(), full_period, "all registered: the paper's G");
+}

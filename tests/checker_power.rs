@@ -439,4 +439,23 @@ mod model_checker_power {
             "expected a lost-wakeup deadlock, got: {failure}"
         );
     }
+
+    /// Reading the registered count before `SplitBlock` fixes the split
+    /// point lets a process register, dequeue and propagate into a root
+    /// block the phase discards while `Help` skips its leaf: the block is
+    /// gone without a helped response.
+    #[test]
+    fn gc_scan_count_before_split_detected() {
+        let failure = try_explore(
+            opts(),
+            protocols::gc_scan_scenario(protocols::GcScanBugs {
+                count_before_split: true,
+            }),
+        )
+        .expect_err("a registered count read before the split must be caught");
+        assert!(
+            failure.message.contains("Invariant 27"),
+            "expected an unhelped-discard assert, got: {failure}"
+        );
+    }
 }

@@ -11,8 +11,9 @@
 //! (`crates/core/src/unbounded/reclaim.rs`), the contention-aware
 //! nearest scan (`crates/shard/src/policy.rs`), the ring backend's
 //! phase-tagged slot/record handshake (`crates/ring/src/lib.rs`), the
-//! executor's park/steal drain, and the drain-then-close `Seal`
-//! (`crates/channel/src/wait.rs`); see
+//! executor's park/steal drain, the drain-then-close `Seal`
+//! (`crates/channel/src/wait.rs`), and the §6 queue's registered-only
+//! GC scan (`crates/core/src/bounded/gc.rs`); see
 //! the module docs of
 //! `protocols` for the exact correspondence, and
 //! `tests/checker_power.rs` for the proof that these checks have teeth
@@ -143,4 +144,18 @@ fn seal_close_never_loses_a_published_value() {
         protocols::seal_scenario(protocols::SealBugs::default()),
     );
     report("seal", r);
+}
+
+/// A §6 GC phase that scans only the registered processes
+/// (`crates/core/src/bounded/gc.rs`) never discards the root block of a
+/// dequeue it did not help: in every schedule of the GC phase vs a
+/// process that registers, dequeues and propagates, a discarded block's
+/// response is already written.
+#[test]
+fn gc_scan_never_discards_an_unhelped_dequeue() {
+    let r = explore(
+        opts(),
+        protocols::gc_scan_scenario(protocols::GcScanBugs::default()),
+    );
+    report("gc_scan", r);
 }
