@@ -23,7 +23,7 @@
 //! growing checkpoint over checkpoint, the reclaiming series' live-block
 //! count plateaus (bounded by a constant ceiling after warmup) and ends an
 //! order of magnitude below `off`, and their live bytes plateau too. Live
-//! bytes (block headers, element payload capacity, and the `SegVec` slot
+//! bytes (block headers, element payloads, and the `SegVec` slot
 //! storage — chunks and pages still linked plus the page table) are the
 //! RSS proxy. The byte ceiling at each checkpoint is 1.25× the first
 //! checkpoint, with no allowance per logical block: only the page table
@@ -321,7 +321,7 @@ fn main() {
         "expected shape: 'off' grows linearly with history (the paper's §3 cost);\n\
          the every-{PERIOD} series plateau at a level set by the resident set and\n\
          the reclamation period, composing with sharding; wf-bounded is the §6\n\
-         reference. live KiB counts block headers + element payload capacity\n\
+         reference. live KiB counts block headers + element payloads\n\
          + slot storage (RSS proxy; 0 where not measured).\n"
     );
 }

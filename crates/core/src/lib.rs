@@ -71,6 +71,3 @@ pub mod bounded;
 pub mod topology;
 pub mod unbounded;
 pub mod vector;
-
-/// Sentinel index meaning "not set" (the paper's `null` for integer fields).
-pub(crate) const NIL: usize = usize::MAX;

@@ -40,11 +40,11 @@ where
         return None;
     }
     let last = node.block_installed(b, "Invariant 3: root prefix installed");
-    if last.size == 0 {
+    if last.size() == 0 {
         return None;
     }
     // Rank (among all enqueues) of the element at the front of the queue.
-    let e = last.sumenq - last.size + 1;
+    let e = last.sumenq - last.size() + 1;
 
     let (be_doubling, doubling) =
         metrics::measure(|| queue.search_root_enqueue_block(b, e, node.boundary()));

@@ -30,9 +30,10 @@ pub struct BlockInfo {
     pub endleft: usize,
     /// Last direct subblock in the right child (internal blocks).
     pub endright: usize,
-    /// Queue size after this block (root blocks).
+    /// Queue size after this block (root blocks; 0 elsewhere).
     pub size: usize,
-    /// The `super` hint, if already set.
+    /// The `super` hint, if already set (non-root blocks; `None` at the
+    /// root).
     pub sup: Option<usize>,
     /// Rendered elements for leaf enqueue blocks (one per enqueue of the
     /// batch, in order); empty otherwise.
@@ -84,18 +85,20 @@ where
             let mut blocks = Vec::new();
             let mut i = boundary;
             let mut prev_sumdeq = 0;
+            let is_root = v == topo.root();
             while let Some(b) = node.block(i) {
                 let is_deq = topo.is_leaf(v) && i > boundary && b.is_leaf_dequeue();
                 blocks.push(BlockInfo {
                     index: i,
-                    summary: b.summary,
+                    summary: b.is_summary(),
                     sumenq: b.sumenq,
                     sumdeq: b.sumdeq,
                     endleft: b.endleft,
                     endright: b.endright,
-                    size: b.size,
-                    sup: b.sup(),
-                    elements: b.elements.iter().map(|e| format!("{e:?}")).collect(),
+                    // One word holds `size` at the root and `super` below it.
+                    size: if is_root { b.size() } else { 0 },
+                    sup: if is_root { None } else { b.sup() },
+                    elements: b.elements().iter().map(|e| format!("{e:?}")).collect(),
                     num_dequeues: if is_deq { b.sumdeq - prev_sumdeq } else { 0 },
                 });
                 prev_sumdeq = b.sumdeq;
@@ -104,7 +107,7 @@ where
             NodeInfo {
                 position: v,
                 is_leaf: topo.is_leaf(v),
-                is_root: v == topo.root(),
+                is_root,
                 head,
                 boundary,
                 blocks,
@@ -205,7 +208,7 @@ where
     if topo.is_leaf(v) {
         // A leaf block is a whole batch: its enqueues in order, or
         // `sumdeq - prev.sumdeq` dequeues.
-        return (blk.elements.clone(), blk.sumdeq - prev.sumdeq);
+        return (blk.elements().to_vec(), blk.sumdeq - prev.sumdeq);
     }
     let mut enqs = Vec::new();
     let mut deqs = 0;
@@ -275,7 +278,7 @@ where
         }
         if boundary > 0 {
             let base = node.block(boundary).expect("checked installed above");
-            if !base.summary {
+            if !base.is_summary() {
                 return Err(format!(
                     "node {v}: boundary block {boundary} is not a summary sentinel"
                 ));
@@ -294,7 +297,7 @@ where
         for i in boundary + 1..installed {
             let blk = node.block(i).expect("checked installed");
             let prev = node.block(i - 1).expect("checked installed");
-            if blk.summary {
+            if blk.is_summary() {
                 return Err(format!(
                     "node {v}: summary sentinel at {i} above the boundary {boundary}"
                 ));
@@ -323,10 +326,10 @@ where
                         "node {v}: leaf block {i} mixes {numenq} enqueues and {numdeq} dequeues"
                     ));
                 }
-                if numenq != blk.elements.len() {
+                if numenq != blk.elements().len() {
                     return Err(format!(
                         "node {v}: leaf block {i} stores {} elements for {numenq} enqueues",
-                        blk.elements.len()
+                        blk.elements().len()
                     ));
                 }
             } else {
@@ -352,11 +355,14 @@ where
                 }
                 if v == topo.root() {
                     // Lemma 16: size recurrence.
-                    let expect = (prev.size + numenq).saturating_sub(numdeq);
-                    if blk.size != expect {
+                    let expect = (prev.size() + numenq).saturating_sub(numdeq);
+                    if blk.size() != expect {
                         return Err(format!(
                             "root: size {} != max(0,{}+{}-{}) at block {i}",
-                            blk.size, prev.size, numenq, numdeq
+                            blk.size(),
+                            prev.size(),
+                            numenq,
+                            numdeq
                         ));
                     }
                 }
@@ -477,9 +483,8 @@ where
 }
 
 /// An RSS proxy: bytes retained by the tree's storage — live blocks (block
-/// headers plus the capacity of their element payloads) and each node's
-/// slot storage (the `SegVec` chunks and pages still linked plus its page
-/// table).
+/// headers plus their element payloads) and each node's slot storage (the
+/// `SegVec` chunks and pages still linked plus its page table).
 /// Used by experiments E12 and E15; like every introspection helper it is
 /// exact at quiescence.
 pub fn live_block_bytes<T>(queue: &Queue<T>) -> usize
@@ -494,7 +499,7 @@ where
         bytes += node.blocks.heap_bytes();
         let mut i = node.boundary();
         while let Some(b) = node.block(i) {
-            bytes += std::mem::size_of_val(b) + b.elements.capacity() * std::mem::size_of::<T>();
+            bytes += std::mem::size_of_val(b) + std::mem::size_of_val(b.elements());
             i += 1;
         }
     }

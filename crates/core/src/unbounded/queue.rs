@@ -210,7 +210,7 @@ impl<T: Clone + Send + Sync> Queue<T> {
                 blk = next;
                 i += 1;
             }
-            return blk.size;
+            return blk.size();
         }
     }
 
@@ -441,7 +441,7 @@ impl<T: Clone + Send + Sync> Queue<T> {
         }
         let size = if v == self.topo.root() {
             // size := max(0, prev.size + numenq − numdeq) (line 50).
-            (prev.size + numenq).saturating_sub(numdeq)
+            (prev.size() + numenq).saturating_sub(numdeq)
         } else {
             0
         };

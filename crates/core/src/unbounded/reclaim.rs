@@ -382,10 +382,10 @@ impl<T: Clone + Send + Sync> Queue<T> {
         // by *future* dequeues — the one holding the oldest live enqueue
         // (enqueue rank sumenq - size + 1), or past the newest block when
         // the queue is empty (size == 0: every enqueue so far is dead).
-        let f_live = if newest.size == 0 {
+        let f_live = if newest.size() == 0 {
             newest_idx + 1
         } else {
-            let first_live = newest.sumenq - newest.size + 1;
+            let first_live = newest.sumenq - newest.size() + 1;
             // Plain lower-bound binary search over the retained root
             // suffix (the hot path's doubling search exists for the
             // O(log q) bound and records steps; maintenance needs

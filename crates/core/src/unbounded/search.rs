@@ -147,14 +147,14 @@ impl<T: Clone + Send + Sync> Queue<T> {
         let blk = node.block_installed(b, "FindResponse precondition: root block installed");
         let prev = node.block_installed(b - 1, "Invariant 3: root prefix installed");
         let numenq = blk.sumenq - prev.sumenq;
-        if prev.size + numenq < i {
+        if prev.size() + numenq < i {
             // Queue is empty when the dequeue is linearized (line 87).
             return None;
         }
         // Rank (among all enqueues in L) of the enqueue whose value we
         // return (line 89): non-null dequeues before block b number
         // prev.sumenq − prev.size.
-        let e = i + prev.sumenq - prev.size;
+        let e = i + prev.sumenq - prev.size();
         let be = self.search_root_enqueue_block(b, e, floor);
         let ie = e - node
             .block_installed(be - 1, "Invariant 3: root prefix installed")
@@ -237,7 +237,7 @@ impl<T: Clone + Send + Sync> Queue<T> {
                     .node(v)
                     .block_installed(b, "GetEnqueue precondition: leaf block installed");
                 return blk
-                    .elements
+                    .elements()
                     .get(i - 1)
                     .cloned()
                     .expect("GetEnqueue lands on an enqueue block holding rank i");

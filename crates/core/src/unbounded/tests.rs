@@ -737,3 +737,60 @@ fn reclaim_off_queue_never_truncates() {
 fn zero_reclaim_period_is_rejected() {
     let _ = Queue::<u64>::with_reclaim(1, ReclaimPolicy::EveryKRootBlocks(0));
 }
+
+/// Swaps `blocks[i]` of node `v` for `twin`, runs the invariant audit, and
+/// swaps the original back, returning the audit's verdict on the twin.
+fn audit_with_block_swapped(
+    q: &Queue<u64>,
+    v: usize,
+    i: usize,
+    twin: super::block::Block<u64>,
+) -> Result<(), String> {
+    let blocks = &q.node(v).blocks;
+    let original = blocks.replace_raw(i, Box::new(twin)).expect("installed");
+    let verdict = introspect::check_invariants(q);
+    // SAFETY: both pointers came from `Box::into_raw` and were just
+    // unlinked from their slot by `replace_raw`; the test is
+    // single-threaded, so no reader holds either one.
+    unsafe {
+        let twin = blocks
+            .replace_raw(i, Box::from_raw(original))
+            .expect("installed");
+        drop(Box::from_raw(twin));
+    }
+    verdict
+}
+
+#[test]
+fn audits_require_an_intrinsic_summary_at_the_boundary() {
+    use super::block::Block;
+
+    let q: Queue<u64> = Queue::with_reclaim(2, ReclaimPolicy::EveryKRootBlocks(1_000_000));
+    let mut h = q.register().unwrap();
+    for i in 0..20 {
+        h.enqueue(i);
+        let _ = h.dequeue();
+    }
+    h.enqueue(99);
+    assert!(q.try_reclaim() > 0);
+    introspect::check_invariants(&q).unwrap();
+
+    let root = q.topology().root();
+    let node = q.node(root);
+    let boundary = node.boundary();
+    assert!(boundary > 0);
+    // A non-summary block with the boundary summary's exact scalars: only
+    // the payload tells them apart.
+    let b = node.block(boundary).unwrap();
+    let twin = Block::internal(b.sumenq, b.sumdeq, b.endleft, b.endright, b.size());
+    let err = audit_with_block_swapped(&q, root, boundary, twin).unwrap_err();
+    assert!(err.contains("is not a summary sentinel"), "{err}");
+
+    // A summary above the boundary is rejected as well.
+    let above = Block::summary_of(node.block(boundary + 1).unwrap());
+    let err = audit_with_block_swapped(&q, root, boundary + 1, above).unwrap_err();
+    assert!(err.contains("above the boundary"), "{err}");
+
+    introspect::check_invariants(&q).unwrap();
+    assert_eq!(h.dequeue(), Some(99));
+}

@@ -1,5 +1,7 @@
-//! A wait-free bounded MPMC circular queue on single-word CAS, in the
-//! mould of wCQ (Nikolaev & Ravindran, arXiv:2201.02179).
+//! A bounded MPMC circular queue on single-word CAS, in the mould of wCQ
+//! (Nikolaev & Ravindran, arXiv:2201.02179): lock-free ticket claims,
+//! wait-free completion (see "Helping" below for the two lock-free
+//! windows).
 //!
 //! This crate is the workspace's *third* queue core, next to the paper's
 //! §3 unbounded and §6 bounded-space ordering-tree queues
@@ -224,7 +226,8 @@ impl Record {
     }
 }
 
-/// A wait-free bounded MPMC circular queue (wCQ-style).
+/// A bounded MPMC circular queue (wCQ-style): lock-free ticket claims,
+/// wait-free completion.
 ///
 /// Values are heap-boxed and owned by the ring while enqueued; each slot
 /// is one cache-padded `AtomicU64` packing a 16-bit lap tag with the
