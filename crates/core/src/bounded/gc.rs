@@ -3,13 +3,11 @@
 
 use crossbeam_epoch as epoch;
 use wfqueue_metrics as metrics;
-use wfqueue_pstore::PersistentOrderedMap;
 
 use super::block::Block;
 use super::queue::Queue;
-use super::store::StoreFamily;
 
-impl<T: Clone + Send + Sync, F: StoreFamily> Queue<T, F> {
+impl<T: Clone + Send + Sync> Queue<T> {
     /// `SplitBlock(v)` — Figure 5 lines 234–248: the oldest block of `v`
     /// that a GC phase must keep.
     ///

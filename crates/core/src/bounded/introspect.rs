@@ -6,11 +6,9 @@
 //! while the queue is quiescent.
 
 use crossbeam_epoch as epoch;
-use wfqueue_pstore::PersistentOrderedMap;
 
 use super::node::BlockTree;
 use super::queue::Queue;
-use super::store::StoreFamily;
 
 /// Snapshot of one block (bounded variant).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,10 +62,9 @@ pub struct SpaceStats {
 }
 
 /// Takes a snapshot of every node's block tree.
-pub fn dump<T, F>(queue: &Queue<T, F>) -> Vec<NodeInfo>
+pub fn dump<T>(queue: &Queue<T>) -> Vec<NodeInfo>
 where
     T: Clone + Send + Sync + std::fmt::Debug,
-    F: StoreFamily,
 {
     let topo = *queue.topology();
     let guard = epoch::pin();
@@ -76,8 +73,7 @@ where
             let tref = queue.node(v).load(&guard);
             let blocks = tref
                 .tree
-                .entries()
-                .into_iter()
+                .iter()
                 .map(|(k, b)| BlockInfo {
                     index: k as usize,
                     sumenq: b.sumenq,
@@ -102,10 +98,9 @@ where
 }
 
 /// Current space usage of the queue (used by experiment E7).
-pub fn space_stats<T, F>(queue: &Queue<T, F>) -> SpaceStats
+pub fn space_stats<T>(queue: &Queue<T>) -> SpaceStats
 where
     T: Clone + Send + Sync,
-    F: StoreFamily,
 {
     let topo = *queue.topology();
     let guard = epoch::pin();
@@ -130,20 +125,18 @@ where
 /// tree's nodes with their inline blocks, and the leaf payloads with their
 /// elements and written responses. Superseded versions still waiting for
 /// epoch reclamation are not counted.
-pub fn live_block_bytes<T, F>(queue: &Queue<T, F>) -> usize
+pub fn live_block_bytes<T>(queue: &Queue<T>) -> usize
 where
     T: Clone + Send + Sync,
-    F: StoreFamily,
 {
     let topo = *queue.topology();
     let guard = epoch::pin();
     let mut bytes = 0;
     for v in 1..topo.len() {
         let tref = queue.node(v).load(&guard);
-        bytes += std::mem::size_of::<BlockTree<T, F>>() + tref.tree.node_bytes();
+        bytes += std::mem::size_of::<BlockTree<T>>() + tref.tree.node_bytes();
         bytes += tref
             .tree
-            .entries()
             .iter()
             .map(|(_, b)| b.payload_bytes())
             .sum::<usize>();
@@ -163,16 +156,15 @@ where
 /// # Errors
 ///
 /// Returns a description of the first violated invariant.
-pub fn check_invariants<T, F>(queue: &Queue<T, F>) -> Result<(), String>
+pub fn check_invariants<T>(queue: &Queue<T>) -> Result<(), String>
 where
     T: Clone + Send + Sync,
-    F: StoreFamily,
 {
     let topo = *queue.topology();
     let guard = epoch::pin();
     for v in 1..topo.len() {
         let tref = queue.node(v).load(&guard);
-        let blocks: Vec<_> = tref.tree.entries();
+        let blocks: Vec<_> = tref.tree.iter().collect();
         if blocks.is_empty() {
             return Err(format!("node {v}: empty block tree"));
         }

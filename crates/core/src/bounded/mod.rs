@@ -5,6 +5,11 @@
 //! published by CAS, with periodic garbage-collection phases that discard
 //! finished blocks, keeping space `O(p·q_max + p³ log p)` (Theorem 31) at
 //! `O(log p · log(p + q_max))` amortized steps per operation (Theorem 32).
+//!
+//! The persistent tree is a treap ([`wfqueue_treap::PTreap`]) where the
+//! paper uses a red–black tree. Its priorities are a fixed hash of the
+//! key, so its depth — the log factor each tree operation contributes to
+//! Theorems 22 and 32 — is O(log n) in expectation, not in the worst case.
 
 mod block;
 mod gc;
@@ -13,14 +18,8 @@ mod queue;
 mod search;
 
 pub mod introspect;
-pub mod store;
 
 pub use queue::{Handle, Queue};
-pub use store::{AvlBacked, StoreFamily, TreapBacked};
-
-/// The bounded queue backed by the worst-case-balanced AVL block store
-/// (see [`store`]); API-identical to [`Queue`].
-pub type AvlQueue<T> = Queue<T, AvlBacked>;
 
 #[cfg(test)]
 mod tests;

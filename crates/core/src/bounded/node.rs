@@ -5,9 +5,8 @@
 //! the old one) and publish it with a single CAS, exactly like the paper's
 //! `CAS(v.blocks, T, T′)` (Figure 5 line 265); superseded versions are
 //! reclaimed through epoch-based reclamation, which plays the role of the
-//! paper's assumed garbage collector. The store itself is any
-//! [`wfqueue_pstore::PersistentOrderedMap`], selected by a
-//! [`StoreFamily`](super::store::StoreFamily).
+//! paper's assumed garbage collector. The store itself is a persistent
+//! treap ([`PTreap`]).
 //!
 //! Blocks are stored inline in the store's tree nodes, keyed by their
 //! index: one allocation per block, copied (with its tree node) when an
@@ -18,38 +17,36 @@ use wfqueue_sync::atomic::Ordering;
 
 use crossbeam_epoch::{self as epoch, Atomic, Guard, Owned, Shared};
 use wfqueue_metrics as metrics;
-use wfqueue_pstore::PersistentOrderedMap;
+use wfqueue_treap::PTreap;
 
 use super::block::Block;
-use super::store::StoreFamily;
 
 /// The persistent store of blocks of one node, keyed by block index.
-pub(crate) type BlockTree<T, F> = <F as StoreFamily>::Map<Block<T>>;
+pub(crate) type BlockTree<T> = PTreap<Block<T>>;
 
 /// A loaded store version: the shared pointer (needed for the publishing
 /// CAS) plus a dereferenced view valid for the guard's lifetime.
-pub(crate) struct TreeRef<'g, T: Clone + Send + Sync, F: StoreFamily> {
-    shared: Shared<'g, BlockTree<T, F>>,
+pub(crate) struct TreeRef<'g, T: Clone + Send + Sync> {
+    shared: Shared<'g, BlockTree<T>>,
     /// The store version itself.
-    pub tree: &'g BlockTree<T, F>,
+    pub tree: &'g BlockTree<T>,
 }
 
-pub(crate) struct Node<T: Clone + Send + Sync, F: StoreFamily> {
-    blocks: Atomic<BlockTree<T, F>>,
+pub(crate) struct Node<T: Clone + Send + Sync> {
+    blocks: Atomic<BlockTree<T>>,
 }
 
-impl<T: Clone + Send + Sync, F: StoreFamily> Node<T, F> {
+impl<T: Clone + Send + Sync> Node<T> {
     /// A fresh node whose store holds only the dummy block (index 0).
     pub fn new() -> Self {
-        let tree: BlockTree<T, F> = PersistentOrderedMap::empty();
-        let tree = tree.insert(0, Block::dummy());
+        let tree = PTreap::new().insert(0, Block::dummy());
         Node {
             blocks: Atomic::new(tree),
         }
     }
 
     /// Loads the current store version (one shared step).
-    pub fn load<'g>(&self, guard: &'g Guard) -> TreeRef<'g, T, F> {
+    pub fn load<'g>(&self, guard: &'g Guard) -> TreeRef<'g, T> {
         metrics::record_shared_load();
         // ORDERING: the paper's pseudocode assumes sequentially
         // consistent shared memory; every tree-node load/CAS stays SC so
@@ -68,8 +65,8 @@ impl<T: Clone + Send + Sync, F: StoreFamily> Node<T, F> {
     /// epoch collector. Counts as one CAS step.
     pub fn try_publish<'g>(
         &self,
-        current: &TreeRef<'g, T, F>,
-        next: BlockTree<T, F>,
+        current: &TreeRef<'g, T>,
+        next: BlockTree<T>,
         guard: &'g Guard,
     ) -> bool {
         // ORDERING: SC per the paper's SC-memory assumption (see `load`).
@@ -96,7 +93,7 @@ impl<T: Clone + Send + Sync, F: StoreFamily> Node<T, F> {
     }
 }
 
-impl<T: Clone + Send + Sync, F: StoreFamily> Drop for Node<T, F> {
+impl<T: Clone + Send + Sync> Drop for Node<T> {
     fn drop(&mut self) {
         // SAFETY: `&mut self` guarantees no concurrent readers; the final
         // version was published by a CAS and is owned by this node.
@@ -111,11 +108,11 @@ impl<T: Clone + Send + Sync, F: StoreFamily> Drop for Node<T, F> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::store::{AvlBacked, TreapBacked};
     use super::*;
 
-    fn new_node_has_dummy_tree<F: StoreFamily>() {
-        let n: Node<u32, F> = Node::new();
+    #[test]
+    fn new_node_has_dummy_tree() {
+        let n: Node<u32> = Node::new();
         let guard = epoch::pin();
         let t = n.load(&guard);
         assert_eq!(t.tree.len(), 1);
@@ -125,14 +122,8 @@ mod tests {
     }
 
     #[test]
-    fn new_node_has_dummy_tree_both_stores() {
-        new_node_has_dummy_tree::<TreapBacked>();
-        new_node_has_dummy_tree::<AvlBacked>();
-    }
-
-    #[test]
     fn publish_swaps_versions_and_fails_on_stale() {
-        let n: Node<u32, TreapBacked> = Node::new();
+        let n: Node<u32> = Node::new();
         let guard = epoch::pin();
         let t0 = n.load(&guard);
         let t1 = t0.tree.insert(1, Block::internal(1, 0, 1, 1, 0));
@@ -149,7 +140,7 @@ mod tests {
     fn drop_reclaims_last_version() {
         // Exercised under the normal allocator; mainly checks no
         // double-free/UAF under Drop (caught by miri/asan when run there).
-        let n: Node<String, AvlBacked> = Node::new();
+        let n: Node<String> = Node::new();
         drop(n);
     }
 }

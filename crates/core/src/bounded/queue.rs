@@ -7,12 +7,9 @@ use crossbeam_epoch as epoch;
 use crossbeam_utils::CachePadded;
 use wfqueue_metrics as metrics;
 
-use wfqueue_pstore::PersistentOrderedMap;
-
 use super::block::{Block, LeafOp};
 use super::node::{BlockTree, Node};
 use super::search::Discarded;
-use super::store::{StoreFamily, TreapBacked};
 use crate::topology::Topology;
 
 /// `⌈log₂ p⌉`, with a minimum of 1.
@@ -44,9 +41,9 @@ fn ceil_log2(p: usize) -> usize {
 /// assert_eq!(h.dequeue(), Some(1));
 /// assert_eq!(h.dequeue(), None);
 /// ```
-pub struct Queue<T: Clone + Send + Sync, F: StoreFamily = TreapBacked> {
+pub struct Queue<T: Clone + Send + Sync> {
     topo: Topology,
-    nodes: Vec<Node<T, F>>,
+    nodes: Vec<Node<T>>,
     /// `last[k]`: largest root-block index process `k` observed to contain a
     /// null dequeue or an enqueue whose element was dequeued (Appendix B).
     /// Written only by process `k`.
@@ -57,7 +54,7 @@ pub struct Queue<T: Clone + Send + Sync, F: StoreFamily = TreapBacked> {
     next_pid: AtomicUsize,
 }
 
-impl<T: Clone + Send + Sync, F: StoreFamily> Queue<T, F> {
+impl<T: Clone + Send + Sync> Queue<T> {
     /// Creates a queue for at most `num_processes` processes whose GC
     /// period follows the handles registered so far.
     ///
@@ -198,7 +195,7 @@ impl<T: Clone + Send + Sync, F: StoreFamily> Queue<T, F> {
     /// assert_eq!(h.process_id(), 0);
     /// assert!(q.register().is_none(), "capacity is capped");
     /// ```
-    pub fn register(&self) -> Option<Handle<'_, T, F>> {
+    pub fn register(&self) -> Option<Handle<'_, T>> {
         let cap = self.topo.num_processes();
         let mut pid = self.next_pid.load(Ordering::Relaxed);
         loop {
@@ -220,7 +217,7 @@ impl<T: Clone + Send + Sync, F: StoreFamily> Queue<T, F> {
     }
 
     /// Returns all remaining handles.
-    pub fn handles(&self) -> Vec<Handle<'_, T, F>> {
+    pub fn handles(&self) -> Vec<Handle<'_, T>> {
         std::iter::from_fn(|| self.register()).collect()
     }
 
@@ -228,7 +225,7 @@ impl<T: Clone + Send + Sync, F: StoreFamily> Queue<T, F> {
         &self.topo
     }
 
-    pub(crate) fn node(&self, v: usize) -> &Node<T, F> {
+    pub(crate) fn node(&self, v: usize) -> &Node<T> {
         &self.nodes[v]
     }
 
@@ -406,11 +403,11 @@ impl<T: Clone + Send + Sync, F: StoreFamily> Queue<T, F> {
         &self,
         pid: usize,
         v: usize,
-        tree: &BlockTree<T, F>,
+        tree: &BlockTree<T>,
         index: usize,
         block: Block<T>,
         guard: &epoch::Guard,
-    ) -> BlockTree<T, F> {
+    ) -> BlockTree<T> {
         let key = index as u64;
         let period = self
             .fixed_gc_period
@@ -430,12 +427,11 @@ impl<T: Clone + Send + Sync, F: StoreFamily> Queue<T, F> {
     }
 }
 
-impl<T: Clone + Send + Sync, F: StoreFamily> fmt::Debug for Queue<T, F> {
+impl<T: Clone + Send + Sync> fmt::Debug for Queue<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let guard = epoch::pin();
         let root = self.node(self.topo.root()).load(&guard);
         f.debug_struct("bounded::Queue")
-            .field("store", &F::NAME)
             .field("num_processes", &self.topo.num_processes())
             .field("gc_period", &self.gc_period())
             .field("registered", &self.next_pid.load(Ordering::Relaxed))
@@ -448,12 +444,12 @@ impl<T: Clone + Send + Sync, F: StoreFamily> fmt::Debug for Queue<T, F> {
 ///
 /// Same contract as [`crate::unbounded::Handle`]: one handle per process,
 /// `&mut self` per operation, `Send` across threads.
-pub struct Handle<'q, T: Clone + Send + Sync, F: StoreFamily = TreapBacked> {
-    queue: &'q Queue<T, F>,
+pub struct Handle<'q, T: Clone + Send + Sync> {
+    queue: &'q Queue<T>,
     pid: usize,
 }
 
-impl<'q, T: Clone + Send + Sync, F: StoreFamily> Handle<'q, T, F> {
+impl<'q, T: Clone + Send + Sync> Handle<'q, T> {
     /// Appends `value` to the back of the queue (`O(log p · log(p+q))`
     /// amortized steps, Theorem 32).
     ///
@@ -533,7 +529,7 @@ impl<'q, T: Clone + Send + Sync, F: StoreFamily> Handle<'q, T, F> {
     /// h.enqueue(2);
     /// assert_eq!(h.drain().collect::<Vec<_>>(), vec![1, 2]);
     /// ```
-    pub fn drain<'a>(&'a mut self) -> impl Iterator<Item = T> + use<'a, 'q, T, F> {
+    pub fn drain<'a>(&'a mut self) -> impl Iterator<Item = T> + use<'a, 'q, T> {
         std::iter::from_fn(move || self.dequeue())
     }
 
@@ -545,12 +541,12 @@ impl<'q, T: Clone + Send + Sync, F: StoreFamily> Handle<'q, T, F> {
 
     /// The queue this handle belongs to.
     #[must_use]
-    pub fn queue(&self) -> &'q Queue<T, F> {
+    pub fn queue(&self) -> &'q Queue<T> {
         self.queue
     }
 }
 
-impl<T: Clone + Send + Sync, F: StoreFamily> fmt::Debug for Handle<'_, T, F> {
+impl<T: Clone + Send + Sync> fmt::Debug for Handle<'_, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("bounded::Handle")
             .field("pid", &self.pid)

@@ -10,11 +10,10 @@
 //! the help" (helpers).
 
 use crossbeam_epoch as epoch;
-use wfqueue_pstore::PersistentOrderedMap;
 
 use super::block::Block;
+use super::node::BlockTree;
 use super::queue::Queue;
-use super::store::StoreFamily;
 
 /// A block needed by a search was discarded by a GC phase (Lemma 28).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,15 +21,14 @@ pub(crate) struct Discarded;
 
 /// Looks up block `index` in a tree version, failing with [`Discarded`] if
 /// a GC phase already removed it.
-fn lookup<T, M>(tree: &M, index: usize) -> Result<&Block<T>, Discarded>
-where
-    T: Clone + Send + Sync,
-    M: PersistentOrderedMap<Block<T>>,
-{
+fn lookup<T: Clone + Send + Sync>(
+    tree: &BlockTree<T>,
+    index: usize,
+) -> Result<&Block<T>, Discarded> {
     tree.get(index as u64).ok_or(Discarded)
 }
 
-impl<T: Clone + Send + Sync, F: StoreFamily> Queue<T, F> {
+impl<T: Clone + Send + Sync> Queue<T> {
     /// `CompleteDeq(leaf, h)` — Figure 5 lines 212–217, generalized to a
     /// batch: compute the responses of the `numdeq` propagated dequeues
     /// stored in `leaf`'s block `h`, in batch order.

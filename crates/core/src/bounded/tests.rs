@@ -121,9 +121,14 @@ fn unbounded_variant_grows_where_bounded_does_not() {
 
 #[test]
 fn concurrent_no_loss_no_duplication_with_gc() {
-    let threads = 6usize;
+    for (threads, gc_period) in [(6usize, 16), (4, 8)] {
+        concurrent_no_loss_no_duplication(threads, gc_period);
+    }
+}
+
+fn concurrent_no_loss_no_duplication(threads: usize, gc_period: usize) {
     let per_thread = 1_000u64;
-    let q: Queue<u64> = Queue::with_gc_period(threads, 16);
+    let q: Queue<u64> = Queue::with_gc_period(threads, gc_period);
     let mut handles = q.handles();
     let results: Vec<(Vec<u64>, u64)> = wfqueue_sync::thread::scope(|s| {
         let joins: Vec<_> = (0..threads)
@@ -331,115 +336,20 @@ mod proptests {
     }
 }
 
-mod avl_backed {
-    //! The full behavioural surface re-run on the AVL-backed queue: the
-    //! store family must be behaviour-invisible.
-
-    use std::collections::VecDeque;
-
-    use super::super::{introspect, AvlQueue};
-
-    #[test]
-    fn fifo_and_empty_dequeues() {
-        let q: AvlQueue<u32> = AvlQueue::new(2);
-        let mut h = q.register().unwrap();
-        assert_eq!(h.dequeue(), None);
-        h.enqueue(1);
-        h.enqueue(2);
-        assert_eq!(h.dequeue(), Some(1));
-        assert_eq!(h.dequeue(), Some(2));
-        assert_eq!(h.dequeue(), None);
-        introspect::check_invariants(&q).unwrap();
+#[test]
+fn space_stays_bounded() {
+    let q: Queue<u64> = Queue::with_gc_period(1, 4);
+    let mut h = q.register().unwrap();
+    for i in 0..2_000u64 {
+        h.enqueue(i);
+        let _ = h.dequeue();
     }
-
-    #[test]
-    fn long_script_with_aggressive_gc() {
-        let q: AvlQueue<u64> = AvlQueue::with_gc_period(2, 1);
-        let mut handles = q.handles();
-        let mut model: VecDeque<u64> = VecDeque::new();
-        for i in 0..400u64 {
-            let h = &mut handles[(i % 2) as usize];
-            if i % 4 == 3 || i % 7 == 5 {
-                assert_eq!(h.dequeue(), model.pop_front(), "op {i}");
-            } else {
-                h.enqueue(i);
-                model.push_back(i);
-            }
-        }
-        while let Some(v) = model.pop_front() {
-            assert_eq!(handles[0].dequeue(), Some(v));
-        }
-        introspect::check_invariants(&q).unwrap();
-    }
-
-    #[test]
-    fn concurrent_no_loss_no_duplication() {
-        let threads = 4usize;
-        let q: AvlQueue<u64> = AvlQueue::with_gc_period(threads, 8);
-        let mut handles = q.handles();
-        let results: Vec<(Vec<u64>, u64)> = wfqueue_sync::thread::scope(|s| {
-            let joins: Vec<_> = (0..threads)
-                .map(|t| {
-                    let mut h = handles.remove(0);
-                    s.spawn(move || {
-                        let mut got = Vec::new();
-                        let mut enqueued = 0u64;
-                        for i in 0..1_000u64 {
-                            if i % 2 == 0 {
-                                h.enqueue(((t as u64) << 32) | i);
-                                enqueued += 1;
-                            } else if let Some(v) = h.dequeue() {
-                                got.push(v);
-                            }
-                        }
-                        while let Some(v) = h.dequeue() {
-                            got.push(v);
-                        }
-                        (got, enqueued)
-                    })
-                })
-                .collect();
-            joins.into_iter().map(|j| j.join().unwrap()).collect()
-        });
-        let total: u64 = results.iter().map(|(_, e)| *e).sum();
-        let mut all: Vec<u64> = results.into_iter().flat_map(|(g, _)| g).collect();
-        assert_eq!(all.len() as u64, total);
-        all.sort_unstable();
-        all.dedup();
-        assert_eq!(all.len() as u64, total);
-        introspect::check_invariants(&q).unwrap();
-    }
-
-    #[test]
-    fn space_stays_bounded() {
-        let q: AvlQueue<u64> = AvlQueue::with_gc_period(1, 4);
-        let mut h = q.register().unwrap();
-        for i in 0..2_000u64 {
-            h.enqueue(i);
-            let _ = h.dequeue();
-        }
-        let stats = introspect::space_stats(&q);
-        assert!(stats.total_blocks < 400, "{stats:?}");
-        // AVL: worst-case logarithmic depth.
-        assert!(stats.max_tree_depth <= 16, "{stats:?}");
-    }
-
-    #[test]
-    fn agrees_with_treap_backed_queue() {
-        let qa: AvlQueue<u64> = AvlQueue::with_gc_period(2, 3);
-        let qt: super::super::Queue<u64> = super::super::Queue::with_gc_period(2, 3);
-        let mut ha = qa.handles();
-        let mut ht = qt.handles();
-        for i in 0..300u64 {
-            let who = (i % 2) as usize;
-            if i % 3 == 1 {
-                assert_eq!(ha[who].dequeue(), ht[who].dequeue(), "op {i}");
-            } else {
-                ha[who].enqueue(i);
-                ht[who].enqueue(i);
-            }
-        }
-    }
+    let stats = introspect::space_stats(&q);
+    assert!(stats.total_blocks < 400, "{stats:?}");
+    // The treap's depth is only logarithmic in expectation; this run
+    // measures depth 5 (at most 5 blocks per node), and the bound allows
+    // 3 levels of slack.
+    assert!(stats.max_tree_depth <= 8, "{stats:?}");
 }
 
 #[test]

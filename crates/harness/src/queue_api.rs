@@ -254,67 +254,6 @@ impl<T: Clone + Send + Sync> QueueHandle<T> for wfqueue::bounded::Handle<'_, T> 
     }
 }
 
-/// Adapter for the bounded wait-free queue with the worst-case (AVL)
-/// block store.
-#[derive(Debug)]
-pub struct WfBoundedAvl<T: Clone + Send + Sync>(pub wfqueue::bounded::AvlQueue<T>);
-
-impl<T: Clone + Send + Sync> WfBoundedAvl<T> {
-    /// Creates an adapter whose GC period follows the registered handles,
-    /// capped at the paper's `p²⌈log₂ p⌉` (see `bounded::Queue::new`).
-    #[must_use]
-    pub fn new(processes: usize) -> Self {
-        WfBoundedAvl(wfqueue::bounded::AvlQueue::new(processes))
-    }
-
-    /// Creates an adapter with an explicit GC period.
-    #[must_use]
-    pub fn with_gc_period(processes: usize, gc_period: usize) -> Self {
-        WfBoundedAvl(wfqueue::bounded::AvlQueue::with_gc_period(
-            processes, gc_period,
-        ))
-    }
-}
-
-impl<T: Clone + Send + Sync> ConcurrentQueue<T> for WfBoundedAvl<T> {
-    type Handle<'a>
-        = wfqueue::bounded::Handle<'a, T, wfqueue::bounded::AvlBacked>
-    where
-        T: 'a;
-
-    fn name(&self) -> &'static str {
-        "wf-bounded-avl"
-    }
-
-    fn try_handle(&self) -> Option<Self::Handle<'_>> {
-        self.0.register()
-    }
-
-    fn capacity(&self) -> Option<usize> {
-        Some(self.0.num_processes())
-    }
-}
-
-impl<T: Clone + Send + Sync> QueueHandle<T>
-    for wfqueue::bounded::Handle<'_, T, wfqueue::bounded::AvlBacked>
-{
-    fn enqueue(&mut self, value: T) {
-        wfqueue::bounded::Handle::enqueue(self, value);
-    }
-
-    fn dequeue(&mut self) -> Option<T> {
-        wfqueue::bounded::Handle::dequeue(self)
-    }
-
-    fn enqueue_batch(&mut self, values: Vec<T>) {
-        wfqueue::bounded::Handle::enqueue_batch(self, values);
-    }
-
-    fn dequeue_batch(&mut self, count: usize) -> Vec<Option<T>> {
-        wfqueue::bounded::Handle::dequeue_batch(self, count)
-    }
-}
-
 /// Adapter for the wCQ-style bounded ring (`wfqueue_ring`).
 ///
 /// [`QueueHandle::enqueue`] is infallible while the ring's capacity is a
@@ -592,8 +531,6 @@ mod tests {
         round_trip(&WfUnbounded::new(2));
         round_trip(&WfBounded::new(2));
         round_trip(&WfBounded::with_gc_period(2, 1));
-        round_trip(&WfBoundedAvl::new(2));
-        round_trip(&WfBoundedAvl::with_gc_period(2, 1));
         round_trip(&WfUnbounded::with_reclaim(
             2,
             ReclaimPolicy::EveryKRootBlocks(2),
@@ -707,7 +644,6 @@ mod tests {
         // identical observable behaviour.
         batch_round_trip(&WfUnbounded::new(1));
         batch_round_trip(&WfBounded::with_gc_period(1, 2));
-        batch_round_trip(&WfBoundedAvl::new(1));
         batch_round_trip(&WfShardedUnbounded::new_placed(
             2,
             1,

@@ -160,10 +160,10 @@ impl<T: Clone + Send + Sync> ShardHandle for unbounded::Handle<'_, T> {
     }
 }
 
-impl<T: Clone + Send + Sync, F: bounded::StoreFamily> Shard for bounded::Queue<T, F> {
+impl<T: Clone + Send + Sync> Shard for bounded::Queue<T> {
     type Item = T;
     type Handle<'a>
-        = bounded::Handle<'a, T, F>
+        = bounded::Handle<'a, T>
     where
         Self: 'a;
 
@@ -180,7 +180,7 @@ impl<T: Clone + Send + Sync, F: bounded::StoreFamily> Shard for bounded::Queue<T
     }
 }
 
-impl<T: Clone + Send + Sync, F: bounded::StoreFamily> ShardHandle for bounded::Handle<'_, T, F> {
+impl<T: Clone + Send + Sync> ShardHandle for bounded::Handle<'_, T> {
     type Item = T;
 
     fn enqueue(&mut self, value: T) {
@@ -288,8 +288,8 @@ pub struct ShardedQueue<Q: Shard> {
 /// A [`ShardedQueue`] over unbounded-space shards.
 pub type ShardedUnbounded<T> = ShardedQueue<unbounded::Queue<T>>;
 
-/// A [`ShardedQueue`] over bounded-space shards (treap-backed by default).
-pub type ShardedBounded<T, F = bounded::TreapBacked> = ShardedQueue<bounded::Queue<T, F>>;
+/// A [`ShardedQueue`] over bounded-space shards.
+pub type ShardedBounded<T> = ShardedQueue<bounded::Queue<T>>;
 
 impl<Q: Shard> ShardedQueue<Q> {
     /// Builds a sharded queue from `num_shards` shards produced by `make`,
@@ -607,7 +607,7 @@ impl<T: Clone + Send + Sync + 'static> ShardedUnbounded<T> {
     }
 }
 
-impl<T: Clone + Send + Sync, F: bounded::StoreFamily> ShardedBounded<T, F> {
+impl<T: Clone + Send + Sync> ShardedBounded<T> {
     /// Creates a sharded queue over `num_shards` bounded-space shards
     /// whose GC periods follow the handles each shard registers (see
     /// [`bounded::Queue::new`]), capped at `max_handles` composite handles.

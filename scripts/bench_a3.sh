@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Records the A3 block-store ablation (treap vs AVL inside the §6 bounded
-# queue: amortized and worst steps, tree depth, live bytes per block) as
-# BENCH_a3.json so the perf trajectory accumulates across PRs. Run from
-# the repo root:
+# Records the A3 §6 block-store baseline (the treap inside the bounded
+# queue, per process count: amortized and worst steps, tree depth, live
+# bytes per block) as BENCH_a3.json so the perf trajectory accumulates
+# across PRs. Run from the repo root:
 #
 #   scripts/bench_a3.sh            # writes ./BENCH_a3.json
 #   scripts/bench_a3.sh out.json   # writes to a custom path

@@ -6,14 +6,12 @@
 //! inventory and `EXPERIMENTS.md` for the reproduced results.
 
 pub use wfqueue;
-pub use wfqueue_avl as avl;
 pub use wfqueue_baselines as baselines;
 pub use wfqueue_broker as broker;
 pub use wfqueue_channel as channel;
 pub use wfqueue_executor as executor;
 pub use wfqueue_harness as harness;
 pub use wfqueue_metrics as metrics;
-pub use wfqueue_pstore as pstore;
 pub use wfqueue_ring as ring;
 pub use wfqueue_segvec as segvec;
 pub use wfqueue_shard as shard;

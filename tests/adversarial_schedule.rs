@@ -6,7 +6,7 @@
 //! (Kept in its own integration-test binary because the adversary switch is
 //! process-global; every test here wants it enabled.)
 
-use wfqueue_harness::queue_api::{WfBounded, WfBoundedAvl, WfRing, WfUnbounded};
+use wfqueue_harness::queue_api::{WfBounded, WfRing, WfUnbounded};
 use wfqueue_harness::workload::{run_workload, WorkloadSpec};
 
 fn spec(threads: usize, seed: u64) -> WorkloadSpec {
@@ -32,11 +32,6 @@ fn adversarial_stress_all_variants() {
         let q = WfBounded::with_gc_period(threads, 4);
         let r = run_workload(&q, &spec(threads, 0xAD1 + threads as u64));
         assert!(r.audits_ok(), "wf-bounded p={threads}: {r:?}");
-        wfqueue::bounded::introspect::check_invariants(&q.0).unwrap();
-
-        let q = WfBoundedAvl::with_gc_period(threads, 4);
-        let r = run_workload(&q, &spec(threads, 0xAD2 + threads as u64));
-        assert!(r.audits_ok(), "wf-bounded-avl p={threads}: {r:?}");
         wfqueue::bounded::introspect::check_invariants(&q.0).unwrap();
 
         // Ring capacity well above the workload's random-walk excursion

@@ -6,7 +6,7 @@
 use std::collections::VecDeque;
 
 use wfqueue_harness::lincheck;
-use wfqueue_harness::queue_api::{CoarseMutex, Ms, WfBounded, WfBoundedAvl, WfUnbounded};
+use wfqueue_harness::queue_api::{CoarseMutex, Ms, WfBounded, WfUnbounded};
 use wfqueue_harness::workload::{run_batch_workload, BatchWorkloadSpec};
 use wfqueue_harness::QueueHandle;
 
@@ -45,9 +45,10 @@ fn batched_workload_audits_across_queues_and_sizes() {
         let r = run_batch_workload(&q, &spec);
         assert!(r.audits_ok(), "wf-bounded k={batch_size}: {r:?}");
 
-        let q = WfBoundedAvl::with_gc_period(4, 8);
+        // Frequent GC phases under concurrent batches.
+        let q = WfBounded::with_gc_period(4, 8);
         let r = run_batch_workload(&q, &spec);
-        assert!(r.audits_ok(), "wf-bounded-avl k={batch_size}: {r:?}");
+        assert!(r.audits_ok(), "wf-bounded gc=8 k={batch_size}: {r:?}");
 
         // Baselines run the same workload through the fallback loops.
         let r = run_batch_workload(&Ms::new(), &spec);
@@ -81,10 +82,6 @@ fn sequential_batched_script_matches_vecdeque_on_all_wf_variants() {
     wfqueue::unbounded::introspect::check_invariants(&q).unwrap();
 
     let q: wfqueue::bounded::Queue<u64> = wfqueue::bounded::Queue::with_gc_period(3, 4);
-    drive(&mut q.handles()[..]);
-    wfqueue::bounded::introspect::check_invariants(&q).unwrap();
-
-    let q: wfqueue::bounded::AvlQueue<u64> = wfqueue::bounded::AvlQueue::with_gc_period(3, 4);
     drive(&mut q.handles()[..]);
     wfqueue::bounded::introspect::check_invariants(&q).unwrap();
 }

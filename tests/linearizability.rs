@@ -8,7 +8,7 @@
 //! found.
 
 use wfqueue_harness::lincheck::check_rounds;
-use wfqueue_harness::queue_api::{CoarseMutex, Ms, WfBounded, WfBoundedAvl, WfRing, WfUnbounded};
+use wfqueue_harness::queue_api::{CoarseMutex, Ms, WfBounded, WfRing, WfUnbounded};
 
 #[test]
 fn wf_unbounded_two_threads() {
@@ -43,8 +43,8 @@ fn wf_bounded_four_threads_small_gc() {
 }
 
 #[test]
-fn wf_bounded_avl_store_three_threads() {
-    check_rounds(|| WfBoundedAvl::with_gc_period(3, 2), 3, 4, 40).unwrap();
+fn wf_bounded_three_threads_small_gc() {
+    check_rounds(|| WfBounded::with_gc_period(3, 2), 3, 4, 40).unwrap();
 }
 
 #[test]
