@@ -22,7 +22,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use wfqueue::bounded::{introspect, Queue};
-use wfqueue_harness::queue_api::WfBounded;
 use wfqueue_harness::table::{f1, Table};
 use wfqueue_harness::workload::{run_workload, WorkloadSpec};
 
@@ -131,7 +130,7 @@ fn main() {
     );
     let mut g_rows = Vec::new();
     for g in [1usize, 4, 16, paper_g, 128, 1024, 16_384] {
-        let q = WfBounded::with_gc_period(p, g);
+        let q = Queue::with_gc_period(p, g);
         let spec = WorkloadSpec {
             threads: p,
             ops_per_thread: 8_000,
@@ -143,7 +142,7 @@ fn main() {
         assert!(r.audits_ok(), "audits failed at G={g}");
         let gc = r.enqueue.gc_phases + r.dequeue_hit.gc_phases + r.dequeue_null.gc_phases;
         let helps = r.enqueue.help_calls + r.dequeue_hit.help_calls + r.dequeue_null.help_calls;
-        let stats = introspect::space_stats(&q.0);
+        let stats = introspect::space_stats(&q);
         let label = if g == paper_g {
             format!("{g} (paper)")
         } else {

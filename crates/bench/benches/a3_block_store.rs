@@ -11,9 +11,9 @@
 //! `--json` prints the rows as JSON (used by `scripts/bench_a3.sh` to
 //! record `BENCH_a3.json`).
 
+use wfqueue::bounded;
 use wfqueue::bounded::introspect as bintro;
 use wfqueue_bench::exp;
-use wfqueue_harness::queue_api::WfBounded;
 use wfqueue_harness::table::{f1, Table};
 use wfqueue_harness::workload::{run_workload, WorkloadSpec};
 
@@ -32,7 +32,7 @@ fn main() {
             prefill: 256,
             seed: 0xA3,
         };
-        let q = WfBounded::new(p);
+        let q = bounded::Queue::new(p);
         let r = run_workload(&q, &spec);
         assert!(r.audits_ok());
         let max_steps = r
@@ -40,9 +40,9 @@ fn main() {
             .steps_max
             .max(r.dequeue_hit.steps_max)
             .max(r.dequeue_null.steps_max);
-        let stats = bintro::space_stats(&q.0);
+        let stats = bintro::space_stats(&q);
         let depth = stats.max_tree_depth;
-        let bytes = bintro::live_block_bytes(&q.0) as f64 / stats.total_blocks as f64;
+        let bytes = bintro::live_block_bytes(&q) as f64 / stats.total_blocks as f64;
         rows.push(format!(
             "    {{\"p\": {p}, \"steps\": {:.1}, \"max_steps\": {max_steps}, \"depth\": {depth}, \"bytes_per_block\": {bytes:.1}}}",
             r.steps_avg(),

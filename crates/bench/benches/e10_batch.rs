@@ -17,7 +17,8 @@
 //! `--json` prints a machine-readable summary (used by
 //! `scripts/bench_e10.sh` to record `BENCH_e10.json`).
 
-use wfqueue_harness::queue_api::{ConcurrentQueue, WfBounded, WfUnbounded};
+use wfqueue::{bounded, unbounded};
+use wfqueue_harness::queue_api::ConcurrentQueue;
 use wfqueue_harness::table::{f1, f2, Table};
 use wfqueue_harness::workload::{run_batch_workload, BatchRunReport, BatchWorkloadSpec};
 
@@ -80,7 +81,7 @@ fn sweep<Q: ConcurrentQueue<u64>, F: Fn() -> Q>(
 fn cas_parity() -> (u64, u64) {
     let script_len = 4_000u64;
     let per_op = {
-        let q = WfUnbounded::new(2);
+        let q = unbounded::Queue::new(2);
         let mut h = q.handle();
         let (_, steps) = wfqueue_metrics::measure(|| {
             for i in 0..script_len {
@@ -94,7 +95,7 @@ fn cas_parity() -> (u64, u64) {
         steps.cas_total()
     };
     let batched_k1 = {
-        let q = WfUnbounded::new(2);
+        let q = unbounded::Queue::new(2);
         let mut h = q.handle();
         let (_, steps) = wfqueue_metrics::measure(|| {
             for i in 0..script_len {
@@ -115,21 +116,21 @@ fn main() {
 
     let mut series: Vec<SeriesPoint> = Vec::new();
     sweep(
-        || WfUnbounded::new(THREADS),
+        || unbounded::Queue::new(THREADS),
         "wf-unbounded",
         "enqueue-only",
         enqueue_only_spec,
         &mut series,
     );
     sweep(
-        || WfBounded::new(THREADS),
+        || bounded::Queue::new(THREADS),
         "wf-bounded",
         "enqueue-only",
         enqueue_only_spec,
         &mut series,
     );
     sweep(
-        || WfUnbounded::new(THREADS),
+        || unbounded::Queue::new(THREADS),
         "wf-unbounded",
         "mixed-50/50",
         mixed_spec,

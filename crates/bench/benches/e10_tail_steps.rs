@@ -6,8 +6,9 @@
 //! Reported series: the maximum steps any single operation took during a
 //! contended run, vs `p`, with the max/avg ratio (tail amplification).
 
+use wfqueue::{bounded, unbounded};
 use wfqueue_bench::exp;
-use wfqueue_harness::queue_api::{Ms, WfBounded, WfUnbounded};
+use wfqueue_harness::queue_api::Ms;
 use wfqueue_harness::table::{f1, Table};
 use wfqueue_harness::workload::{run_workload, RunReport, WorkloadSpec};
 
@@ -44,8 +45,8 @@ fn main() {
             prefill: 256,
             seed: 0xE10,
         };
-        let unb = run_workload(&WfUnbounded::new(p), &s);
-        let bnd = run_workload(&WfBounded::new(p), &s);
+        let unb = run_workload(&unbounded::Queue::new(p), &s);
+        let bnd = run_workload(&bounded::Queue::new(p), &s);
         let ms = run_workload(&Ms::new(), &s);
         table.row_owned(vec![
             p.to_string(),

@@ -25,9 +25,10 @@
 //! `--json` prints a machine-readable summary (used by
 //! `scripts/bench_e11.sh` to record `BENCH_e11.json`).
 
-use wfqueue_harness::queue_api::{ConcurrentQueue, Routing, WfShardedBounded, WfShardedUnbounded};
+use wfqueue_harness::queue_api::{ConcurrentQueue, PlacementConfig, Routing};
 use wfqueue_harness::table::{f1, f2, Table};
 use wfqueue_harness::workload::{run_workload, RunReport, WorkloadSpec};
+use wfqueue_shard::{ShardedQueue, ShardedUnbounded};
 
 const SHARD_COUNTS: &[usize] = &[1, 2, 4, 8];
 const THREADS: usize = 8;
@@ -104,21 +105,29 @@ fn main() {
 
     let mut series: Vec<SeriesPoint> = Vec::new();
     sweep(
-        |s| WfShardedUnbounded::new(s, THREADS, Routing::PerProducer),
+        |s| ShardedUnbounded::new(s, THREADS, Routing::PerProducer),
         "wf-sharded-unbounded",
         "per-producer",
         8_192,
         &mut series,
     );
     sweep(
-        |s| WfShardedBounded::with_gc_period(s, THREADS, BOUNDED_GC_PERIOD, Routing::PerProducer),
+        |s| {
+            ShardedQueue::build(
+                s,
+                THREADS,
+                Routing::PerProducer,
+                PlacementConfig::default(),
+                |cap| wfqueue::bounded::Queue::<u64>::with_gc_period(cap, BOUNDED_GC_PERIOD),
+            )
+        },
         "wf-sharded-bounded",
         "per-producer",
         1_536,
         &mut series,
     );
     sweep(
-        |s| WfShardedUnbounded::new(s, THREADS, Routing::Nearest),
+        |s| ShardedUnbounded::new(s, THREADS, Routing::Nearest),
         "wf-sharded-unbounded",
         "nearest",
         8_192,

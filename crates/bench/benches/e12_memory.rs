@@ -45,7 +45,7 @@ use wfqueue::unbounded;
 use wfqueue::unbounded::introspect as uintro;
 use wfqueue::unbounded::ReclaimPolicy;
 use wfqueue_harness::table::Table;
-use wfqueue_shard::{Routing, ShardedUnbounded};
+use wfqueue_shard::{PlacementConfig, Routing, ShardedQueue, ShardedUnbounded};
 
 const THREADS: usize = 4;
 const CHECKPOINTS: usize = 8;
@@ -158,11 +158,12 @@ fn unbounded_series(policy: ReclaimPolicy, label: &'static str) -> Series {
 }
 
 fn sharded_series() -> Series {
-    let q: ShardedUnbounded<u64> = ShardedUnbounded::with_reclaim(
+    let q: ShardedUnbounded<u64> = ShardedQueue::build(
         2,
         THREADS,
         Routing::PerProducer,
-        ReclaimPolicy::EveryKRootBlocks(PERIOD),
+        PlacementConfig::default(),
+        |cap| unbounded::Queue::with_reclaim(cap, ReclaimPolicy::EveryKRootBlocks(PERIOD)),
     );
     let mut handles = q.handles();
     for i in 0..RESIDENT {

@@ -32,10 +32,10 @@
 
 use std::time::{Duration, Instant};
 
+use wfqueue::unbounded;
 use wfqueue_bench::exp::percentile;
-use wfqueue_channel::{unbounded_with, Endpoints, ReclaimPolicy, UnboundedConfig};
+use wfqueue_channel::{Channel, Endpoints, ReclaimPolicy};
 use wfqueue_harness::channel_api::{ChannelMode, WfChannel};
-use wfqueue_harness::queue_api::WfUnbounded;
 use wfqueue_harness::table::{f1, f2, Table};
 use wfqueue_harness::workload::{run_workload, RunReport, WorkloadSpec};
 
@@ -87,13 +87,14 @@ struct Latency {
 /// One paced sender, one parked receiver: each sample is the wall time
 /// from just before `send` to the parked `recv` returning the value.
 fn measure_wakeup_latency() -> Latency {
-    let (mut tx, mut rx) = unbounded_with::<Instant>(UnboundedConfig {
-        endpoints: Endpoints {
+    let (mut tx, mut rx) = Channel::builder::<Instant>()
+        .endpoints(Endpoints {
             senders: 1,
             receivers: 1,
-        },
-        reclaim: ReclaimPolicy::EveryKRootBlocks(64),
-    });
+        })
+        .reclaim(ReclaimPolicy::EveryKRootBlocks(64))
+        .build()
+        .expect("valid channel configuration");
     let consumer = wfqueue_sync::thread::spawn(move || {
         let mut samples = Vec::with_capacity(LATENCY_SAMPLES);
         while samples.len() < LATENCY_SAMPLES {
@@ -132,7 +133,7 @@ fn main() {
     let mut series = vec![
         SeriesPoint {
             series: "raw-handles",
-            report: best_of(|| WfUnbounded::new(2 * THREADS)),
+            report: best_of(|| unbounded::Queue::new(2 * THREADS)),
         },
         SeriesPoint {
             series: "channel-try",

@@ -6,8 +6,9 @@
 //! function of the process count `p`, for both wait-free variants and the
 //! Michael–Scott queue, under a contended 50/50 closed loop.
 
+use wfqueue::{bounded, unbounded};
 use wfqueue_bench::exp;
-use wfqueue_harness::queue_api::{Ms, WfBounded, WfUnbounded};
+use wfqueue_harness::queue_api::Ms;
 use wfqueue_harness::table::{f1, f2, Table};
 use wfqueue_harness::workload::{run_workload, RunReport, WorkloadSpec};
 
@@ -54,9 +55,9 @@ fn main() {
     );
     for &p in exp::p_sweep() {
         let s = spec(p);
-        let unb = run_workload(&WfUnbounded::new(p), &s);
+        let unb = run_workload(&unbounded::Queue::new(p), &s);
         assert!(unb.audits_ok(), "E1 audits failed on wf-unbounded at p={p}");
-        let bnd = run_workload(&WfBounded::new(p), &s);
+        let bnd = run_workload(&bounded::Queue::new(p), &s);
         assert!(bnd.audits_ok(), "E1 audits failed on wf-bounded at p={p}");
         let ms = run_workload(&Ms::new(), &s);
         assert!(ms.audits_ok(), "E1 audits failed on ms-queue at p={p}");

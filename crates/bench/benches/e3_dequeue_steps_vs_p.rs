@@ -7,8 +7,9 @@
 //! prefilled queue under a dequeue-leaning mix, with the `steps / log²2(p)`
 //! ratio that should flatten if the bound is tight.
 
+use wfqueue::{bounded, unbounded};
 use wfqueue_bench::exp;
-use wfqueue_harness::queue_api::{Ms, WfBounded, WfUnbounded};
+use wfqueue_harness::queue_api::Ms;
 use wfqueue_harness::table::{f1, f2, Table};
 use wfqueue_harness::workload::{run_workload, WorkloadSpec};
 
@@ -35,8 +36,8 @@ fn main() {
             prefill: 4_096,
             seed: 0xE3,
         };
-        let unb = run_workload(&WfUnbounded::new(p), &s);
-        let bnd = run_workload(&WfBounded::new(p), &s);
+        let unb = run_workload(&unbounded::Queue::new(p), &s);
+        let bnd = run_workload(&bounded::Queue::new(p), &s);
         let ms = run_workload(&Ms::new(), &s);
         let lg = exp::log2(p.max(2) as f64);
         table.row_owned(vec![

@@ -10,12 +10,13 @@
 //! increment (difference between consecutive rows, which should be roughly
 //! constant for logarithmic growth).
 
-use wfqueue_harness::queue_api::{ConcurrentQueue, WfUnbounded};
+use wfqueue::unbounded;
+use wfqueue_harness::queue_api::ConcurrentQueue;
 use wfqueue_harness::table::{f1, Table};
 use wfqueue_metrics as metrics;
 
 fn measure_dequeue_steps(q_size: usize, samples: usize) -> (f64, u64) {
-    let queue = WfUnbounded::new(1);
+    let queue = unbounded::Queue::new(1);
     let mut h = queue.handle();
     for i in 0..q_size + samples {
         h.enqueue(i as u64);

@@ -8,8 +8,9 @@
 //! ms-queue factor keeps growing with p while the wf factors track
 //! log-polynomial curves.
 
+use wfqueue::{bounded, unbounded};
 use wfqueue_bench::exp;
-use wfqueue_harness::queue_api::{Ms, WfBounded, WfUnbounded};
+use wfqueue_harness::queue_api::Ms;
 use wfqueue_harness::table::{f1, f2, Table};
 use wfqueue_harness::workload::{run_workload, WorkloadSpec};
 
@@ -41,8 +42,8 @@ fn main() {
             prefill: 256,
             seed: 0xE5,
         };
-        let unb = run_workload(&WfUnbounded::new(p), &s).steps_avg();
-        let bnd = run_workload(&WfBounded::new(p), &s).steps_avg();
+        let unb = run_workload(&unbounded::Queue::new(p), &s).steps_avg();
+        let bnd = run_workload(&bounded::Queue::new(p), &s).steps_avg();
         let ms = run_workload(&Ms::new(), &s).steps_avg();
         let (bu, bb, bm) = *base.get_or_insert((unb, bnd, ms));
         table.row_owned(vec![

@@ -6,8 +6,8 @@
 //! fixed `p`, each with the `steps / (log2 p · log2(p+q))` ratio column
 //! that should flatten if the bound is tight.
 
+use wfqueue::bounded;
 use wfqueue_bench::exp;
-use wfqueue_harness::queue_api::WfBounded;
 use wfqueue_harness::table::{f1, f2, Table};
 use wfqueue_harness::workload::{run_workload, WorkloadSpec};
 
@@ -31,7 +31,7 @@ fn main() {
             prefill: 256,
             seed: 0xE6,
         };
-        let q = WfBounded::new(p);
+        let q = bounded::Queue::new(p);
         let report = run_workload(&q, &s);
         let gc =
             report.enqueue.gc_phases + report.dequeue_hit.gc_phases + report.dequeue_null.gc_phases;
@@ -63,7 +63,7 @@ fn main() {
             prefill: qsize,
             seed: 0xE6B,
         };
-        let q = WfBounded::new(4);
+        let q = bounded::Queue::new(4);
         let report = run_workload(&q, &s);
         let lg = exp::log2(4.0_f64) * exp::log2((4 + qsize) as f64);
         by_q.row_owned(vec![

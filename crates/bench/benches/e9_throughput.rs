@@ -8,9 +8,8 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use wfqueue_harness::queue_api::{
-    CoarseMutex, ConcurrentQueue, Ms, Seg, TwoLock, WfBounded, WfUnbounded,
-};
+use wfqueue::{bounded, unbounded};
+use wfqueue_harness::queue_api::{CoarseMutex, ConcurrentQueue, Ms, Seg, TwoLock};
 use wfqueue_harness::workload::{run_workload, WorkloadSpec};
 
 fn spec(p: usize, total_ops: u64) -> WorkloadSpec {
@@ -50,8 +49,8 @@ where
 }
 
 fn benches(c: &mut Criterion) {
-    bench_queue(c, WfUnbounded::new, "wf-unbounded");
-    bench_queue(c, WfBounded::new, "wf-bounded");
+    bench_queue(c, unbounded::Queue::new, "wf-unbounded");
+    bench_queue(c, bounded::Queue::new, "wf-bounded");
     bench_queue(c, |_| Ms::new(), "ms-queue");
     bench_queue(c, |_| TwoLock::new(), "two-lock");
     bench_queue(c, |_| CoarseMutex::new(), "mutex");

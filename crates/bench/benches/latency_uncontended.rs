@@ -5,9 +5,8 @@
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use wfqueue_harness::queue_api::{
-    CoarseMutex, ConcurrentQueue, Ms, QueueHandle, Seg, TwoLock, WfBounded, WfUnbounded,
-};
+use wfqueue::{bounded, unbounded};
+use wfqueue_harness::queue_api::{CoarseMutex, ConcurrentQueue, Ms, QueueHandle, Seg, TwoLock};
 
 fn bench_pair<Q, F>(c: &mut Criterion, make: F, name: &str)
 where
@@ -31,8 +30,8 @@ where
 }
 
 fn benches(c: &mut Criterion) {
-    bench_pair(c, || WfUnbounded::new(1), "wf-unbounded");
-    bench_pair(c, || WfBounded::new(1), "wf-bounded");
+    bench_pair(c, || unbounded::Queue::new(1), "wf-unbounded");
+    bench_pair(c, || bounded::Queue::new(1), "wf-bounded");
     bench_pair(c, Ms::new, "ms-queue");
     bench_pair(c, TwoLock::new, "two-lock");
     bench_pair(c, CoarseMutex::new, "mutex");

@@ -81,7 +81,7 @@ pub use error::{
     BrokerError, ConsumeError, ConsumeTimeoutError, PublishError, TryConsumeError, TryPublishError,
 };
 pub use topic::{Publisher, Subscriber, SubscriberIter, Topic, TopicConfig, TopicStats};
-pub use wfqueue_channel::{Backend, MemoryStats, PlacementConfig, ReclaimPolicy};
+pub use wfqueue_channel::{Backend, MemoryStats, ReclaimPolicy};
 
 use topic::AnyTopic;
 

@@ -20,8 +20,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use wfqueue_channel::{
-    Backend, Channel, Endpoints, MemoryStats, PlacementConfig, Receiver, ReclaimPolicy, Seal,
-    Sender, Signal, TryRecvError, TrySendError,
+    Backend, Channel, Endpoints, MemoryStats, Receiver, ReclaimPolicy, Seal, Sender, Signal,
+    TryRecvError, TrySendError,
 };
 use wfqueue_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -34,11 +34,10 @@ use crate::error::{
 ///
 /// The defaults — unbounded backend, 16 publishers + 16 subscribers — suit
 /// a long-running service topic; the [`TopicConfig::bounded`] and
-/// [`TopicConfig::ring`] shorthands configure backpressured topics. Knobs
-/// that only apply to some backends (`reclaim`, `placement`,
-/// `gc_period`) are validated by the channel builder this config delegates
-/// to: an inapplicable combination is a
-/// [`BrokerError::Config`], not a silent ignore.
+/// [`TopicConfig::ring`] shorthands configure backpressured topics.
+/// `reclaim`, which only applies to some backends, is validated by the
+/// channel builder this config delegates to: an inapplicable combination
+/// is a [`BrokerError::Config`], not a silent ignore.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TopicConfig {
     /// The channel backend storing the topic's values (see
@@ -52,11 +51,6 @@ pub struct TopicConfig {
     pub subscribers: usize,
     /// Tree-truncation policy (unbounded/sharded backends only).
     pub reclaim: Option<ReclaimPolicy>,
-    /// Hardware placement ordering the nearest-first receive scan
-    /// (sharded backend only).
-    pub placement: Option<PlacementConfig>,
-    /// GC period (bounded-tree backend only).
-    pub gc_period: Option<usize>,
 }
 
 impl Default for TopicConfig {
@@ -67,8 +61,6 @@ impl Default for TopicConfig {
             publishers: 16,
             subscribers: 16,
             reclaim: None,
-            placement: None,
-            gc_period: None,
         }
     }
 }
@@ -205,13 +197,9 @@ impl<T: Clone + Send + Sync + 'static> TopicCore<T> {
             .endpoints(Endpoints {
                 senders: config.publishers.saturating_add(1),
                 receivers: config.subscribers.saturating_add(1),
-            })
-            .gc_period(config.gc_period);
+            });
         if let Some(reclaim) = config.reclaim {
             builder = builder.reclaim(reclaim);
-        }
-        if let Some(placement) = config.placement {
-            builder = builder.placement(placement);
         }
         let (tx, rx) = builder.build().map_err(|source| BrokerError::Config {
             name: name.to_string(),

@@ -1,10 +1,7 @@
-//! The unified channel constructor: [`Channel::builder`].
+//! The channel constructor: [`Channel::builder`].
 //!
-//! The free constructors ([`unbounded`](crate::unbounded),
-//! [`bounded`](crate::bounded), [`sharded`](crate::sharded), …) grew one
-//! config struct per backend; the builder replaces that N-structs surface
-//! with a single fluent spelling in which the backend is just another
-//! typed knob:
+//! Every knob is a builder method, and the backend is just another typed
+//! knob:
 //!
 //! ```
 //! use wfqueue_channel::{Backend, Channel};
@@ -21,16 +18,16 @@
 //! returns a [`BuildError`] instead of panicking deep inside a backend
 //! constructor: a reclaim policy on the ring, a placement on a
 //! single-queue backend, a zero capacity — all are rejected up front with
-//! a message naming the inconsistent pair. The free constructors remain as
-//! thin wrappers over this builder (with identical step counts — asserted
-//! by `tests/channel.rs`), so existing code keeps working unchanged.
+//! a message naming the inconsistent pair. [`unbounded`](crate::unbounded)
+//! and [`bounded`](crate::bounded) are one-call shorthands for a builder
+//! with no knob set.
 
 use std::marker::PhantomData;
 
 use wfqueue_ring::Ring;
 
 use crate::backend::Backend as Queue;
-use wfqueue_shard::Routing;
+use wfqueue_shard::{Routing, ShardedQueue};
 
 use crate::{BuildError, Endpoints, PlacementConfig, Receiver, ReclaimPolicy, Sender, Shared};
 
@@ -129,9 +126,9 @@ impl Channel {
 /// Builds a channel from a [`Backend`] choice plus the knobs that backend
 /// supports; see [`Channel::builder`].
 ///
-/// Knobs left unset take the same defaults the free constructors use
-/// (reclaim `EveryKRootBlocks(64)`, detected placement, paper-default GC
-/// period). Setting a knob the chosen backend cannot honour is a
+/// Knobs left unset take their defaults: reclaim `EveryKRootBlocks(64)`,
+/// detected placement, and a GC period that follows the registered
+/// endpoints. Setting a knob the chosen backend cannot honour is a
 /// [`BuildError`], not a silent ignore.
 #[derive(Debug, Clone, Copy)]
 #[must_use = "a builder does nothing until `.build()`"]
@@ -159,7 +156,25 @@ impl<T: Clone + Send + Sync + 'static> ChannelBuilder<T> {
     }
 
     /// Sets the tree-truncation policy — [`Backend::Unbounded`] and
-    /// [`Backend::Sharded`] only (default: `EveryKRootBlocks(64)`).
+    /// [`Backend::Sharded`] only (default: `EveryKRootBlocks(64)`, which
+    /// keeps live memory plateaued under churn). [`ReclaimPolicy::Off`]
+    /// runs the paper's exact §3 path and keeps history until the channel
+    /// drops.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use wfqueue_channel::{Channel, Endpoints, ReclaimPolicy};
+    ///
+    /// // A small channel on the paper's exact §3 path (no truncation).
+    /// let (mut tx, mut rx) = Channel::builder::<u64>()
+    ///     .endpoints(Endpoints { senders: 1, receivers: 1 })
+    ///     .reclaim(ReclaimPolicy::Off)
+    ///     .build()
+    ///     .unwrap();
+    /// tx.send(1).unwrap();
+    /// assert_eq!(rx.recv(), Ok(1));
+    /// ```
     pub fn reclaim(mut self, reclaim: ReclaimPolicy) -> Self {
         self.reclaim = Some(reclaim);
         self
@@ -167,7 +182,25 @@ impl<T: Clone + Send + Sync + 'static> ChannelBuilder<T> {
 
     /// Sets the hardware placement that orders the sharded backend's
     /// nearest-first receive scan — [`Backend::Sharded`] only (default:
-    /// [`PlacementConfig::Detect`]).
+    /// [`PlacementConfig::Detect`], which reads `/sys/devices/system/cpu`
+    /// once, with a deterministic fallback). Tests and reproducible
+    /// benchmarks pin [`PlacementConfig::Flat`] or
+    /// [`PlacementConfig::Uniform`].
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use wfqueue_channel::{Backend, Channel, PlacementConfig};
+    ///
+    /// let (mut tx, mut rx) = Channel::builder()
+    ///     .backend(Backend::Sharded { shards: 2 })
+    ///     .placement(PlacementConfig::Flat)
+    ///     .build()
+    ///     .unwrap();
+    /// tx.send_all([1, 2, 3]).unwrap(); // one sender: arrives in order
+    /// assert_eq!(rx.recv(), Ok(1));
+    /// assert_eq!(rx.recv_up_to(5), vec![2, 3]);
+    /// ```
     pub fn placement(mut self, placement: PlacementConfig) -> Self {
         self.placement = Some(placement);
         self
@@ -224,12 +257,12 @@ impl<T: Clone + Send + Sync + 'static> ChannelBuilder<T> {
             }
             Backend::Ring { capacity } => (Queue::Ring(Box::new(Ring::new(capacity, total))), None),
             Backend::Sharded { shards } => (
-                Queue::Sharded(wfqueue_shard::ShardedUnbounded::with_reclaim_placed(
+                Queue::Sharded(ShardedQueue::build(
                     shards,
                     total,
                     Routing::Nearest,
-                    reclaim,
                     self.placement.unwrap_or_default(),
+                    |cap| wfqueue::unbounded::Queue::with_reclaim(cap, reclaim),
                 )),
                 None,
             ),

@@ -937,7 +937,7 @@ impl<T: Clone + Send + Sync + 'static> IntoIterator for Receiver<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{bounded, sharded, unbounded, ShardedConfig};
+    use crate::{bounded, unbounded, Backend, Channel, Endpoints};
 
     #[test]
     fn round_trip_all_backends() {
@@ -949,7 +949,10 @@ mod tests {
         tx.send(2u64).unwrap();
         assert_eq!(rx.recv(), Ok(2));
 
-        let (mut tx, mut rx) = sharded(ShardedConfig::default());
+        let (mut tx, mut rx) = Channel::builder()
+            .backend(Backend::Sharded { shards: 4 })
+            .build()
+            .unwrap();
         tx.send(3u64).unwrap();
         assert_eq!(rx.recv(), Ok(3));
     }
@@ -1114,14 +1117,13 @@ mod tests {
 
     #[test]
     fn endpoint_budget_is_capped() {
-        let cfg = crate::UnboundedConfig {
-            endpoints: crate::Endpoints {
+        let (tx, rx) = Channel::builder::<u32>()
+            .endpoints(Endpoints {
                 senders: 2,
                 receivers: 1,
-            },
-            ..crate::UnboundedConfig::default()
-        };
-        let (tx, rx) = crate::unbounded_with::<u32>(cfg);
+            })
+            .build()
+            .unwrap();
         let tx2 = tx.try_clone().unwrap();
         // Budget of 2 senders: the original + one clone; a third fails,
         // and dropped endpoints do not return their slot.

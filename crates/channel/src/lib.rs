@@ -65,10 +65,9 @@
 //! documented lock-free windows for much cheaper per-operation work — see
 //! the `wfqueue_ring` crate docs for the exact contract.
 //!
-//! The original free constructors — [`unbounded`] / [`unbounded_with`],
-//! [`bounded`] / [`bounded_with`] and [`sharded`] — remain as thin
-//! wrappers over the builder (step-for-step identical; asserted in
-//! `tests/channel.rs`).
+//! Two knob-free shorthands cover the common cases: [`unbounded`] is
+//! `Channel::builder().build()`, and [`bounded`] is the same with
+//! [`Backend::BoundedTree`] at the given capacity.
 //!
 //! # Endpoint budgets
 //!
@@ -98,7 +97,8 @@
 //!
 //! * `try_send` / `try_recv` / `recv_up_to` are exactly as wait-free as
 //!   the raw handles (asserted parity), entry handshake included.
-//! * `send` on an [`unbounded`]/[`sharded`] channel never waits at all.
+//! * `send` on an [`unbounded`] or [`Backend::Sharded`] channel never
+//!   waits at all.
 //! * `recv` / full-`send` park on an event count whose handshake is
 //!   lost-wakeup-free (publish → re-check → sleep vs update → fence →
 //!   check, hunted by the adversarial scheduler in `tests/channel.rs`),
@@ -188,96 +188,9 @@ impl Endpoints {
     }
 }
 
-/// Configuration of an [`unbounded_with`] channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UnboundedConfig {
-    /// Endpoint budget (sizes the ordering tree).
-    pub endpoints: Endpoints,
-    /// Tree-truncation policy of the backing queue. The default,
-    /// `EveryKRootBlocks(64)`, keeps live memory plateaued under churn —
-    /// the right default for a long-running service. Use
-    /// [`ReclaimPolicy::Off`] for the paper's byte-for-byte §3 hot path
-    /// (history is then retained until the channel drops).
-    pub reclaim: ReclaimPolicy,
-}
-
-impl Default for UnboundedConfig {
-    fn default() -> Self {
-        UnboundedConfig {
-            endpoints: Endpoints::default(),
-            reclaim: ReclaimPolicy::EveryKRootBlocks(64),
-        }
-    }
-}
-
-/// Configuration of a [`bounded_with`] channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BoundedConfig {
-    /// Maximum in-flight values; [`Sender::send`] blocks (and
-    /// [`Sender::try_send`] returns [`TrySendError::Full`]) at the limit.
-    /// Must be ≥ 1.
-    pub capacity: usize,
-    /// Endpoint budget (sizes the ordering tree).
-    pub endpoints: Endpoints,
-    /// GC period of the backing bounded-space queue; `None` uses
-    /// `bounded::Queue::new`'s period, which follows the registered
-    /// endpoints up to the paper's `G` for the tree size.
-    pub gc_period: Option<usize>,
-}
-
-impl BoundedConfig {
-    /// Defaults (default endpoints, default GC period) at the given
-    /// capacity.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> Self {
-        BoundedConfig {
-            capacity,
-            endpoints: Endpoints::default(),
-            gc_period: None,
-        }
-    }
-}
-
-/// Configuration of a [`sharded`] channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardedConfig {
-    /// Independent wait-free shards fanning out the root-CAS bandwidth
-    /// (must be ≥ 1). `1` is observationally a plain [`unbounded`]
-    /// channel.
-    pub shards: usize,
-    /// Endpoint budget (every endpoint may touch every shard, so each
-    /// shard's tree is sized to the whole budget).
-    pub endpoints: Endpoints,
-    /// Hardware placement ordering the receivers' nearest-first scan:
-    /// [`PlacementConfig::Detect`] reads `/sys/devices/system/cpu` once
-    /// (with a deterministic fallback); tests and reproducible benchmarks
-    /// pin [`PlacementConfig::Flat`] or [`PlacementConfig::Uniform`].
-    ///
-    /// Every sharded channel routes by [`wfqueue_shard::Routing::Nearest`]:
-    /// each sender pins to its home shard (per-sender FIFO), and each
-    /// receive scans hinted-nonempty shards nearest-first from the
-    /// receiver's home, then the rest — so an `Empty` or a disconnect
-    /// drain still means every shard was probed.
-    pub placement: PlacementConfig,
-    /// Per-shard tree-truncation policy (see [`UnboundedConfig::reclaim`]).
-    pub reclaim: ReclaimPolicy,
-}
-
-impl Default for ShardedConfig {
-    /// 4 shards, default endpoints, detected placement, truncation every
-    /// 64 root blocks.
-    fn default() -> Self {
-        ShardedConfig {
-            shards: 4,
-            endpoints: Endpoints::default(),
-            placement: PlacementConfig::default(),
-            reclaim: ReclaimPolicy::EveryKRootBlocks(64),
-        }
-    }
-}
-
-/// Creates an unbounded MPMC channel over the wait-free unbounded queue
-/// (with memory-stabilising tree truncation — see [`UnboundedConfig`]).
+/// Creates an unbounded MPMC channel over the wait-free unbounded queue,
+/// with memory-stabilising tree truncation and the default [`Endpoints`]:
+/// `Channel::builder().build()`.
 ///
 /// `send` never blocks; `recv` parks while empty.
 ///
@@ -291,38 +204,9 @@ impl Default for ShardedConfig {
 /// ```
 #[must_use]
 pub fn unbounded<T: Clone + Send + Sync + 'static>() -> (Sender<T>, Receiver<T>) {
-    unbounded_with(UnboundedConfig::default())
-}
-
-/// [`unbounded`] with an explicit [`UnboundedConfig`].
-///
-/// # Panics
-///
-/// Panics if an endpoint budget is zero or the reclaim period is zero.
-///
-/// # Examples
-///
-/// ```
-/// use wfqueue_channel::{unbounded_with, Endpoints, ReclaimPolicy, UnboundedConfig};
-///
-/// // A small channel on the paper's exact §3 path (no truncation).
-/// let (mut tx, mut rx) = unbounded_with::<u64>(UnboundedConfig {
-///     endpoints: Endpoints { senders: 1, receivers: 1 },
-///     reclaim: ReclaimPolicy::Off,
-/// });
-/// tx.send(1).unwrap();
-/// assert_eq!(rx.recv(), Ok(1));
-/// ```
-#[must_use]
-pub fn unbounded_with<T: Clone + Send + Sync + 'static>(
-    cfg: UnboundedConfig,
-) -> (Sender<T>, Receiver<T>) {
     Channel::builder()
-        .backend(Backend::Unbounded)
-        .endpoints(cfg.endpoints)
-        .reclaim(cfg.reclaim)
         .build()
-        .unwrap_or_else(|e| panic!("{e}"))
+        .expect("the default configuration is valid")
 }
 
 /// Creates a capacity-bounded MPMC channel over the wait-free
@@ -347,59 +231,8 @@ pub fn unbounded_with<T: Clone + Send + Sync + 'static>(
 /// ```
 #[must_use]
 pub fn bounded<T: Clone + Send + Sync + 'static>(capacity: usize) -> (Sender<T>, Receiver<T>) {
-    bounded_with(BoundedConfig::with_capacity(capacity))
-}
-
-/// [`bounded`] with an explicit [`BoundedConfig`].
-///
-/// # Panics
-///
-/// Panics if the capacity, an endpoint budget or the GC period is zero.
-#[must_use]
-pub fn bounded_with<T: Clone + Send + Sync + 'static>(
-    cfg: BoundedConfig,
-) -> (Sender<T>, Receiver<T>) {
     Channel::builder()
-        .backend(Backend::BoundedTree {
-            capacity: cfg.capacity,
-        })
-        .endpoints(cfg.endpoints)
-        .gc_period(cfg.gc_period)
-        .build()
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Creates an unbounded MPMC channel over `cfg.shards` independent
-/// wait-free shards: root-CAS bandwidth multiplies by the shard count, at
-/// the cost of relaxing ordering to per-sender FIFO (see
-/// [`ShardedConfig::placement`]).
-///
-/// # Panics
-///
-/// Panics if the shard count, an endpoint budget or the reclaim period is
-/// zero.
-///
-/// # Examples
-///
-/// ```
-/// use wfqueue_channel::{sharded, PlacementConfig, ShardedConfig};
-///
-/// let (mut tx, mut rx) = sharded(ShardedConfig {
-///     shards: 2,
-///     placement: PlacementConfig::Flat,
-///     ..ShardedConfig::default()
-/// });
-/// tx.send_all([1, 2, 3]).unwrap(); // one sender: arrives in order
-/// assert_eq!(rx.recv(), Ok(1));
-/// assert_eq!(rx.recv_up_to(5), vec![2, 3]);
-/// ```
-#[must_use]
-pub fn sharded<T: Clone + Send + Sync + 'static>(cfg: ShardedConfig) -> (Sender<T>, Receiver<T>) {
-    Channel::builder()
-        .backend(Backend::Sharded { shards: cfg.shards })
-        .endpoints(cfg.endpoints)
-        .placement(cfg.placement)
-        .reclaim(cfg.reclaim)
+        .backend(Backend::BoundedTree { capacity })
         .build()
         .unwrap_or_else(|e| panic!("{e}"))
 }

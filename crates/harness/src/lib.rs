@@ -35,4 +35,4 @@ pub mod stats;
 pub mod table;
 pub mod workload;
 
-pub use queue_api::{CapacityError, ConcurrentQueue, QueueHandle};
+pub use queue_api::{ConcurrentQueue, QueueHandle};

@@ -13,7 +13,7 @@ use std::collections::VecDeque;
 use std::sync::Barrier;
 use wfqueue_sync::atomic::{AtomicU64, Ordering};
 
-use crate::queue_api::{CapacityError, ConcurrentQueue, QueueHandle};
+use crate::queue_api::{ConcurrentQueue, QueueHandle};
 use crate::rng::SplitMix64;
 
 /// An operation observed in a history.
@@ -45,8 +45,7 @@ pub struct Event {
 ///
 /// # Panics
 ///
-/// Panics if the queue cannot hand out `threads` handles; use
-/// [`try_record_history`] for a [`CapacityError`] instead.
+/// Panics if the queue cannot hand out `threads` handles.
 pub fn record_history<Q: ConcurrentQueue<u32>>(
     queue: &Q,
     threads: usize,
@@ -54,26 +53,9 @@ pub fn record_history<Q: ConcurrentQueue<u32>>(
     enqueue_permille: u32,
     seed: u64,
 ) -> Vec<Event> {
-    try_record_history(queue, threads, ops_per_thread, enqueue_permille, seed)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Panic-free [`record_history`].
-///
-/// # Errors
-///
-/// Returns [`CapacityError`] if the queue cannot hand out `threads`
-/// handles.
-pub fn try_record_history<Q: ConcurrentQueue<u32>>(
-    queue: &Q,
-    threads: usize,
-    ops_per_thread: usize,
-    enqueue_permille: u32,
-    seed: u64,
-) -> Result<Vec<Event>, CapacityError> {
     let clock = AtomicU64::new(0);
     let barrier = Barrier::new(threads);
-    let handles: Vec<Q::Handle<'_>> = queue.try_handles(threads)?;
+    let handles: Vec<Q::Handle<'_>> = (0..threads).map(|_| queue.handle()).collect();
     let per_thread: Vec<Vec<Event>> = wfqueue_sync::thread::scope(|s| {
         let joins: Vec<_> = handles
             .into_iter()
@@ -110,7 +92,7 @@ pub fn try_record_history<Q: ConcurrentQueue<u32>>(
             .collect();
         joins.into_iter().map(|j| j.join().unwrap()).collect()
     });
-    Ok(per_thread.into_iter().flatten().collect())
+    per_thread.into_iter().flatten().collect()
 }
 
 /// Records a complete concurrent history of **batched** operations: each of
@@ -124,8 +106,7 @@ pub fn try_record_history<Q: ConcurrentQueue<u32>>(
 ///
 /// # Panics
 ///
-/// Panics if the queue cannot hand out `threads` handles; use
-/// [`try_record_batch_history`] for a [`CapacityError`] instead.
+/// Panics if the queue cannot hand out `threads` handles.
 pub fn record_batch_history<Q: ConcurrentQueue<u32>>(
     queue: &Q,
     threads: usize,
@@ -134,34 +115,9 @@ pub fn record_batch_history<Q: ConcurrentQueue<u32>>(
     enqueue_permille: u32,
     seed: u64,
 ) -> Vec<Event> {
-    try_record_batch_history(
-        queue,
-        threads,
-        batches_per_thread,
-        batch_size,
-        enqueue_permille,
-        seed,
-    )
-    .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Panic-free [`record_batch_history`].
-///
-/// # Errors
-///
-/// Returns [`CapacityError`] if the queue cannot hand out `threads`
-/// handles.
-pub fn try_record_batch_history<Q: ConcurrentQueue<u32>>(
-    queue: &Q,
-    threads: usize,
-    batches_per_thread: usize,
-    batch_size: usize,
-    enqueue_permille: u32,
-    seed: u64,
-) -> Result<Vec<Event>, CapacityError> {
     let clock = AtomicU64::new(0);
     let barrier = Barrier::new(threads);
-    let handles: Vec<Q::Handle<'_>> = queue.try_handles(threads)?;
+    let handles: Vec<Q::Handle<'_>> = (0..threads).map(|_| queue.handle()).collect();
     let per_thread: Vec<Vec<Event>> = wfqueue_sync::thread::scope(|s| {
         let joins: Vec<_> = handles
             .into_iter()
@@ -201,7 +157,7 @@ pub fn try_record_batch_history<Q: ConcurrentQueue<u32>>(
             .collect();
         joins.into_iter().map(|j| j.join().unwrap()).collect()
     });
-    Ok(per_thread.into_iter().flatten().collect())
+    per_thread.into_iter().flatten().collect()
 }
 
 /// Searches for a valid linearization of `history` against the sequential

@@ -1,40 +1,17 @@
 //! A uniform queue interface over the wait-free queue variants, the
 //! sharded frontend and all baselines, so workloads, checkers and
 //! experiments are written once.
-
-use std::fmt;
+//!
+//! The wait-free queues implement [`ConcurrentQueue`] directly, and every
+//! `wfqueue_shard::ShardHandle` is a [`QueueHandle`], so callers pass the
+//! queues themselves. Only the baselines, whose operations take `&self`,
+//! need an adapter ([`RefHandle`]).
 
 use wfqueue_baselines::{MsQueue, MutexQueue, SegQueueAdapter, TwoLockQueue};
-use wfqueue_shard::{Shard, ShardedBounded, ShardedHandle, ShardedUnbounded};
+use wfqueue_ring::Ring;
+use wfqueue_shard::{ShardHandle, ShardedHandle, ShardedQueue};
 
 pub use wfqueue_shard::{PlacementConfig, ReclaimPolicy, Routing};
-
-/// A queue could not supply the requested number of handles.
-///
-/// Returned by [`ConcurrentQueue::try_handles`] and the `try_` workload
-/// runners ([`crate::workload::try_run_workload`] and friends) — the
-/// panic-free counterpart of [`ConcurrentQueue::handle`]'s documented
-/// panic when `p` exceeds the queue's handle capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CapacityError {
-    /// Handles that were requested.
-    pub requested: usize,
-    /// Handles the queue could actually supply.
-    pub available: usize,
-}
-
-impl fmt::Display for CapacityError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "queue handle capacity exhausted: requested {} handles, only {} available \
-             (create the queue with more processes)",
-            self.requested, self.available
-        )
-    }
-}
-
-impl std::error::Error for CapacityError {}
 
 /// A shared multi-producer multi-consumer FIFO queue under test.
 ///
@@ -76,32 +53,6 @@ pub trait ConcurrentQueue<T>: Sync {
         }
     }
 
-    /// Acquires exactly `n` handles, or a [`CapacityError`] reporting how
-    /// many were available — the panic-free bulk counterpart of calling
-    /// [`ConcurrentQueue::handle`] `n` times.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CapacityError`] if fewer than `n` handles could be
-    /// acquired; handles already taken by this call are dropped (for the
-    /// capped wait-free queues their pids stay consumed, as with any
-    /// dropped handle).
-    fn try_handles(&self, n: usize) -> Result<Vec<Self::Handle<'_>>, CapacityError> {
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            match self.try_handle() {
-                Some(h) => out.push(h),
-                None => {
-                    return Err(CapacityError {
-                        requested: n,
-                        available: out.len(),
-                    })
-                }
-            }
-        }
-        Ok(out)
-    }
-
     /// Maximum number of handles, if bounded.
     fn capacity(&self) -> Option<usize> {
         None
@@ -134,32 +85,35 @@ pub trait QueueHandle<T> {
 }
 
 // ---------------------------------------------------------------------------
-// Wait-free queue adapters
+// The wait-free queues
 // ---------------------------------------------------------------------------
 
-/// Adapter for the unbounded wait-free queue.
-#[derive(Debug)]
-pub struct WfUnbounded<T: Clone + Send + Sync>(pub wfqueue::unbounded::Queue<T>);
-
-impl<T: Clone + Send + Sync> WfUnbounded<T> {
-    /// Creates an adapter with capacity for `processes` handles.
-    #[must_use]
-    pub fn new(processes: usize) -> Self {
-        WfUnbounded(wfqueue::unbounded::Queue::new(processes))
+/// Every shard handle — the §3 and §6 queues', the ring's and the sharded
+/// composite's — is a queue handle with native batches.
+///
+/// The ring's `ShardHandle::enqueue` spins (helping stalled peers between
+/// attempts) while the ring is full, so workloads must keep enqueues and
+/// dequeues balanced within the ring's capacity, as they would for any
+/// bounded queue.
+impl<H: ShardHandle> QueueHandle<H::Item> for H {
+    fn enqueue(&mut self, value: H::Item) {
+        ShardHandle::enqueue(self, value);
     }
 
-    /// Creates an adapter whose queue truncates dead ordering-tree prefixes
-    /// per `policy` (see `wfqueue::unbounded::reclaim`).
-    #[must_use]
-    pub fn with_reclaim(processes: usize, policy: ReclaimPolicy) -> Self
-    where
-        T: 'static,
-    {
-        WfUnbounded(wfqueue::unbounded::Queue::with_reclaim(processes, policy))
+    fn dequeue(&mut self) -> Option<H::Item> {
+        ShardHandle::dequeue(self)
+    }
+
+    fn enqueue_batch(&mut self, values: Vec<H::Item>) {
+        ShardHandle::enqueue_batch(self, values);
+    }
+
+    fn dequeue_batch(&mut self, count: usize) -> Vec<Option<H::Item>> {
+        ShardHandle::dequeue_batch(self, count)
     }
 }
 
-impl<T: Clone + Send + Sync> ConcurrentQueue<T> for WfUnbounded<T> {
+impl<T: Clone + Send + Sync> ConcurrentQueue<T> for wfqueue::unbounded::Queue<T> {
     type Handle<'a>
         = wfqueue::unbounded::Handle<'a, T>
     where
@@ -170,54 +124,15 @@ impl<T: Clone + Send + Sync> ConcurrentQueue<T> for WfUnbounded<T> {
     }
 
     fn try_handle(&self) -> Option<Self::Handle<'_>> {
-        self.0.register()
+        self.register()
     }
 
     fn capacity(&self) -> Option<usize> {
-        Some(self.0.num_processes())
+        Some(self.num_processes())
     }
 }
 
-impl<T: Clone + Send + Sync> QueueHandle<T> for wfqueue::unbounded::Handle<'_, T> {
-    fn enqueue(&mut self, value: T) {
-        wfqueue::unbounded::Handle::enqueue(self, value);
-    }
-
-    fn dequeue(&mut self) -> Option<T> {
-        wfqueue::unbounded::Handle::dequeue(self)
-    }
-
-    fn enqueue_batch(&mut self, values: Vec<T>) {
-        wfqueue::unbounded::Handle::enqueue_batch(self, values);
-    }
-
-    fn dequeue_batch(&mut self, count: usize) -> Vec<Option<T>> {
-        wfqueue::unbounded::Handle::dequeue_batch(self, count)
-    }
-}
-
-/// Adapter for the bounded-space wait-free queue.
-#[derive(Debug)]
-pub struct WfBounded<T: Clone + Send + Sync>(pub wfqueue::bounded::Queue<T>);
-
-impl<T: Clone + Send + Sync> WfBounded<T> {
-    /// Creates an adapter whose GC period follows the registered handles,
-    /// capped at the paper's `p²⌈log₂ p⌉` (see `bounded::Queue::new`).
-    #[must_use]
-    pub fn new(processes: usize) -> Self {
-        WfBounded(wfqueue::bounded::Queue::new(processes))
-    }
-
-    /// Creates an adapter with an explicit GC period.
-    #[must_use]
-    pub fn with_gc_period(processes: usize, gc_period: usize) -> Self {
-        WfBounded(wfqueue::bounded::Queue::with_gc_period(
-            processes, gc_period,
-        ))
-    }
-}
-
-impl<T: Clone + Send + Sync> ConcurrentQueue<T> for WfBounded<T> {
+impl<T: Clone + Send + Sync> ConcurrentQueue<T> for wfqueue::bounded::Queue<T> {
     type Handle<'a>
         = wfqueue::bounded::Handle<'a, T>
     where
@@ -228,53 +143,15 @@ impl<T: Clone + Send + Sync> ConcurrentQueue<T> for WfBounded<T> {
     }
 
     fn try_handle(&self) -> Option<Self::Handle<'_>> {
-        self.0.register()
+        self.register()
     }
 
     fn capacity(&self) -> Option<usize> {
-        Some(self.0.num_processes())
+        Some(self.num_processes())
     }
 }
 
-impl<T: Clone + Send + Sync> QueueHandle<T> for wfqueue::bounded::Handle<'_, T> {
-    fn enqueue(&mut self, value: T) {
-        wfqueue::bounded::Handle::enqueue(self, value);
-    }
-
-    fn dequeue(&mut self) -> Option<T> {
-        wfqueue::bounded::Handle::dequeue(self)
-    }
-
-    fn enqueue_batch(&mut self, values: Vec<T>) {
-        wfqueue::bounded::Handle::enqueue_batch(self, values);
-    }
-
-    fn dequeue_batch(&mut self, count: usize) -> Vec<Option<T>> {
-        wfqueue::bounded::Handle::dequeue_batch(self, count)
-    }
-}
-
-/// Adapter for the wCQ-style bounded ring (`wfqueue_ring`).
-///
-/// [`QueueHandle::enqueue`] is infallible while the ring's capacity is a
-/// hard bound, so on a full ring the adapter spins (helping stalled peers
-/// between attempts) until a dequeue frees a slot — the semantics of
-/// `wfqueue_shard::ShardHandle` that the ring already implements.
-/// Workloads must keep enqueues and dequeues balanced within `capacity`,
-/// as they would for any bounded queue.
-#[derive(Debug)]
-pub struct WfRing<T: Send>(pub wfqueue_ring::Ring<T>);
-
-impl<T: Send> WfRing<T> {
-    /// Creates an adapter over a ring of `capacity` values with capacity
-    /// for `processes` handles.
-    #[must_use]
-    pub fn new(processes: usize, capacity: usize) -> Self {
-        WfRing(wfqueue_ring::Ring::new(capacity, processes))
-    }
-}
-
-impl<T: Send> ConcurrentQueue<T> for WfRing<T> {
+impl<T: Send> ConcurrentQueue<T> for Ring<T> {
     type Handle<'a>
         = wfqueue_ring::RingHandle<'a, T>
     where
@@ -285,90 +162,19 @@ impl<T: Send> ConcurrentQueue<T> for WfRing<T> {
     }
 
     fn try_handle(&self) -> Option<Self::Handle<'_>> {
-        self.0.register()
+        self.register()
     }
 
     fn capacity(&self) -> Option<usize> {
-        Some(self.0.max_handles())
+        Some(self.max_handles())
     }
 }
 
-impl<T: Send> QueueHandle<T> for wfqueue_ring::RingHandle<'_, T> {
-    fn enqueue(&mut self, value: T) {
-        // The spin-on-full ShardHandle enqueue, not the fallible inherent
-        // `try_enqueue`.
-        wfqueue_shard::ShardHandle::enqueue(self, value);
-    }
-
-    fn dequeue(&mut self) -> Option<T> {
-        wfqueue_ring::RingHandle::dequeue(self)
-    }
-
-    fn enqueue_batch(&mut self, values: Vec<T>) {
-        wfqueue_shard::ShardHandle::enqueue_batch(self, values);
-    }
-
-    fn dequeue_batch(&mut self, count: usize) -> Vec<Option<T>> {
-        wfqueue_ring::RingHandle::dequeue_batch(self, count)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Sharded frontend adapters
-// ---------------------------------------------------------------------------
-
-/// Adapter for the sharded frontend over unbounded shards
-/// (`wfqueue_shard::ShardedUnbounded`).
-///
 /// For `S > 1` the composite is *not* one linearizable FIFO — it is FIFO
-/// per producer under both routings (`PerProducer`/`Nearest`; see the
-/// `wfqueue_shard` crate docs), which is exactly what the workload
-/// runners' per-producer audits check; run the Wing–Gong checker per shard.
-#[derive(Debug)]
-pub struct WfShardedUnbounded<T: Clone + Send + Sync>(pub ShardedUnbounded<T>);
-
-impl<T: Clone + Send + Sync> WfShardedUnbounded<T> {
-    /// Creates an adapter over `shards` unbounded shards with capacity for
-    /// `processes` composite handles.
-    #[must_use]
-    pub fn new(shards: usize, processes: usize, routing: Routing) -> Self {
-        WfShardedUnbounded(ShardedUnbounded::new(shards, processes, routing))
-    }
-
-    /// Like [`WfShardedUnbounded::new`] with an explicit
-    /// [`PlacementConfig`], so suites exercising `Nearest`'s scan can pin
-    /// a deterministic placement.
-    #[must_use]
-    pub fn new_placed(
-        shards: usize,
-        processes: usize,
-        routing: Routing,
-        placement: PlacementConfig,
-    ) -> Self {
-        WfShardedUnbounded(ShardedUnbounded::new_placed(
-            shards, processes, routing, placement,
-        ))
-    }
-
-    /// Like [`WfShardedUnbounded::new`] with an explicit per-shard
-    /// [`ReclaimPolicy`] — each shard truncates its own tree independently.
-    #[must_use]
-    pub fn with_reclaim(
-        shards: usize,
-        processes: usize,
-        routing: Routing,
-        policy: ReclaimPolicy,
-    ) -> Self
-    where
-        T: 'static,
-    {
-        WfShardedUnbounded(ShardedUnbounded::with_reclaim(
-            shards, processes, routing, policy,
-        ))
-    }
-}
-
-impl<T: Clone + Send + Sync> ConcurrentQueue<T> for WfShardedUnbounded<T> {
+/// per producer under both routings (see the `wfqueue_shard` crate docs),
+/// which is exactly what the workload runners' per-producer audits check;
+/// run the Wing–Gong checker per shard.
+impl<T: Clone + Send + Sync> ConcurrentQueue<T> for ShardedQueue<wfqueue::unbounded::Queue<T>> {
     type Handle<'a>
         = ShardedHandle<'a, wfqueue::unbounded::Queue<T>>
     where
@@ -379,43 +185,15 @@ impl<T: Clone + Send + Sync> ConcurrentQueue<T> for WfShardedUnbounded<T> {
     }
 
     fn try_handle(&self) -> Option<Self::Handle<'_>> {
-        self.0.try_handle()
+        ShardedQueue::try_handle(self)
     }
 
     fn capacity(&self) -> Option<usize> {
-        Some(self.0.max_handles())
+        Some(self.max_handles())
     }
 }
 
-/// Adapter for the sharded frontend over bounded-space shards
-/// (`wfqueue_shard::ShardedBounded`, treap-backed). Same composite
-/// semantics as [`WfShardedUnbounded`].
-#[derive(Debug)]
-pub struct WfShardedBounded<T: Clone + Send + Sync>(pub ShardedBounded<T>);
-
-impl<T: Clone + Send + Sync> WfShardedBounded<T> {
-    /// Creates an adapter over `shards` bounded shards (paper-default GC
-    /// period) with capacity for `processes` composite handles.
-    #[must_use]
-    pub fn new(shards: usize, processes: usize, routing: Routing) -> Self {
-        WfShardedBounded(ShardedBounded::new(shards, processes, routing))
-    }
-
-    /// Like [`WfShardedBounded::new`] with an explicit per-shard GC period.
-    #[must_use]
-    pub fn with_gc_period(
-        shards: usize,
-        processes: usize,
-        gc_period: usize,
-        routing: Routing,
-    ) -> Self {
-        WfShardedBounded(ShardedBounded::with_gc_period(
-            shards, processes, gc_period, routing,
-        ))
-    }
-}
-
-impl<T: Clone + Send + Sync> ConcurrentQueue<T> for WfShardedBounded<T> {
+impl<T: Clone + Send + Sync> ConcurrentQueue<T> for ShardedQueue<wfqueue::bounded::Queue<T>> {
     type Handle<'a>
         = ShardedHandle<'a, wfqueue::bounded::Queue<T>>
     where
@@ -426,29 +204,11 @@ impl<T: Clone + Send + Sync> ConcurrentQueue<T> for WfShardedBounded<T> {
     }
 
     fn try_handle(&self) -> Option<Self::Handle<'_>> {
-        self.0.try_handle()
+        ShardedQueue::try_handle(self)
     }
 
     fn capacity(&self) -> Option<usize> {
-        Some(self.0.max_handles())
-    }
-}
-
-impl<T, Q: Shard<Item = T>> QueueHandle<T> for ShardedHandle<'_, Q> {
-    fn enqueue(&mut self, value: T) {
-        ShardedHandle::enqueue(self, value);
-    }
-
-    fn dequeue(&mut self) -> Option<T> {
-        ShardedHandle::dequeue(self)
-    }
-
-    fn enqueue_batch(&mut self, values: Vec<T>) {
-        ShardedHandle::enqueue_batch(self, values);
-    }
-
-    fn dequeue_batch(&mut self, count: usize) -> Vec<Option<T>> {
-        ShardedHandle::dequeue_batch(self, count)
+        Some(self.max_handles())
     }
 }
 
@@ -515,6 +275,7 @@ baseline_adapter!(Seg, SegQueueAdapter<T>, "crossbeam-seg", Send);
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wfqueue::{bounded, unbounded};
 
     fn round_trip<Q: ConcurrentQueue<u64>>(q: &Q) {
         let mut h = q.handle();
@@ -526,32 +287,49 @@ mod tests {
         assert!(!q.name().is_empty());
     }
 
+    /// Sharded unbounded shards over a pinned flat placement.
+    fn flat_sharded(
+        shards: usize,
+        processes: usize,
+        routing: Routing,
+    ) -> ShardedQueue<unbounded::Queue<u64>> {
+        ShardedQueue::build(
+            shards,
+            processes,
+            routing,
+            PlacementConfig::Flat,
+            unbounded::Queue::new,
+        )
+    }
+
     #[test]
     fn all_adapters_round_trip() {
-        round_trip(&WfUnbounded::new(2));
-        round_trip(&WfBounded::new(2));
-        round_trip(&WfBounded::with_gc_period(2, 1));
-        round_trip(&WfUnbounded::with_reclaim(
+        round_trip(&unbounded::Queue::new(2));
+        round_trip(&bounded::Queue::new(2));
+        round_trip(&bounded::Queue::with_gc_period(2, 1));
+        round_trip(&unbounded::Queue::with_reclaim(
             2,
             ReclaimPolicy::EveryKRootBlocks(2),
         ));
-        round_trip(&WfRing::new(2, 8));
+        round_trip(&Ring::new(8, 2));
         // A ring no larger than the in-flight window still round-trips.
-        round_trip(&WfRing::new(2, 2));
+        round_trip(&Ring::new(2, 2));
         for routing in [Routing::PerProducer, Routing::Nearest] {
-            round_trip(&WfShardedUnbounded::new_placed(
+            round_trip(&flat_sharded(2, 2, routing));
+            round_trip(&ShardedQueue::build(
                 2,
                 2,
                 routing,
-                PlacementConfig::Flat,
+                PlacementConfig::default(),
+                |cap| unbounded::Queue::with_reclaim(cap, ReclaimPolicy::EveryKRootBlocks(4)),
             ));
-            round_trip(&WfShardedUnbounded::with_reclaim(
+            round_trip(&ShardedQueue::build(
                 2,
                 2,
                 routing,
-                ReclaimPolicy::EveryKRootBlocks(4),
+                PlacementConfig::default(),
+                |cap| bounded::Queue::with_gc_period(cap, 4),
             ));
-            round_trip(&WfShardedBounded::with_gc_period(2, 2, 4, routing));
         }
         round_trip(&Ms::new());
         round_trip(&TwoLock::new());
@@ -562,15 +340,15 @@ mod tests {
     #[test]
     fn capacities() {
         assert_eq!(
-            ConcurrentQueue::<u64>::capacity(&WfUnbounded::<u64>::new(3)),
+            ConcurrentQueue::<u64>::capacity(&unbounded::Queue::<u64>::new(3)),
             Some(3)
         );
         assert_eq!(
-            ConcurrentQueue::<u64>::capacity(&WfBounded::<u64>::new(5)),
+            ConcurrentQueue::<u64>::capacity(&bounded::Queue::<u64>::new(5)),
             Some(5)
         );
         assert_eq!(
-            ConcurrentQueue::<u64>::capacity(&WfShardedUnbounded::<u64>::new(
+            ConcurrentQueue::<u64>::capacity(&wfqueue_shard::ShardedUnbounded::<u64>::new(
                 4,
                 6,
                 Routing::PerProducer
@@ -578,7 +356,7 @@ mod tests {
             Some(6)
         );
         assert_eq!(
-            ConcurrentQueue::<u64>::capacity(&WfRing::<u64>::new(7, 16)),
+            ConcurrentQueue::<u64>::capacity(&Ring::<u64>::new(16, 7)),
             Some(7),
             "handle capacity, not element capacity"
         );
@@ -586,37 +364,17 @@ mod tests {
     }
 
     #[test]
-    fn try_handles_reports_capacity_errors() {
-        let q = WfUnbounded::<u64>::new(3);
-        assert_eq!(q.try_handles(3).unwrap().len(), 3);
-        // All three pids are consumed by the (dropped) handles above.
-        assert_eq!(
-            q.try_handles(1).map(|_| ()),
-            Err(CapacityError {
-                requested: 1,
-                available: 0,
-            })
-        );
-
-        let q = WfShardedBounded::<u64>::new(2, 2, Routing::Nearest);
-        let err = q.try_handles(5).unwrap_err();
-        assert_eq!(err.requested, 5);
-        assert_eq!(err.available, 2);
-        assert!(err.to_string().contains("capacity exhausted"), "{err}");
-    }
-
-    #[test]
     #[should_panic(expected = "capacity exhausted")]
     fn exhausting_wf_capacity_panics() {
-        let q = WfUnbounded::<u64>::new(1);
+        let q = unbounded::Queue::<u64>::new(1);
         let _a = q.handle();
         let _b = q.handle();
     }
 
     #[test]
     fn try_handle_returns_none_when_exhausted() {
-        let q = WfUnbounded::<u64>::new(2);
-        let handles = q.handles();
+        let q = unbounded::Queue::<u64>::new(2);
+        let handles = ConcurrentQueue::handles(&q);
         assert_eq!(handles.len(), 2);
         assert!(q.try_handle().is_none());
         // Baselines are never exhausted.
@@ -642,16 +400,15 @@ mod tests {
     fn batch_methods_on_all_adapters() {
         // Native batch paths on the wf queues, fallback loops elsewhere —
         // identical observable behaviour.
-        batch_round_trip(&WfUnbounded::new(1));
-        batch_round_trip(&WfBounded::with_gc_period(1, 2));
-        batch_round_trip(&WfShardedUnbounded::new_placed(
+        batch_round_trip(&unbounded::Queue::new(1));
+        batch_round_trip(&bounded::Queue::with_gc_period(1, 2));
+        batch_round_trip(&flat_sharded(2, 1, Routing::Nearest));
+        batch_round_trip(&wfqueue_shard::ShardedBounded::new(
             2,
             1,
-            Routing::Nearest,
-            PlacementConfig::Flat,
+            Routing::PerProducer,
         ));
-        batch_round_trip(&WfShardedBounded::new(2, 1, Routing::PerProducer));
-        batch_round_trip(&WfRing::new(1, 4));
+        batch_round_trip(&Ring::new(4, 1));
         batch_round_trip(&Ms::new());
         batch_round_trip(&TwoLock::new());
         batch_round_trip(&CoarseMutex::new());

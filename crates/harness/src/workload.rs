@@ -15,7 +15,7 @@ use std::sync::Barrier;
 use std::time::{Duration, Instant};
 use wfqueue_sync::atomic::{AtomicU64, Ordering};
 
-use crate::queue_api::{CapacityError, ConcurrentQueue, QueueHandle};
+use crate::queue_api::{ConcurrentQueue, QueueHandle};
 use crate::rng::SplitMix64;
 use crate::stats::OpClassStats;
 
@@ -130,30 +130,10 @@ fn untag(value: u64) -> (usize, u64) {
 ///
 /// # Panics
 ///
-/// Panics if the queue cannot hand out `spec.threads` handles (plus one for
-/// prefilling — the prefill reuses thread 0's handle, so `spec.threads`
-/// handles total). Use [`try_run_workload`] to get a [`CapacityError`]
-/// instead.
+/// Panics if `spec.threads` is zero, or if the queue cannot hand out
+/// `spec.threads` handles (the prefill reuses thread 0's handle, so that
+/// is all it takes).
 pub fn run_workload<Q: ConcurrentQueue<u64>>(queue: &Q, spec: &WorkloadSpec) -> RunReport {
-    try_run_workload(queue, spec).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Panic-free [`run_workload`]: propagates handle-acquisition failure as a
-/// [`CapacityError`] instead of panicking when `spec.threads` exceeds the
-/// queue's handle capacity.
-///
-/// # Errors
-///
-/// Returns [`CapacityError`] if the queue cannot hand out `spec.threads`
-/// handles.
-///
-/// # Panics
-///
-/// Panics if `spec.threads` is zero.
-pub fn try_run_workload<Q: ConcurrentQueue<u64>>(
-    queue: &Q,
-    spec: &WorkloadSpec,
-) -> Result<RunReport, CapacityError> {
     assert!(spec.threads > 0, "need at least one thread");
     let barrier = Barrier::new(spec.threads);
     let consumed_counter = AtomicU64::new(0);
@@ -167,7 +147,7 @@ pub fn try_run_workload<Q: ConcurrentQueue<u64>>(
         consumed: Vec<u64>,
     }
 
-    let mut handles: Vec<Q::Handle<'_>> = queue.try_handles(spec.threads)?;
+    let mut handles: Vec<Q::Handle<'_>> = (0..spec.threads).map(|_| queue.handle()).collect();
 
     // Prefill through thread 0's handle with producer tag = threads (a
     // pseudo-producer that never produces again, so FIFO audits stay valid).
@@ -261,7 +241,7 @@ pub fn try_run_workload<Q: ConcurrentQueue<u64>>(
     all_consumed.sort_unstable();
     all_consumed.dedup();
     report.no_duplicates = all_consumed.len() == before;
-    Ok(report)
+    report
 }
 
 // ---------------------------------------------------------------------------
@@ -380,31 +360,12 @@ impl BatchRunReport {
 ///
 /// # Panics
 ///
-/// Panics if the queue cannot hand out `spec.threads` handles (use
-/// [`try_run_batch_workload`] for a [`CapacityError`] instead) or
-/// `spec.batch_size` is zero.
+/// Panics if `spec.threads` or `spec.batch_size` is zero, or if the queue
+/// cannot hand out `spec.threads` handles.
 pub fn run_batch_workload<Q: ConcurrentQueue<u64>>(
     queue: &Q,
     spec: &BatchWorkloadSpec,
 ) -> BatchRunReport {
-    try_run_batch_workload(queue, spec).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Panic-free [`run_batch_workload`]: propagates handle-acquisition failure
-/// as a [`CapacityError`].
-///
-/// # Errors
-///
-/// Returns [`CapacityError`] if the queue cannot hand out `spec.threads`
-/// handles.
-///
-/// # Panics
-///
-/// Panics if `spec.threads` or `spec.batch_size` is zero.
-pub fn try_run_batch_workload<Q: ConcurrentQueue<u64>>(
-    queue: &Q,
-    spec: &BatchWorkloadSpec,
-) -> Result<BatchRunReport, CapacityError> {
     assert!(spec.threads > 0, "need at least one thread");
     assert!(spec.batch_size > 0, "batch_size must be at least 1");
     let barrier = Barrier::new(spec.threads);
@@ -419,7 +380,7 @@ pub fn try_run_batch_workload<Q: ConcurrentQueue<u64>>(
         consumed: Vec<u64>,
     }
 
-    let mut handles: Vec<Q::Handle<'_>> = queue.try_handles(spec.threads)?;
+    let mut handles: Vec<Q::Handle<'_>> = (0..spec.threads).map(|_| queue.handle()).collect();
 
     // Prefill through thread 0's handle with producer tag = threads (a
     // pseudo-producer that never produces again).
@@ -525,15 +486,26 @@ pub fn try_run_batch_workload<Q: ConcurrentQueue<u64>>(
     all_consumed.sort_unstable();
     all_consumed.dedup();
     report.no_duplicates = all_consumed.len() == before;
-    Ok(report)
+    report
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue_api::{
-        CoarseMutex, Ms, PlacementConfig, Routing, WfBounded, WfShardedUnbounded, WfUnbounded,
-    };
+    use crate::queue_api::{CoarseMutex, Ms, PlacementConfig, Routing};
+    use wfqueue::{bounded, unbounded};
+    use wfqueue_shard::{ShardedQueue, ShardedUnbounded};
+
+    /// Sharded unbounded shards over a pinned flat placement.
+    fn flat_sharded(shards: usize, processes: usize, routing: Routing) -> ShardedUnbounded<u64> {
+        ShardedQueue::build(
+            shards,
+            processes,
+            routing,
+            PlacementConfig::Flat,
+            unbounded::Queue::new,
+        )
+    }
 
     #[test]
     fn tags_round_trip() {
@@ -544,7 +516,7 @@ mod tests {
 
     #[test]
     fn mixed_run_audits_pass_on_wf_unbounded() {
-        let q = WfUnbounded::new(4);
+        let q = unbounded::Queue::new(4);
         let spec = WorkloadSpec {
             threads: 4,
             ops_per_thread: 2_000,
@@ -562,7 +534,7 @@ mod tests {
 
     #[test]
     fn mixed_run_audits_pass_on_wf_bounded() {
-        let q = WfBounded::with_gc_period(3, 8);
+        let q = bounded::Queue::with_gc_period(3, 8);
         let spec = WorkloadSpec {
             threads: 3,
             ops_per_thread: 1_500,
@@ -592,7 +564,7 @@ mod tests {
 
     #[test]
     fn enqueue_only_and_dequeue_only_mixes() {
-        let q = WfUnbounded::new(2);
+        let q = unbounded::Queue::new(2);
         let spec = WorkloadSpec {
             threads: 2,
             ops_per_thread: 500,
@@ -605,7 +577,7 @@ mod tests {
         assert_eq!(r.dequeue_hit.count + r.dequeue_null.count, 0);
 
         // Handles are consumed per run: use a fresh queue for the next mix.
-        let q = WfUnbounded::new(2);
+        let q = unbounded::Queue::new(2);
         let spec = WorkloadSpec {
             threads: 2,
             ops_per_thread: 400,
@@ -629,16 +601,16 @@ mod tests {
                 prefill: 32,
                 seed: 0xBA7C,
             };
-            let q = WfUnbounded::new(4);
+            let q = unbounded::Queue::new(4);
             let r = run_batch_workload(&q, &spec);
             assert!(r.audits_ok(), "unbounded k={batch_size}: {r:?}");
             assert_eq!(r.total_ops(), 4 * 300 * batch_size as u64);
-            wfqueue::unbounded::introspect::check_invariants(&q.0).unwrap();
+            wfqueue::unbounded::introspect::check_invariants(&q).unwrap();
 
-            let q = WfBounded::with_gc_period(4, 8);
+            let q = bounded::Queue::with_gc_period(4, 8);
             let r = run_batch_workload(&q, &spec);
             assert!(r.audits_ok(), "bounded k={batch_size}: {r:?}");
-            wfqueue::bounded::introspect::check_invariants(&q.0).unwrap();
+            wfqueue::bounded::introspect::check_invariants(&q).unwrap();
         }
     }
 
@@ -663,7 +635,7 @@ mod tests {
         // Enqueue-only single thread: per-op steps must drop sharply with
         // the batch size (one propagation per batch).
         let steps_at = |k: usize| {
-            let q = WfUnbounded::new(1);
+            let q = unbounded::Queue::new(1);
             let spec = BatchWorkloadSpec {
                 threads: 1,
                 batches_per_thread: 2048 / k,
@@ -683,34 +655,12 @@ mod tests {
     }
 
     #[test]
-    fn try_runners_report_capacity_instead_of_panicking() {
-        let spec = WorkloadSpec {
-            threads: 4,
-            ops_per_thread: 10,
-            ..WorkloadSpec::default()
-        };
-        let q = WfUnbounded::new(2);
-        let err = try_run_workload(&q, &spec).unwrap_err();
-        assert_eq!((err.requested, err.available), (4, 2));
-
-        let spec = BatchWorkloadSpec {
-            threads: 3,
-            batches_per_thread: 5,
-            batch_size: 2,
-            ..BatchWorkloadSpec::default()
-        };
-        let q = WfShardedUnbounded::new_placed(2, 1, Routing::Nearest, PlacementConfig::Flat);
-        let err = try_run_batch_workload(&q, &spec).unwrap_err();
-        assert_eq!((err.requested, err.available), (3, 1));
-    }
-
-    #[test]
     fn mixed_run_audits_pass_on_sharded_composites() {
         // Per-producer FIFO and no-duplication must hold on the composite
         // for both routing policies and every shard count.
         for routing in [Routing::PerProducer, Routing::Nearest] {
             for shards in [1usize, 2, 4] {
-                let q = WfShardedUnbounded::new_placed(shards, 4, routing, PlacementConfig::Flat);
+                let q = flat_sharded(shards, 4, routing);
                 let spec = WorkloadSpec {
                     threads: 4,
                     ops_per_thread: 1_500,
@@ -727,7 +677,7 @@ mod tests {
     #[test]
     fn batch_workload_audits_pass_on_sharded_composites() {
         for routing in [Routing::PerProducer, Routing::Nearest] {
-            let q = WfShardedUnbounded::new_placed(2, 4, routing, PlacementConfig::Flat);
+            let q = flat_sharded(2, 4, routing);
             let spec = BatchWorkloadSpec {
                 threads: 4,
                 batches_per_thread: 200,
@@ -752,8 +702,8 @@ mod tests {
             prefill: 10,
             seed: 99,
         };
-        let a = run_workload(&WfUnbounded::new(1), &spec);
-        let b = run_workload(&WfUnbounded::new(1), &spec);
+        let a = run_workload(&unbounded::Queue::new(1), &spec);
+        let b = run_workload(&unbounded::Queue::new(1), &spec);
         assert_eq!(a.enqueue.count, b.enqueue.count);
         assert_eq!(a.dequeue_hit.count, b.dequeue_hit.count);
         assert_eq!(a.dequeue_null.count, b.dequeue_null.count);

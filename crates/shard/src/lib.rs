@@ -82,8 +82,7 @@ pub use wfqueue::unbounded::ReclaimPolicy;
 /// operations through them.
 ///
 /// Implemented for both wait-free ordering-tree queues
-/// ([`wfqueue::unbounded::Queue`] and [`wfqueue::bounded::Queue`] with any
-/// block store).
+/// ([`wfqueue::unbounded::Queue`] and [`wfqueue::bounded::Queue`]).
 pub trait Shard: Sync {
     /// Element type stored by the shard.
     type Item;
@@ -294,9 +293,10 @@ pub type ShardedBounded<T> = ShardedQueue<bounded::Queue<T>>;
 impl<Q: Shard> ShardedQueue<Q> {
     /// Builds a sharded queue from `num_shards` shards produced by `make`,
     /// which receives each shard's required handle capacity
-    /// ([`Routing::shard_capacity`]). Placement defaults to
-    /// [`PlacementConfig::Detect`] (only consulted by
-    /// [`Routing::Nearest`]).
+    /// ([`Routing::shard_capacity`]). `placement` orders
+    /// [`Routing::Nearest`]'s scan: [`PlacementConfig::Detect`] reads the
+    /// host once, while tests and reproducible benchmarks pin
+    /// [`PlacementConfig::Uniform`] or [`PlacementConfig::Flat`].
     ///
     /// # Panics
     ///
@@ -306,39 +306,23 @@ impl<Q: Shard> ShardedQueue<Q> {
     /// # Examples
     ///
     /// ```
-    /// use wfqueue_shard::{Routing, ShardedQueue};
+    /// use wfqueue::unbounded::{Queue, ReclaimPolicy};
+    /// use wfqueue_shard::{PlacementConfig, Routing, ShardedQueue};
     ///
-    /// // Custom shards: each gets exactly the capacity routing demands.
-    /// let q = ShardedQueue::build(2, 4, Routing::PerProducer, |cap| {
-    ///     wfqueue::unbounded::Queue::<u64>::new(cap)
-    /// });
-    /// assert_eq!(q.num_shards(), 2);
-    /// assert_eq!(q.shards()[0].num_processes(), 2, "⌈4/2⌉ pinned handles");
+    /// // Each shard gets exactly the capacity routing demands, and is
+    /// // built however the caller likes — here with a reclaim policy.
+    /// let q = ShardedQueue::build(
+    ///     4,
+    ///     4,
+    ///     Routing::Nearest,
+    ///     PlacementConfig::Uniform { cpus: 8, domains: 2 },
+    ///     |cap| Queue::<u64>::with_reclaim(cap, ReclaimPolicy::EveryKRootBlocks(16)),
+    /// );
+    /// assert_eq!(q.num_shards(), 4);
+    /// assert_eq!(q.shards()[0].num_processes(), 4, "Nearest: every handle anywhere");
+    /// assert_eq!(q.placement().num_domains(), 2);
     /// ```
     pub fn build(
-        num_shards: usize,
-        max_handles: usize,
-        routing: Routing,
-        make: impl FnMut(usize) -> Q,
-    ) -> Self {
-        Self::build_placed(
-            num_shards,
-            max_handles,
-            routing,
-            PlacementConfig::default(),
-            make,
-        )
-    }
-
-    /// Like [`ShardedQueue::build`] with an explicit [`PlacementConfig`]
-    /// (tests and reproducible benchmarks want
-    /// [`PlacementConfig::Uniform`] or [`PlacementConfig::Flat`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_shards` or `max_handles` is zero, or if a produced
-    /// shard reports less capacity than required.
-    pub fn build_placed(
         num_shards: usize,
         max_handles: usize,
         routing: Routing,
@@ -348,10 +332,11 @@ impl<Q: Shard> ShardedQueue<Q> {
         let shards = (0..num_shards)
             .map(|s| make(routing.shard_capacity(max_handles, num_shards, s)))
             .collect();
-        Self::with_shards_placed(shards, max_handles, routing, placement)
+        Self::with_shards(shards, max_handles, routing, placement)
     }
 
-    /// Builds a sharded queue over caller-constructed shards.
+    /// Builds a sharded queue over caller-constructed shards, with
+    /// `placement` as in [`ShardedQueue::build`].
     ///
     /// # Panics
     ///
@@ -359,17 +344,25 @@ impl<Q: Shard> ShardedQueue<Q> {
     /// [`Shard::capacity`] is below [`Routing::shard_capacity`] — the
     /// up-front check is what lets per-shard handles register lazily
     /// without a failure path at operation time.
-    pub fn with_shards(shards: Vec<Q>, max_handles: usize, routing: Routing) -> Self {
-        Self::with_shards_placed(shards, max_handles, routing, PlacementConfig::default())
-    }
-
-    /// Like [`ShardedQueue::with_shards`] with an explicit
-    /// [`PlacementConfig`].
     ///
-    /// # Panics
+    /// # Examples
     ///
-    /// Panics as [`ShardedQueue::with_shards`] does.
-    pub fn with_shards_placed(
+    /// ```
+    /// use wfqueue::unbounded::{Queue, ReclaimPolicy};
+    /// use wfqueue_shard::{PlacementConfig, Routing, ShardedQueue};
+    ///
+    /// // Each shard truncates its own ordering tree under its own policy.
+    /// let shards = (0..2)
+    ///     .map(|_| Queue::<u64>::with_reclaim(1, ReclaimPolicy::EveryKRootBlocks(16)))
+    ///     .collect();
+    /// let q = ShardedQueue::with_shards(shards, 2, Routing::PerProducer, PlacementConfig::Flat);
+    /// let mut h = q.try_handle().unwrap();
+    /// for i in 0..100 {
+    ///     h.enqueue(i);
+    ///     assert_eq!(h.dequeue(), Some(i));
+    /// }
+    /// ```
+    pub fn with_shards(
         shards: Vec<Q>,
         max_handles: usize,
         routing: Routing,
@@ -416,6 +409,21 @@ impl<Q: Shard> ShardedQueue<Q> {
     }
 
     /// The queue's resolved hardware placement.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use wfqueue_shard::{PlacementConfig, Routing, ShardedQueue, ShardedUnbounded};
+    ///
+    /// let q: ShardedUnbounded<u64> = ShardedQueue::build(
+    ///     4,
+    ///     4,
+    ///     Routing::Nearest,
+    ///     PlacementConfig::Uniform { cpus: 8, domains: 2 },
+    ///     wfqueue::unbounded::Queue::new,
+    /// );
+    /// assert_eq!(q.placement().num_domains(), 2);
+    /// ```
     #[must_use]
     pub fn placement(&self) -> &Placement {
         &self.placement
@@ -479,11 +487,12 @@ impl<Q: Shard> ShardedQueue<Q> {
 
 impl<T: Clone + Send + Sync> ShardedUnbounded<T> {
     /// Creates a sharded queue over `num_shards` unbounded shards, capped
-    /// at `max_handles` composite handles.
+    /// at `max_handles` composite handles, with detected placement.
     ///
     /// Each shard is sized to [`Routing::shard_capacity`]; under
     /// [`Routing::PerProducer`] that is `⌈max_handles/num_shards⌉`, so the
-    /// per-shard trees are shallower than a single queue's.
+    /// per-shard trees are shallower than a single queue's. For a reclaim
+    /// policy or a pinned placement, use [`ShardedQueue::build`].
     ///
     /// # Panics
     ///
@@ -499,153 +508,35 @@ impl<T: Clone + Send + Sync> ShardedUnbounded<T> {
     /// ```
     #[must_use]
     pub fn new(num_shards: usize, max_handles: usize, routing: Routing) -> Self {
-        Self::build(num_shards, max_handles, routing, unbounded::Queue::new)
-    }
-
-    /// Like [`ShardedUnbounded::new`] with an explicit [`PlacementConfig`]
-    /// for [`Routing::Nearest`]'s scan order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_shards` or `max_handles` is zero.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use wfqueue_shard::{PlacementConfig, Routing, ShardedUnbounded};
-    ///
-    /// let q: ShardedUnbounded<u64> = ShardedUnbounded::new_placed(
-    ///     4,
-    ///     4,
-    ///     Routing::Nearest,
-    ///     PlacementConfig::Uniform { cpus: 8, domains: 2 },
-    /// );
-    /// assert_eq!(q.placement().num_domains(), 2);
-    /// ```
-    #[must_use]
-    pub fn new_placed(
-        num_shards: usize,
-        max_handles: usize,
-        routing: Routing,
-        placement: PlacementConfig,
-    ) -> Self {
-        Self::build_placed(
+        Self::build(
             num_shards,
             max_handles,
             routing,
-            placement,
+            PlacementConfig::default(),
             unbounded::Queue::new,
         )
-    }
-}
-
-impl<T: Clone + Send + Sync + 'static> ShardedUnbounded<T> {
-    /// Like [`ShardedUnbounded::new`] with an explicit per-shard
-    /// [`ReclaimPolicy`]: each shard truncates its own ordering tree
-    /// independently, so the composite's live memory plateaus under churn
-    /// exactly as a single reclaiming queue's does — sharding and
-    /// reclamation compose without interacting (a shard's truncation only
-    /// ever touches that shard's tree).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_shards` or `max_handles` is zero, or if the policy's
-    /// period is zero.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use wfqueue_shard::{ReclaimPolicy, Routing, ShardedUnbounded};
-    ///
-    /// let q: ShardedUnbounded<u64> = ShardedUnbounded::with_reclaim(
-    ///     2,
-    ///     2,
-    ///     Routing::PerProducer,
-    ///     ReclaimPolicy::EveryKRootBlocks(16),
-    /// );
-    /// let mut h = q.try_handle().unwrap();
-    /// for i in 0..100 {
-    ///     h.enqueue(i);
-    ///     assert_eq!(h.dequeue(), Some(i));
-    /// }
-    /// ```
-    #[must_use]
-    pub fn with_reclaim(
-        num_shards: usize,
-        max_handles: usize,
-        routing: Routing,
-        policy: ReclaimPolicy,
-    ) -> Self {
-        Self::with_reclaim_placed(
-            num_shards,
-            max_handles,
-            routing,
-            policy,
-            PlacementConfig::default(),
-        )
-    }
-
-    /// Like [`ShardedUnbounded::with_reclaim`] with an explicit
-    /// [`PlacementConfig`] (the combination the channel facade's sharded
-    /// backend uses).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_shards` or `max_handles` is zero, or if the policy's
-    /// period is zero.
-    #[must_use]
-    pub fn with_reclaim_placed(
-        num_shards: usize,
-        max_handles: usize,
-        routing: Routing,
-        policy: ReclaimPolicy,
-        placement: PlacementConfig,
-    ) -> Self {
-        Self::build_placed(num_shards, max_handles, routing, placement, |cap| {
-            unbounded::Queue::with_reclaim(cap, policy)
-        })
     }
 }
 
 impl<T: Clone + Send + Sync> ShardedBounded<T> {
     /// Creates a sharded queue over `num_shards` bounded-space shards
     /// whose GC periods follow the handles each shard registers (see
-    /// [`bounded::Queue::new`]), capped at `max_handles` composite handles.
+    /// [`bounded::Queue::new`]), capped at `max_handles` composite handles,
+    /// with detected placement. For an explicit GC period, use
+    /// [`ShardedQueue::build`].
     ///
     /// # Panics
     ///
     /// Panics if `num_shards` or `max_handles` is zero.
     #[must_use]
     pub fn new(num_shards: usize, max_handles: usize, routing: Routing) -> Self {
-        Self::build(num_shards, max_handles, routing, bounded::Queue::new)
-    }
-
-    /// Like [`ShardedBounded::new`] with an explicit per-shard GC period.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_shards` or `max_handles` is zero.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use wfqueue_shard::{Routing, ShardedBounded};
-    ///
-    /// let q: ShardedBounded<u64> = ShardedBounded::with_gc_period(2, 2, 8, Routing::PerProducer);
-    /// let mut h = q.try_handle().unwrap();
-    /// h.enqueue(5);
-    /// assert_eq!(h.dequeue(), Some(5));
-    /// ```
-    #[must_use]
-    pub fn with_gc_period(
-        num_shards: usize,
-        max_handles: usize,
-        gc_period: usize,
-        routing: Routing,
-    ) -> Self {
-        Self::build(num_shards, max_handles, routing, |cap| {
-            bounded::Queue::with_gc_period(cap, gc_period)
-        })
+        Self::build(
+            num_shards,
+            max_handles,
+            routing,
+            PlacementConfig::default(),
+            bounded::Queue::new,
+        )
     }
 }
 
@@ -787,10 +678,15 @@ impl<'q, Q: Shard> ShardedHandle<'q, Q> {
     /// # Examples
     ///
     /// ```
-    /// use wfqueue_shard::{PlacementConfig, Routing, ShardedUnbounded};
+    /// use wfqueue_shard::{PlacementConfig, Routing, ShardedQueue, ShardedUnbounded};
     ///
-    /// let q: ShardedUnbounded<u64> =
-    ///     ShardedUnbounded::new_placed(2, 2, Routing::Nearest, PlacementConfig::Flat);
+    /// let q: ShardedUnbounded<u64> = ShardedQueue::build(
+    ///     2,
+    ///     2,
+    ///     Routing::Nearest,
+    ///     PlacementConfig::Flat,
+    ///     wfqueue::unbounded::Queue::new,
+    /// );
     /// let mut hs = q.handles();
     /// hs[0].enqueue_batch(vec![1, 2, 3]); // one leaf block on shard 0
     /// hs[1].enqueue_batch(vec![4, 5]); // one leaf block on shard 1
@@ -818,10 +714,15 @@ impl<'q, Q: Shard> ShardedHandle<'q, Q> {
     /// # Examples
     ///
     /// ```
-    /// use wfqueue_shard::{PlacementConfig, Routing, ShardedUnbounded};
+    /// use wfqueue_shard::{PlacementConfig, Routing, ShardedQueue, ShardedUnbounded};
     ///
-    /// let q: ShardedUnbounded<u64> =
-    ///     ShardedUnbounded::new_placed(2, 2, Routing::Nearest, PlacementConfig::Flat);
+    /// let q: ShardedUnbounded<u64> = ShardedQueue::build(
+    ///     2,
+    ///     2,
+    ///     Routing::Nearest,
+    ///     PlacementConfig::Flat,
+    ///     wfqueue::unbounded::Queue::new,
+    /// );
     /// let mut hs = q.handles();
     /// hs[0].enqueue_batch(vec![1, 2]); // shard 0
     /// hs[1].enqueue_batch(vec![3]); // shard 1
@@ -870,6 +771,28 @@ impl<'q, Q: Shard> ShardedHandle<'q, Q> {
     }
 }
 
+/// The composite handle is itself a [`ShardHandle`], so code written
+/// against one shard's handle also drives a whole [`ShardedQueue`].
+impl<Q: Shard> ShardHandle for ShardedHandle<'_, Q> {
+    type Item = Q::Item;
+
+    fn enqueue(&mut self, value: Q::Item) {
+        ShardedHandle::enqueue(self, value);
+    }
+
+    fn dequeue(&mut self) -> Option<Q::Item> {
+        ShardedHandle::dequeue(self)
+    }
+
+    fn enqueue_batch(&mut self, values: Vec<Q::Item>) {
+        ShardedHandle::enqueue_batch(self, values);
+    }
+
+    fn dequeue_batch(&mut self, count: usize) -> Vec<Option<Q::Item>> {
+        ShardedHandle::dequeue_batch(self, count)
+    }
+}
+
 impl<Q: Shard> fmt::Debug for ShardedHandle<'_, Q> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let touched: Vec<usize> = self
@@ -894,6 +817,17 @@ mod tests {
     /// Every Routing variant, for exhaustive little loops.
     const ALL: [Routing; 2] = [Routing::PerProducer, Routing::Nearest];
 
+    /// Unbounded shards over a pinned flat placement.
+    fn flat(num_shards: usize, max_handles: usize, routing: Routing) -> ShardedUnbounded<u64> {
+        ShardedQueue::build(
+            num_shards,
+            max_handles,
+            routing,
+            PlacementConfig::Flat,
+            unbounded::Queue::new,
+        )
+    }
+
     #[test]
     fn shard_capacity_per_policy() {
         // 8 handles over 3 shards: pinned counts 3, 3, 2.
@@ -910,8 +844,7 @@ mod tests {
     fn round_trip_all_policies_unbounded() {
         for routing in ALL {
             for shards in [1usize, 2, 3] {
-                let q: ShardedUnbounded<u64> =
-                    ShardedUnbounded::new_placed(shards, 2, routing, PlacementConfig::Flat);
+                let q: ShardedUnbounded<u64> = flat(shards, 2, routing);
                 let mut h = q.try_handle().unwrap();
                 for v in 0..10 {
                     h.enqueue(v);
@@ -928,7 +861,10 @@ mod tests {
 
     #[test]
     fn round_trip_bounded_shards() {
-        let q: ShardedBounded<u64> = ShardedBounded::with_gc_period(2, 2, 4, Routing::Nearest);
+        let q: ShardedBounded<u64> =
+            ShardedQueue::build(2, 2, Routing::Nearest, PlacementConfig::Flat, |cap| {
+                bounded::Queue::with_gc_period(cap, 4)
+            });
         let mut h = q.try_handle().unwrap();
         h.enqueue_batch(vec![1, 2, 3]);
         let got: Vec<u64> = h.drain().collect();
@@ -957,8 +893,7 @@ mod tests {
 
     #[test]
     fn nearest_scan_reaches_every_shard() {
-        let q: ShardedUnbounded<u64> =
-            ShardedUnbounded::new_placed(3, 3, Routing::Nearest, PlacementConfig::Flat);
+        let q: ShardedUnbounded<u64> = flat(3, 3, Routing::Nearest);
         let mut handles = q.handles();
         for (i, h) in handles.iter_mut().enumerate() {
             h.enqueue(i as u64);
@@ -980,8 +915,7 @@ mod tests {
 
     #[test]
     fn nearest_prefers_home_shard_first() {
-        let q: ShardedUnbounded<u64> =
-            ShardedUnbounded::new_placed(2, 2, Routing::Nearest, PlacementConfig::Flat);
+        let q: ShardedUnbounded<u64> = flat(2, 2, Routing::Nearest);
         let mut handles = q.handles();
         let (a, b) = handles.split_at_mut(1);
         let (h0, h1) = (&mut a[0], &mut b[0]);
@@ -995,8 +929,7 @@ mod tests {
 
     #[test]
     fn batches_route_whole_batches_to_one_shard() {
-        let q: ShardedUnbounded<u64> =
-            ShardedUnbounded::new_placed(2, 2, Routing::Nearest, PlacementConfig::Flat);
+        let q: ShardedUnbounded<u64> = flat(2, 2, Routing::Nearest);
         let mut handles = q.handles();
         handles[0].enqueue_batch(vec![1, 2, 3]); // home shard 0
         handles[1].enqueue_batch(vec![4, 5]); // home shard 1
@@ -1014,8 +947,7 @@ mod tests {
 
     #[test]
     fn nearest_batches_round_trip() {
-        let q: ShardedUnbounded<u64> =
-            ShardedUnbounded::new_placed(2, 2, Routing::Nearest, PlacementConfig::Flat);
+        let q: ShardedUnbounded<u64> = flat(2, 2, Routing::Nearest);
         let mut handles = q.handles();
         handles[0].enqueue_batch(vec![1, 2]); // home shard 0
         handles[1].enqueue_batch(vec![3, 4]); // home shard 1
@@ -1028,12 +960,10 @@ mod tests {
 
     #[test]
     fn reclaiming_shards_truncate_independently() {
-        let q: ShardedUnbounded<u64> = ShardedUnbounded::with_reclaim(
-            2,
-            2,
-            Routing::PerProducer,
-            ReclaimPolicy::EveryKRootBlocks(8),
-        );
+        let q: ShardedUnbounded<u64> =
+            ShardedQueue::build(2, 2, Routing::PerProducer, PlacementConfig::Flat, |cap| {
+                unbounded::Queue::with_reclaim(cap, ReclaimPolicy::EveryKRootBlocks(8))
+            });
         let mut handles = q.handles();
         for round in 0..500u64 {
             for h in &mut handles {
@@ -1067,13 +997,13 @@ mod tests {
         // 2 handles scanning over shards of capacity 1: rejected at
         // construction, not at first lazy registration.
         let shards = vec![unbounded::Queue::<u64>::new(1), unbounded::Queue::new(1)];
-        let _ = ShardedQueue::with_shards(shards, 2, Routing::Nearest);
+        let _ = ShardedQueue::with_shards(shards, 2, Routing::Nearest, PlacementConfig::Flat);
     }
 
     #[test]
     fn with_shards_accepts_exactly_sized_pinned_shards() {
         let shards = vec![unbounded::Queue::<u64>::new(2), unbounded::Queue::new(1)];
-        let q = ShardedQueue::with_shards(shards, 3, Routing::PerProducer);
+        let q = ShardedQueue::with_shards(shards, 3, Routing::PerProducer, PlacementConfig::Flat);
         let mut handles = q.handles();
         assert_eq!(handles.len(), 3);
         for h in &mut handles {

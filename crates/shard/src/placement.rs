@@ -187,7 +187,8 @@ impl HwTopology {
 }
 
 /// How a sharded queue should derive its [`Placement`] — the `Copy`
-/// configuration surface mirrored by `wfqueue_channel`'s `ShardedConfig`.
+/// value that `ShardedQueue::build` and the channel builder's
+/// `placement` knob take.
 ///
 /// # Examples
 ///

@@ -14,7 +14,7 @@
 
 use wfqueue::unbounded;
 use wfqueue_metrics::StepSnapshot;
-use wfqueue_shard::{PlacementConfig, Routing, ShardedUnbounded};
+use wfqueue_shard::{PlacementConfig, Routing, ShardedQueue, ShardedUnbounded};
 
 // ---------------------------------------------------------------------------
 // Frozen reference (PerProducer)
@@ -183,7 +183,7 @@ fn run_sharded(
     ops: &[(usize, ScriptOp)],
 ) -> (StepSnapshot, Vec<Option<u64>>) {
     let q: ShardedUnbounded<u64> =
-        ShardedUnbounded::new_placed(shards, handles, routing, placement);
+        ShardedQueue::build(shards, handles, routing, placement, unbounded::Queue::new);
     let mut hs = q.handles();
     assert_eq!(hs.len(), handles);
     let mut responses = Vec::new();

@@ -514,7 +514,14 @@ mod tests {
         use Op::{Get, Insert, SplitGe};
         // Splits of the empty treap, at 0 (keeps all) and past the maximum
         // (drops all), then descending inserts and overwrites after a split.
-        check_against_model(&[SplitGe(0), SplitGe(7), Get(0), Insert(0, 1), SplitGe(0), Get(0)]);
+        check_against_model(&[
+            SplitGe(0),
+            SplitGe(7),
+            Get(0),
+            Insert(0, 1),
+            SplitGe(0),
+            Get(0),
+        ]);
         check_against_model(&[
             Insert(3, 30),
             Insert(2, 20),

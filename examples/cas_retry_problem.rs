@@ -9,7 +9,8 @@
 //!
 //! Run with: `cargo run --release --example cas_retry_problem`
 
-use wfqueue_harness::queue_api::{Ms, WfUnbounded};
+use wfqueue::unbounded;
+use wfqueue_harness::queue_api::Ms;
 use wfqueue_harness::table::{f2, Table};
 use wfqueue_harness::workload::{run_workload, RunReport, WorkloadSpec};
 
@@ -51,7 +52,7 @@ fn main() {
             f2(cas_per_op(&ms)),
             f2(failed_per_op(&ms)),
         ]);
-        let wf = run_workload(&WfUnbounded::new(threads), &spec);
+        let wf = run_workload(&unbounded::Queue::new(threads), &spec);
         table.row_owned(vec![
             "wf-queue".into(),
             schedule.into(),

@@ -50,7 +50,6 @@ fn main() {
         // overflow paths — the interesting part of the schedule.
         local_queue_capacity: 128,
         max_spawners: producers,
-        ..ExecutorConfig::default()
     }));
 
     // XOR-folded checksum: order-independent, so any interleaving of the

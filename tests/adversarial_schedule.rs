@@ -6,8 +6,9 @@
 //! (Kept in its own integration-test binary because the adversary switch is
 //! process-global; every test here wants it enabled.)
 
-use wfqueue_harness::queue_api::{WfBounded, WfRing, WfUnbounded};
+use wfqueue::{bounded, unbounded};
 use wfqueue_harness::workload::{run_workload, WorkloadSpec};
+use wfqueue_ring::Ring;
 
 fn spec(threads: usize, seed: u64) -> WorkloadSpec {
     WorkloadSpec {
@@ -24,21 +25,21 @@ fn adversarial_stress_all_variants() {
     wfqueue_metrics::set_adversary(true);
 
     for threads in [2, 4, 8] {
-        let q = WfUnbounded::new(threads);
+        let q = unbounded::Queue::new(threads);
         let r = run_workload(&q, &spec(threads, 0xAD0 + threads as u64));
         assert!(r.audits_ok(), "wf-unbounded p={threads}: {r:?}");
-        wfqueue::unbounded::introspect::check_invariants(&q.0).unwrap();
+        wfqueue::unbounded::introspect::check_invariants(&q).unwrap();
 
-        let q = WfBounded::with_gc_period(threads, 4);
+        let q = bounded::Queue::with_gc_period(threads, 4);
         let r = run_workload(&q, &spec(threads, 0xAD1 + threads as u64));
         assert!(r.audits_ok(), "wf-bounded p={threads}: {r:?}");
-        wfqueue::bounded::introspect::check_invariants(&q.0).unwrap();
+        wfqueue::bounded::introspect::check_invariants(&q).unwrap();
 
         // Ring capacity well above the workload's random-walk excursion
         // (≈ prefill + √ops): the adapter spins on Full, which is
         // harmless backpressure here but would serialise the test if it
         // dominated.
-        let q = WfRing::new(threads, 1 << 12);
+        let q = Ring::new(1 << 12, threads);
         let r = run_workload(&q, &spec(threads, 0xAD3 + threads as u64));
         assert!(r.audits_ok(), "wf-ring p={threads}: {r:?}");
     }
@@ -53,7 +54,7 @@ fn adversary_increases_failed_cas_but_not_correctness() {
     // worst-case op stays within its per-level budget.
     wfqueue_metrics::set_adversary(true);
     let threads = 6;
-    let q = WfUnbounded::new(threads);
+    let q = unbounded::Queue::new(threads);
     let r = run_workload(&q, &spec(threads, 0xAD9));
     assert!(r.audits_ok());
     let max_cas = r

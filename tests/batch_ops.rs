@@ -5,8 +5,9 @@
 
 use std::collections::VecDeque;
 
+use wfqueue::{bounded, unbounded};
 use wfqueue_harness::lincheck;
-use wfqueue_harness::queue_api::{CoarseMutex, Ms, WfBounded, WfUnbounded};
+use wfqueue_harness::queue_api::{CoarseMutex, Ms};
 use wfqueue_harness::workload::{run_batch_workload, BatchWorkloadSpec};
 use wfqueue_harness::QueueHandle;
 
@@ -14,12 +15,12 @@ use wfqueue_harness::QueueHandle;
 fn batched_histories_are_linearizable_small_scope() {
     for round in 0..25u64 {
         // 2 threads × 3 batches × 3 ops = 18 events per history.
-        let q = WfUnbounded::new(2);
+        let q = unbounded::Queue::new(2);
         let h = lincheck::record_batch_history(&q, 2, 3, 3, 500, round * 11 + 1);
         assert_eq!(h.len(), 18);
         lincheck::check_linearizable(&h).unwrap_or_else(|e| panic!("unbounded {round}: {e}"));
 
-        let q = WfBounded::with_gc_period(2, 4);
+        let q = bounded::Queue::with_gc_period(2, 4);
         let h = lincheck::record_batch_history(&q, 2, 3, 3, 500, round * 19 + 7);
         lincheck::check_linearizable(&h).unwrap_or_else(|e| panic!("bounded {round}: {e}"));
     }
@@ -36,17 +37,17 @@ fn batched_workload_audits_across_queues_and_sizes() {
             prefill: 64,
             seed: 0xBB + batch_size as u64,
         };
-        let q = WfUnbounded::new(4);
+        let q = unbounded::Queue::new(4);
         let r = run_batch_workload(&q, &spec);
         assert!(r.audits_ok(), "wf-unbounded k={batch_size}: {r:?}");
-        wfqueue::unbounded::introspect::check_invariants(&q.0).unwrap();
+        wfqueue::unbounded::introspect::check_invariants(&q).unwrap();
 
-        let q = WfBounded::new(4);
+        let q = bounded::Queue::new(4);
         let r = run_batch_workload(&q, &spec);
         assert!(r.audits_ok(), "wf-bounded k={batch_size}: {r:?}");
 
         // Frequent GC phases under concurrent batches.
-        let q = WfBounded::with_gc_period(4, 8);
+        let q = bounded::Queue::with_gc_period(4, 8);
         let r = run_batch_workload(&q, &spec);
         assert!(r.audits_ok(), "wf-bounded gc=8 k={batch_size}: {r:?}");
 

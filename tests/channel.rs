@@ -9,9 +9,8 @@
 use proptest::prelude::*;
 
 use wfqueue_channel::{
-    bounded, bounded_with, sharded, unbounded, unbounded_with, Backend, BoundedConfig, Channel,
-    Endpoints, PlacementConfig, Receiver, ReclaimPolicy, Sender, ShardedConfig, TryRecvError,
-    TrySendError, UnboundedConfig,
+    bounded, unbounded, Backend, Channel, Endpoints, PlacementConfig, Receiver, ReclaimPolicy,
+    Sender, TryRecvError, TrySendError,
 };
 use wfqueue_harness::channel_api::{ChannelMode, WfChannel};
 use wfqueue_harness::lincheck;
@@ -31,13 +30,32 @@ fn all_modes() -> Vec<ChannelMode> {
 /// whose backend is bit-for-bit a raw 2-process queue, used by the parity
 /// tests.
 fn pair_channel<T: Clone + Send + Sync + 'static>() -> (Sender<T>, Receiver<T>) {
-    unbounded_with(UnboundedConfig {
-        endpoints: Endpoints {
-            senders: 1,
-            receivers: 1,
-        },
-        reclaim: ReclaimPolicy::Off,
-    })
+    Channel::builder()
+        .endpoints(ONE_EACH)
+        .reclaim(ReclaimPolicy::Off)
+        .build()
+        .unwrap()
+}
+
+/// One sender and one receiver.
+const ONE_EACH: Endpoints = Endpoints {
+    senders: 1,
+    receivers: 1,
+};
+
+/// Three senders and three receivers.
+const THREE_EACH: Endpoints = Endpoints {
+    senders: 3,
+    receivers: 3,
+};
+
+/// A 1-sender/1-receiver §6 channel holding at most `capacity` values.
+fn bounded_pair(capacity: usize) -> (Sender<u64>, Receiver<u64>) {
+    Channel::builder()
+        .backend(Backend::BoundedTree { capacity })
+        .endpoints(ONE_EACH)
+        .build()
+        .unwrap()
 }
 
 // ---------------------------------------------------------------------------
@@ -110,21 +128,19 @@ fn try_path_parity_unbounded() {
 #[test]
 fn try_path_parity_sharded() {
     const N: u64 = 24;
-    let cfg = ShardedConfig {
-        shards: 2,
-        endpoints: Endpoints {
-            senders: 1,
-            receivers: 1,
-        },
-        placement: PlacementConfig::Flat,
-        reclaim: ReclaimPolicy::Off,
-    };
-    let (mut tx, mut rx) = sharded::<u64>(cfg);
-    let raw = wfqueue_shard::ShardedUnbounded::<u64>::new_placed(
+    let (mut tx, mut rx) = Channel::builder::<u64>()
+        .backend(Backend::Sharded { shards: 2 })
+        .endpoints(ONE_EACH)
+        .placement(PlacementConfig::Flat)
+        .reclaim(ReclaimPolicy::Off)
+        .build()
+        .unwrap();
+    let raw = wfqueue_shard::ShardedQueue::build(
         2,
         2,
         wfqueue_shard::Routing::Nearest,
         PlacementConfig::Flat,
+        wfqueue::unbounded::Queue::<u64>::new,
     );
     let mut raw_enq = raw.try_handle().unwrap();
     let mut raw_deq = raw.try_handle().unwrap();
@@ -153,14 +169,7 @@ fn try_path_parity_sharded() {
 #[test]
 fn try_path_parity_bounded_documented_constants() {
     const N: u64 = 24;
-    let (mut tx, mut rx) = bounded_with::<u64>(BoundedConfig {
-        capacity: 1_024,
-        endpoints: Endpoints {
-            senders: 1,
-            receivers: 1,
-        },
-        gc_period: None,
-    });
+    let (mut tx, mut rx) = bounded_pair(1_024);
     let raw = wfqueue::bounded::Queue::<u64>::new(2);
     let mut raw_enq = raw.register().unwrap();
     let mut raw_deq = raw.register().unwrap();
@@ -231,37 +240,16 @@ fn construction_steps(make: impl FnOnce() -> (Sender<u64>, Receiver<u64>)) -> St
     steps
 }
 
-/// The crate docs promise that every free constructor is a thin wrapper
-/// over [`Channel::builder`] — step-for-step identical, not merely
-/// equivalent. Asserted here as exact step-snapshot identity of
-/// construction plus a send/recv round, for each constructor against its
-/// builder spelling (including the builder's defaults standing in for
-/// the config defaults).
+/// [`unbounded`] and [`bounded`] are shorthands for the builder —
+/// step-for-step identical, not merely equivalent. Asserted here as exact
+/// step-snapshot identity of construction plus a send/recv round, for each
+/// shorthand against its builder spelling.
 #[test]
 fn free_constructors_are_step_identical_to_builder() {
     assert_eq!(
         construction_steps(unbounded),
         construction_steps(|| Channel::builder().build().unwrap()),
         "unbounded() vs builder defaults"
-    );
-    let cfg = UnboundedConfig {
-        endpoints: Endpoints {
-            senders: 2,
-            receivers: 3,
-        },
-        reclaim: ReclaimPolicy::Off,
-    };
-    assert_eq!(
-        construction_steps(|| unbounded_with(cfg)),
-        construction_steps(|| {
-            Channel::builder()
-                .backend(Backend::Unbounded)
-                .endpoints(cfg.endpoints)
-                .reclaim(cfg.reclaim)
-                .build()
-                .unwrap()
-        }),
-        "unbounded_with vs builder"
     );
     assert_eq!(
         construction_steps(|| bounded(8)),
@@ -272,50 +260,6 @@ fn free_constructors_are_step_identical_to_builder() {
                 .unwrap()
         }),
         "bounded(8) vs builder"
-    );
-    let cfg = BoundedConfig {
-        capacity: 4,
-        endpoints: Endpoints {
-            senders: 2,
-            receivers: 2,
-        },
-        gc_period: Some(3),
-    };
-    assert_eq!(
-        construction_steps(|| bounded_with(cfg)),
-        construction_steps(|| {
-            Channel::builder()
-                .backend(Backend::BoundedTree {
-                    capacity: cfg.capacity,
-                })
-                .endpoints(cfg.endpoints)
-                .gc_period(cfg.gc_period)
-                .build()
-                .unwrap()
-        }),
-        "bounded_with vs builder"
-    );
-    let cfg = ShardedConfig {
-        shards: 2,
-        endpoints: Endpoints {
-            senders: 2,
-            receivers: 2,
-        },
-        placement: PlacementConfig::Flat,
-        reclaim: ReclaimPolicy::EveryKRootBlocks(8),
-    };
-    assert_eq!(
-        construction_steps(|| sharded(cfg)),
-        construction_steps(|| {
-            Channel::builder()
-                .backend(Backend::Sharded { shards: cfg.shards })
-                .endpoints(cfg.endpoints)
-                .placement(cfg.placement)
-                .reclaim(cfg.reclaim)
-                .build()
-                .unwrap()
-        }),
-        "sharded vs builder"
     );
 }
 
@@ -384,14 +328,7 @@ fn adversarial_workloads_all_modes_and_backends() {
 fn adversarial_ping_pong_capacity_one() {
     wfqueue_metrics::set_adversary(true);
     const ROUNDS: u64 = 2_000;
-    let (mut tx, mut rx) = bounded_with::<u64>(BoundedConfig {
-        capacity: 1,
-        endpoints: Endpoints {
-            senders: 1,
-            receivers: 1,
-        },
-        gc_period: None,
-    });
+    let (mut tx, mut rx) = bounded_pair(1);
     let producer = wfqueue_sync::thread::spawn(move || {
         for i in 0..ROUNDS {
             tx.send(i).unwrap();
@@ -411,13 +348,14 @@ fn adversarial_ping_pong_capacity_one() {
 fn adversarial_drain_then_disconnect_under_contention() {
     wfqueue_metrics::set_adversary(true);
     const PER_SENDER: u64 = 1_500;
-    let (tx, rx) = unbounded_with::<u64>(UnboundedConfig {
-        endpoints: Endpoints {
+    let (tx, rx) = Channel::builder::<u64>()
+        .endpoints(Endpoints {
             senders: 3,
             receivers: 2,
-        },
-        reclaim: ReclaimPolicy::EveryKRootBlocks(16),
-    });
+        })
+        .reclaim(ReclaimPolicy::EveryKRootBlocks(16))
+        .build()
+        .unwrap();
     let senders = [tx.try_clone().unwrap(), tx.try_clone().unwrap(), tx];
     let consumed: Vec<Vec<u64>> = wfqueue_sync::thread::scope(|s| {
         for (p, mut tx) in senders.into_iter().enumerate() {
@@ -533,33 +471,42 @@ proptest! {
     fn drop_interleavings_never_lose_values_unbounded(
         script in proptest::collection::vec((0u8..5, 0u8..6), 0..60)
     ) {
-        check_drop_script(&script, || unbounded_with(UnboundedConfig {
-            endpoints: Endpoints { senders: 3, receivers: 3 },
-            reclaim: ReclaimPolicy::EveryKRootBlocks(8),
-        }))?;
+        check_drop_script(&script, || {
+            Channel::builder()
+                .endpoints(THREE_EACH)
+                .reclaim(ReclaimPolicy::EveryKRootBlocks(8))
+                .build()
+                .unwrap()
+        })?;
     }
 
     #[test]
     fn drop_interleavings_never_lose_values_bounded(
         script in proptest::collection::vec((0u8..5, 0u8..6), 0..60)
     ) {
-        check_drop_script(&script, || bounded_with(BoundedConfig {
-            capacity: 8,
-            endpoints: Endpoints { senders: 3, receivers: 3 },
-            gc_period: Some(8),
-        }))?;
+        check_drop_script(&script, || {
+            Channel::builder()
+                .backend(Backend::BoundedTree { capacity: 8 })
+                .endpoints(THREE_EACH)
+                .gc_period(8)
+                .build()
+                .unwrap()
+        })?;
     }
 
     #[test]
     fn drop_interleavings_never_lose_values_sharded(
         script in proptest::collection::vec((0u8..5, 0u8..6), 0..60)
     ) {
-        check_drop_script(&script, || sharded(ShardedConfig {
-            shards: 2,
-            endpoints: Endpoints { senders: 3, receivers: 3 },
-            placement: PlacementConfig::Flat,
-            reclaim: ReclaimPolicy::Off,
-        }))?;
+        check_drop_script(&script, || {
+            Channel::builder()
+                .backend(Backend::Sharded { shards: 2 })
+                .endpoints(THREE_EACH)
+                .placement(PlacementConfig::Flat)
+                .reclaim(ReclaimPolicy::Off)
+                .build()
+                .unwrap()
+        })?;
     }
 }
 
@@ -577,14 +524,7 @@ mod async_mode {
     fn futures_complete_across_threads_under_adversary() {
         wfqueue_metrics::set_adversary(true);
         const ROUNDS: u64 = 500;
-        let (mut tx, mut rx) = bounded_with::<u64>(BoundedConfig {
-            capacity: 1,
-            endpoints: Endpoints {
-                senders: 1,
-                receivers: 1,
-            },
-            gc_period: None,
-        });
+        let (mut tx, mut rx) = bounded_pair(1);
         let producer = wfqueue_sync::thread::spawn(move || {
             for i in 0..ROUNDS {
                 block_on(tx.send_async(i)).unwrap();

@@ -2,7 +2,7 @@
 //! workload runner: per-producer FIFO, no loss, no duplication, across
 //! thread counts and mixes, for both queue variants.
 
-use wfqueue_harness::queue_api::{WfBounded, WfUnbounded};
+use wfqueue::{bounded, unbounded};
 use wfqueue_harness::workload::{run_workload, WorkloadSpec};
 
 fn stress_spec(threads: usize, seed: u64, enqueue_permille: u32) -> WorkloadSpec {
@@ -18,38 +18,38 @@ fn stress_spec(threads: usize, seed: u64, enqueue_permille: u32) -> WorkloadSpec
 #[test]
 fn unbounded_balanced_mix_scaling() {
     for threads in [2, 4, 8] {
-        let q = WfUnbounded::new(threads);
+        let q = unbounded::Queue::new(threads);
         let r = run_workload(&q, &stress_spec(threads, 11, 500));
         assert!(r.audits_ok(), "p={threads}: {r:?}");
         assert_eq!(r.total_ops(), (threads * 4_000) as u64);
-        wfqueue::unbounded::introspect::check_invariants(&q.0).unwrap();
+        wfqueue::unbounded::introspect::check_invariants(&q).unwrap();
     }
 }
 
 #[test]
 fn unbounded_enqueue_heavy_and_dequeue_heavy() {
     for (seed, permille) in [(21, 800), (22, 200)] {
-        let q = WfUnbounded::new(6);
+        let q = unbounded::Queue::new(6);
         let r = run_workload(&q, &stress_spec(6, seed, permille));
         assert!(r.audits_ok(), "permille={permille}: {r:?}");
-        wfqueue::unbounded::introspect::check_invariants(&q.0).unwrap();
+        wfqueue::unbounded::introspect::check_invariants(&q).unwrap();
     }
 }
 
 #[test]
 fn bounded_balanced_mix_scaling_default_gc() {
     for threads in [2, 4, 8] {
-        let q = WfBounded::new(threads);
+        let q = bounded::Queue::new(threads);
         let r = run_workload(&q, &stress_spec(threads, 31, 500));
         assert!(r.audits_ok(), "p={threads}: {r:?}");
-        wfqueue::bounded::introspect::check_invariants(&q.0).unwrap();
+        wfqueue::bounded::introspect::check_invariants(&q).unwrap();
     }
 }
 
 #[test]
 fn bounded_with_tiny_gc_periods() {
     for gc in [1, 2, 5] {
-        let q = WfBounded::with_gc_period(4, gc);
+        let q = bounded::Queue::with_gc_period(4, gc);
         let r = run_workload(
             &q,
             &WorkloadSpec {
@@ -61,7 +61,7 @@ fn bounded_with_tiny_gc_periods() {
             },
         );
         assert!(r.audits_ok(), "gc={gc}: {r:?}");
-        wfqueue::bounded::introspect::check_invariants(&q.0).unwrap();
+        wfqueue::bounded::introspect::check_invariants(&q).unwrap();
     }
 }
 
@@ -69,7 +69,7 @@ fn bounded_with_tiny_gc_periods() {
 fn null_dequeues_are_exercised_and_safe() {
     // Dequeue-only on an empty queue: every dequeue is null; then verify a
     // subsequent mixed phase still behaves.
-    let q = WfUnbounded::new(3);
+    let q = unbounded::Queue::new(3);
     let r = run_workload(
         &q,
         &WorkloadSpec {
@@ -89,9 +89,9 @@ fn null_dequeues_are_exercised_and_safe() {
 fn conservation_of_values() {
     // enqueued == dequeued + still-in-queue, measured by a full drain.
     let threads = 5;
-    let q = WfUnbounded::new(threads + 1);
+    let q = unbounded::Queue::new(threads + 1);
     let r = run_workload(&q, &stress_spec(threads, 55, 600));
-    let mut drain = q.0.register().expect("one spare handle");
+    let mut drain = q.register().expect("one spare handle");
     let mut remaining = 0u64;
     while drain.dequeue().is_some() {
         remaining += 1;

@@ -27,8 +27,8 @@
 
 use std::collections::VecDeque;
 
+use wfqueue::{bounded, unbounded};
 use wfqueue_harness::lincheck;
-use wfqueue_harness::queue_api::{WfBounded, WfUnbounded};
 use wfqueue_harness::workload::{run_workload, WorkloadSpec};
 
 /// Deterministic, sequential: the right-child leaf computes dequeue
@@ -108,12 +108,12 @@ fn adversarial_small_scope_linearizability() {
     wfqueue_metrics::set_adversary(true);
     let result = (|| {
         for round in 0..40u64 {
-            let q = WfUnbounded::new(4);
+            let q = unbounded::Queue::new(4);
             let h = lincheck::record_history(&q, 4, 4, 350, round * 13 + 1);
             lincheck::check_linearizable(&h)
                 .map_err(|e| format!("unbounded round {round}: {e}"))?;
 
-            let q = WfBounded::with_gc_period(4, 4);
+            let q = bounded::Queue::with_gc_period(4, 4);
             let h = lincheck::record_history(&q, 4, 4, 350, round * 17 + 5);
             lincheck::check_linearizable(&h).map_err(|e| format!("bounded round {round}: {e}"))?;
         }
@@ -137,10 +137,10 @@ fn adversarial_dequeue_heavy_audits() {
             prefill: 128,
             seed: 0xE88 + threads as u64,
         };
-        let q = WfUnbounded::new(threads);
+        let q = unbounded::Queue::new(threads);
         let r = run_workload(&q, &spec);
         assert!(r.audits_ok(), "wf-unbounded p={threads}: {r:?}");
-        wfqueue::unbounded::introspect::check_invariants(&q.0).unwrap();
+        wfqueue::unbounded::introspect::check_invariants(&q).unwrap();
     }
     wfqueue_metrics::set_adversary(false);
 }

@@ -433,7 +433,6 @@ fn executor_churn_soak() {
         workers: 4,
         local_queue_capacity: 64, // small rings: force overflow + steals
         max_spawners: 16,
-        ..ExecutorConfig::default()
     }));
     let mut spawner = pool.try_spawner().expect("spawner budget");
     for round in 0..5 {

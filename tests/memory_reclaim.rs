@@ -19,11 +19,13 @@
 use std::collections::VecDeque;
 
 use wfqueue::bounded::introspect as bintro;
+use wfqueue::unbounded;
 use wfqueue::unbounded::introspect as uintro;
 use wfqueue::unbounded::ReclaimPolicy;
 use wfqueue_harness::lincheck::check_rounds;
-use wfqueue_harness::queue_api::{Routing, WfShardedUnbounded, WfUnbounded};
+use wfqueue_harness::queue_api::{PlacementConfig, Routing};
 use wfqueue_harness::workload::{run_workload, WorkloadSpec};
+use wfqueue_shard::{ShardedQueue, ShardedUnbounded};
 
 /// Churn rounds per checkpoint; 8 checkpoints ≈ 13k ops per scenario —
 /// enough for linear growth and a plateau to be unmistakably different.
@@ -159,15 +161,21 @@ fn unbounded_with_reclamation_bytes_plateau() {
     assert_byte_plateau("unbounded", &samples);
 }
 
-#[test]
-fn sharded_reclaiming_bytes_plateau() {
-    let q: WfShardedUnbounded<u64> = WfShardedUnbounded::with_reclaim(
+/// Two per-producer shards, each truncating every 16 root blocks.
+fn reclaiming_shards() -> ShardedUnbounded<u64> {
+    ShardedQueue::build(
         2,
         2,
         Routing::PerProducer,
-        ReclaimPolicy::EveryKRootBlocks(16),
-    );
-    let mut handles = q.0.handles();
+        PlacementConfig::default(),
+        |cap| unbounded::Queue::with_reclaim(cap, ReclaimPolicy::EveryKRootBlocks(16)),
+    )
+}
+
+#[test]
+fn sharded_reclaiming_bytes_plateau() {
+    let q = reclaiming_shards();
+    let mut handles = q.handles();
     let samples = churn_checkpoints(
         |handles: &mut Vec<_>, round| {
             for h in handles.iter_mut() {
@@ -177,7 +185,7 @@ fn sharded_reclaiming_bytes_plateau() {
         },
         &mut handles,
         || {
-            let shards = q.0.shards();
+            let shards = q.shards();
             let bytes = shards.iter().map(uintro::live_block_bytes).sum();
             let logical = shards.iter().map(|s| uintro::block_counts(s).logical);
             (bytes, logical.sum())
@@ -243,13 +251,8 @@ fn batched_churn_plateaus_too() {
 
 #[test]
 fn sharded_reclaiming_composite_plateaus() {
-    let q: WfShardedUnbounded<u64> = WfShardedUnbounded::with_reclaim(
-        2,
-        2,
-        Routing::PerProducer,
-        ReclaimPolicy::EveryKRootBlocks(16),
-    );
-    let mut handles = q.0.handles();
+    let q = reclaiming_shards();
+    let mut handles = q.handles();
     let mut peak_after_warmup = 0;
     for round in 0..2_000u64 {
         for h in &mut handles {
@@ -257,15 +260,15 @@ fn sharded_reclaiming_composite_plateaus() {
             assert_eq!(h.dequeue(), Some(round));
         }
         if round == 100 {
-            peak_after_warmup = q.0.shards().iter().map(uintro::total_blocks).sum();
+            peak_after_warmup = q.shards().iter().map(uintro::total_blocks).sum();
         }
     }
-    let end: usize = q.0.shards().iter().map(uintro::total_blocks).sum();
+    let end: usize = q.shards().iter().map(uintro::total_blocks).sum();
     assert!(
         end <= peak_after_warmup.max(256),
         "sharded live blocks must plateau: warmup={peak_after_warmup}, end={end}"
     );
-    for shard in q.0.shards() {
+    for shard in q.shards() {
         uintro::check_invariants(shard).unwrap();
     }
 }
@@ -276,21 +279,21 @@ fn wing_gong_linearizable_under_aggressive_reclamation() {
     // root block: the reclamation machinery is live in nearly every
     // operation while the checker watches.
     check_rounds(
-        || WfUnbounded::with_reclaim(2, ReclaimPolicy::EveryKRootBlocks(1)),
+        || unbounded::Queue::with_reclaim(2, ReclaimPolicy::EveryKRootBlocks(1)),
         2,
         5,
         60,
     )
     .unwrap();
     check_rounds(
-        || WfUnbounded::with_reclaim(3, ReclaimPolicy::EveryKRootBlocks(1)),
+        || unbounded::Queue::with_reclaim(3, ReclaimPolicy::EveryKRootBlocks(1)),
         3,
         4,
         40,
     )
     .unwrap();
     check_rounds(
-        || WfUnbounded::with_reclaim(4, ReclaimPolicy::EveryKRootBlocks(2)),
+        || unbounded::Queue::with_reclaim(4, ReclaimPolicy::EveryKRootBlocks(2)),
         4,
         3,
         30,
@@ -307,7 +310,7 @@ fn adversarial_schedule_with_reclamation_keeps_audits_green() {
     wfqueue_metrics::set_adversary(true);
     let result = std::panic::catch_unwind(|| {
         for seed in 0..4u64 {
-            let q = WfUnbounded::<u64>::with_reclaim(4, ReclaimPolicy::EveryKRootBlocks(2));
+            let q = unbounded::Queue::<u64>::with_reclaim(4, ReclaimPolicy::EveryKRootBlocks(2));
             let report = run_workload(
                 &q,
                 &WorkloadSpec {
@@ -319,9 +322,9 @@ fn adversarial_schedule_with_reclamation_keeps_audits_green() {
                 },
             );
             assert!(report.audits_ok(), "audits failed under adversary");
-            uintro::check_invariants(&q.0).unwrap();
+            uintro::check_invariants(&q).unwrap();
             assert!(
-                uintro::total_blocks(&q.0) < 8_000 + 8 * 4,
+                uintro::total_blocks(&q) < 8_000 + 8 * 4,
                 "16k mixed ops must not retain their whole history"
             );
         }
@@ -341,9 +344,9 @@ fn reclamation_off_adapter_matches_default_step_for_step() {
         prefill: 4,
         seed: 0xE12,
     };
-    let default_report = run_workload(&WfUnbounded::<u64>::new(1), &spec);
+    let default_report = run_workload(&unbounded::Queue::<u64>::new(1), &spec);
     let off_report = run_workload(
-        &WfUnbounded::<u64>::with_reclaim(1, ReclaimPolicy::Off),
+        &unbounded::Queue::<u64>::with_reclaim(1, ReclaimPolicy::Off),
         &spec,
     );
     assert!(default_report.audits_ok() && off_report.audits_ok());

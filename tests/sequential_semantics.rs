@@ -5,9 +5,9 @@
 use std::collections::VecDeque;
 
 use proptest::prelude::*;
-use wfqueue_harness::queue_api::{
-    CoarseMutex, ConcurrentQueue, Ms, QueueHandle, Seg, TwoLock, WfBounded, WfRing, WfUnbounded,
-};
+use wfqueue::{bounded, unbounded};
+use wfqueue_harness::queue_api::{CoarseMutex, ConcurrentQueue, Ms, QueueHandle, Seg, TwoLock};
+use wfqueue_ring::Ring;
 
 #[derive(Debug, Clone)]
 enum ScriptOp {
@@ -53,12 +53,12 @@ proptest! {
 
     #[test]
     fn all_queues_match_vecdeque(ops in script()) {
-        check_against_model(&WfUnbounded::new(1), &ops);
-        check_against_model(&WfBounded::new(1), &ops);
-        check_against_model(&WfBounded::with_gc_period(1, 3), &ops);
+        check_against_model(&unbounded::Queue::new(1), &ops);
+        check_against_model(&bounded::Queue::new(1), &ops);
+        check_against_model(&bounded::Queue::with_gc_period(1, 3), &ops);
         // Capacity above the script length: a single-threaded enqueue on
         // a full ring would spin forever (nobody to dequeue).
-        check_against_model(&WfRing::new(1, 256), &ops);
+        check_against_model(&Ring::new(256, 1), &ops);
         check_against_model(&Ms::new(), &ops);
         check_against_model(&TwoLock::new(), &ops);
         check_against_model(&CoarseMutex::new(), &ops);
@@ -73,8 +73,8 @@ proptest! {
         ]), 0..200),
         gc in 1usize..12,
     ) {
-        let unbounded = WfUnbounded::new(4);
-        let bounded = WfBounded::with_gc_period(4, gc);
+        let unbounded = unbounded::Queue::new(4);
+        let bounded = bounded::Queue::with_gc_period(4, gc);
         let mut hu: Vec<_> = (0..4).map(|_| unbounded.handle()).collect();
         let mut hb: Vec<_> = (0..4).map(|_| bounded.handle()).collect();
         for (who, op) in &ops {

@@ -8,16 +8,32 @@
 use proptest::prelude::*;
 
 use wfqueue_harness::lincheck::{self, Event, Op};
-use wfqueue_harness::queue_api::{Routing, WfShardedBounded, WfShardedUnbounded};
+use wfqueue_harness::queue_api::Routing;
 use wfqueue_harness::workload::{run_workload, WorkloadSpec};
 use wfqueue_harness::QueueHandle;
-use wfqueue_shard::{ShardedBounded, ShardedUnbounded};
+use wfqueue_shard::{PlacementConfig, ShardedBounded, ShardedQueue, ShardedUnbounded};
 
 /// Both routing policies. Each preserves per-producer FIFO on the
 /// composite and keeps handle `i`'s enqueues on shard `i % S`, so a
 /// value's shard is derivable from its producer tag — what the per-shard
 /// sub-history filter needs.
 const ROUTINGS: [Routing; 2] = [Routing::PerProducer, Routing::Nearest];
+
+/// A composite over `shards` §6 shards with a fixed GC period.
+fn bounded_shards(
+    shards: usize,
+    handles: usize,
+    gc_period: usize,
+    routing: Routing,
+) -> ShardedBounded<u64> {
+    ShardedQueue::build(
+        shards,
+        handles,
+        routing,
+        PlacementConfig::default(),
+        |cap| wfqueue::bounded::Queue::with_gc_period(cap, gc_period),
+    )
+}
 
 // ---------------------------------------------------------------------------
 // S = 1 is the inner queue
@@ -68,7 +84,7 @@ proptest! {
             let mut ih = inner.register().expect("one handle");
             apply_script(&script, &mut sh, &mut ih)?;
 
-            let sharded: ShardedBounded<u64> = ShardedBounded::with_gc_period(1, 1, 4, routing);
+            let sharded = bounded_shards(1, 1, 4, routing);
             let inner: wfqueue::bounded::Queue<u64> = wfqueue::bounded::Queue::with_gc_period(1, 4);
             let mut sh = sharded.try_handle().expect("one handle");
             let mut ih = inner.register().expect("one handle");
@@ -122,7 +138,7 @@ fn composite_with_one_shard_is_linearizable() {
     // linearizable FIFO.
     for routing in ROUTINGS {
         for round in 0..10u64 {
-            let q = WfShardedUnbounded::new(1, 3, routing);
+            let q = ShardedUnbounded::new(1, 3, routing);
             let h = lincheck::record_history(&q, 3, 4, 500, round * 13 + 1);
             assert_eq!(h.len(), 12);
             lincheck::check_linearizable(&h)
@@ -149,7 +165,7 @@ fn per_shard_sub_histories_are_linearizable() {
     for routing in ROUTINGS {
         for shards in [2usize, 3] {
             for round in 0..12u64 {
-                let q = WfShardedUnbounded::new(shards, 4, routing);
+                let q = ShardedUnbounded::new(shards, 4, routing);
                 let history = lincheck::record_history(&q, 4, 4, 500, round * 29 + 5);
                 for s in 0..shards {
                     let sub: Vec<Event> = history
@@ -189,10 +205,10 @@ fn adversarial_fifo_hunt_on_composites() {
                 prefill: 0,
                 seed: 0xF1F0 + shards as u64,
             };
-            let q = WfShardedUnbounded::new(shards, 8, routing);
+            let q = ShardedUnbounded::new(shards, 8, routing);
             let r = run_workload(&q, &spec);
             assert!(r.audits_ok(), "unbounded {routing:?} S={shards}: {r:?}");
-            for shard in q.0.shards() {
+            for shard in q.shards() {
                 wfqueue::unbounded::introspect::check_invariants(shard).unwrap();
             }
 
@@ -201,10 +217,10 @@ fn adversarial_fifo_hunt_on_composites() {
                 ops_per_thread: 250,
                 ..spec
             };
-            let q = WfShardedBounded::with_gc_period(shards, 6, 8, routing);
+            let q = bounded_shards(shards, 6, 8, routing);
             let r = run_workload(&q, &spec);
             assert!(r.audits_ok(), "bounded {routing:?} S={shards}: {r:?}");
-            for shard in q.0.shards() {
+            for shard in q.shards() {
                 wfqueue::bounded::introspect::check_invariants(shard).unwrap();
             }
         }

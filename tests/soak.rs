@@ -1,14 +1,15 @@
 //! Long-running soak tests (excluded from the default run; invoke with
 //! `cargo test --release --test soak -- --ignored`).
 
-use wfqueue_harness::queue_api::{WfBounded, WfRing, WfUnbounded};
+use wfqueue::{bounded, unbounded};
 use wfqueue_harness::workload::{run_workload, WorkloadSpec};
+use wfqueue_ring::Ring;
 
 #[test]
 #[ignore = "long-running soak; run explicitly with --ignored"]
 fn unbounded_half_million_ops() {
     let threads = 8;
-    let q = WfUnbounded::new(threads);
+    let q = unbounded::Queue::new(threads);
     let r = run_workload(
         &q,
         &WorkloadSpec {
@@ -20,14 +21,14 @@ fn unbounded_half_million_ops() {
         },
     );
     assert!(r.audits_ok(), "{r:?}");
-    wfqueue::unbounded::introspect::check_invariants(&q.0).unwrap();
+    wfqueue::unbounded::introspect::check_invariants(&q).unwrap();
 }
 
 #[test]
 #[ignore = "long-running soak; run explicitly with --ignored"]
 fn bounded_half_million_ops_small_gc() {
     let threads = 8;
-    let q = WfBounded::with_gc_period(threads, 32);
+    let q = bounded::Queue::with_gc_period(threads, 32);
     let r = run_workload(
         &q,
         &WorkloadSpec {
@@ -39,8 +40,8 @@ fn bounded_half_million_ops_small_gc() {
         },
     );
     assert!(r.audits_ok(), "{r:?}");
-    wfqueue::bounded::introspect::check_invariants(&q.0).unwrap();
-    let stats = wfqueue::bounded::introspect::space_stats(&q.0);
+    wfqueue::bounded::introspect::check_invariants(&q).unwrap();
+    let stats = wfqueue::bounded::introspect::space_stats(&q);
     assert!(
         stats.total_blocks < 200_000,
         "space not reclaimed over the soak: {stats:?}"
@@ -53,7 +54,7 @@ fn ring_half_million_ops() {
     let threads = 8;
     // Maximum ring capacity: the 50/50 workload's queue-length random
     // walk stays far below it, so Full (and the adapter's spin) is rare.
-    let q = WfRing::new(threads, wfqueue_ring::MAX_CAPACITY);
+    let q = Ring::new(wfqueue_ring::MAX_CAPACITY, threads);
     let r = run_workload(
         &q,
         &WorkloadSpec {
