@@ -1,16 +1,18 @@
 //! Executor-agnostic `Future`s for the broker (behind `feature = "async"`).
 //!
-//! Structurally the async mirror of the channel crate's futures: the poll
-//! protocol is *try the operation → register the waker → try again*, with
-//! wakers registered in the **topic-level** `Signal`s (the same ones the
-//! blocking paths park on), so the second attempt closes the race against
-//! a publish, consume or close that ran between the first attempt and the
-//! registration. No runtime, reactor or timer is pulled in; the futures
-//! run under any executor, including the channel facade's minimal
+//! Structurally the async mirror of the channel crate's futures: each
+//! `poll` is one [`Signal::poll_until`](wfqueue_channel::Signal::poll_until)
+//! round — *try the operation → register the waker → try again* — on the
+//! **topic-level** `Signal`s the blocking paths park on, so the second
+//! attempt closes the race against a publish, consume or close that ran
+//! between the first attempt and the registration. No runtime, reactor or
+//! timer is pulled in; the futures run under any executor, including the
+//! channel facade's minimal
 //! [`block_on`](wfqueue_channel::exec::block_on) test executor.
 
 use std::future::Future;
 use std::pin::Pin;
+use std::sync::Arc;
 use std::task::{Context, Poll};
 
 use crate::error::{ConsumeError, PublishError, TryConsumeError, TryPublishError};
@@ -50,61 +52,26 @@ impl<T: Clone + Send + Sync + 'static> Future for PublishFuture<'_, T> {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
-        let value = this.value.take().expect("polled after completion");
-        // First attempt.
-        let value = match this.publisher.try_publish(value) {
-            Ok(()) => {
-                this.publisher
-                    .core()
-                    .not_full_signal()
-                    .deregister_waker(&mut this.waker_slot);
-                return Poll::Ready(Ok(()));
-            }
-            Err(TryPublishError::Closed(v)) => {
-                this.publisher
-                    .core()
-                    .not_full_signal()
-                    .deregister_waker(&mut this.waker_slot);
-                return Poll::Ready(Err(PublishError(v)));
-            }
-            Err(TryPublishError::Full(v)) => v,
-        };
-        // Register, then re-try to close the race against a concurrent
-        // consume (or close) freeing the topic.
-        this.publisher
-            .core()
-            .not_full_signal()
-            .register_waker(&mut this.waker_slot, cx.waker());
-        wfqueue_metrics::adversary_yield();
-        match this.publisher.try_publish(value) {
-            Ok(()) => {
-                this.publisher
-                    .core()
-                    .not_full_signal()
-                    .deregister_waker(&mut this.waker_slot);
-                Poll::Ready(Ok(()))
-            }
-            Err(TryPublishError::Closed(v)) => {
-                this.publisher
-                    .core()
-                    .not_full_signal()
-                    .deregister_waker(&mut this.waker_slot);
-                Poll::Ready(Err(PublishError(v)))
-            }
-            Err(TryPublishError::Full(v)) => {
-                this.value = Some(v);
-                Poll::Pending
-            }
-        }
+        let core = Arc::clone(this.publisher.core());
+        core.not_full_signal()
+            .poll_until(&mut this.waker_slot, cx, || {
+                let value = this.value.take().expect("polled after completion");
+                match this.publisher.try_publish(value) {
+                    Ok(()) => Some(Ok(())),
+                    Err(TryPublishError::Closed(v)) => Some(Err(PublishError(v))),
+                    Err(TryPublishError::Full(v)) => {
+                        this.value = Some(v);
+                        None
+                    }
+                }
+            })
     }
 }
 
 impl<T: Clone + Send + Sync + 'static> Drop for PublishFuture<'_, T> {
     fn drop(&mut self) {
-        self.publisher
-            .core()
-            .not_full_signal()
-            .deregister_waker(&mut self.waker_slot);
+        let signal = self.publisher.core().not_full_signal();
+        signal.poll_cancel(&mut self.waker_slot);
     }
 }
 
@@ -137,54 +104,22 @@ impl<T: Clone + Send + Sync + 'static> Future for ConsumeFuture<'_, T> {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
-        match this.subscriber.try_recv() {
-            Ok(value) => {
-                this.subscriber
-                    .core()
-                    .not_empty_signal()
-                    .deregister_waker(&mut this.waker_slot);
-                return Poll::Ready(Ok(value));
-            }
-            Err(TryConsumeError::Closed) => {
-                this.subscriber
-                    .core()
-                    .not_empty_signal()
-                    .deregister_waker(&mut this.waker_slot);
-                return Poll::Ready(Err(ConsumeError));
-            }
-            Err(TryConsumeError::Empty) => {}
-        }
-        this.subscriber
-            .core()
-            .not_empty_signal()
-            .register_waker(&mut this.waker_slot, cx.waker());
-        wfqueue_metrics::adversary_yield();
-        match this.subscriber.try_recv() {
-            Ok(value) => {
-                this.subscriber
-                    .core()
-                    .not_empty_signal()
-                    .deregister_waker(&mut this.waker_slot);
-                Poll::Ready(Ok(value))
-            }
-            Err(TryConsumeError::Closed) => {
-                this.subscriber
-                    .core()
-                    .not_empty_signal()
-                    .deregister_waker(&mut this.waker_slot);
-                Poll::Ready(Err(ConsumeError))
-            }
-            Err(TryConsumeError::Empty) => Poll::Pending,
-        }
+        let core = Arc::clone(this.subscriber.core());
+        core.not_empty_signal()
+            .poll_until(&mut this.waker_slot, cx, || {
+                match this.subscriber.try_recv() {
+                    Ok(value) => Some(Ok(value)),
+                    Err(TryConsumeError::Closed) => Some(Err(ConsumeError)),
+                    Err(TryConsumeError::Empty) => None,
+                }
+            })
     }
 }
 
 impl<T: Clone + Send + Sync + 'static> Drop for ConsumeFuture<'_, T> {
     fn drop(&mut self) {
-        self.subscriber
-            .core()
-            .not_empty_signal()
-            .deregister_waker(&mut self.waker_slot);
+        let signal = self.subscriber.core().not_empty_signal();
+        signal.poll_cancel(&mut self.waker_slot);
     }
 }
 

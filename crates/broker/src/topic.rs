@@ -29,6 +29,13 @@ use crate::error::{
     BrokerError, ConsumeError, ConsumeTimeoutError, PublishError, TryConsumeError, TryPublishError,
 };
 
+/// `expect` message for values moved into an attempt and handed back on
+/// failure.
+const HELD: &str = "the values are handed back by every failed attempt";
+
+/// `expect` message for a `Signal::wait_until` without a deadline.
+const NO_DEADLINE: &str = "wait_until returns Some without a deadline";
+
 /// Configuration of one topic: which channel backend stores its values,
 /// and the handle budgets.
 ///
@@ -494,30 +501,33 @@ impl<T: Clone + Send + Sync + 'static> Publisher<T> {
     ///
     /// [`PublishError`] (returning the value) if the topic is closed.
     pub fn publish(&mut self, value: T) -> Result<(), PublishError<T>> {
-        let mut value = value;
-        loop {
-            match self.try_publish(value) {
-                Ok(()) => return Ok(()),
-                Err(TryPublishError::Closed(v)) => return Err(PublishError(v)),
-                Err(TryPublishError::Full(v)) => value = v,
+        self.publish_by(value, Self::try_publish)
+    }
+
+    /// The blocking publish of one value or one chunk: `try_publish`
+    /// until it is accepted or refused as closed, parking on `not_full`
+    /// while the topic is full.
+    fn publish_by<V>(
+        &mut self,
+        values: V,
+        try_publish: impl Fn(&mut Self, V) -> Result<(), TryPublishError<V>>,
+    ) -> Result<(), PublishError<V>> {
+        let mut values = Some(values);
+        let mut attempt = |p: &mut Self| match try_publish(p, values.take().expect(HELD)) {
+            Ok(()) => Some(Ok(())),
+            Err(TryPublishError::Closed(v)) => Some(Err(PublishError(v))),
+            Err(TryPublishError::Full(v)) => {
+                values = Some(v);
+                None
             }
-            let key = self.core.not_full.listen();
-            wfqueue_metrics::adversary_yield();
-            match self.try_publish(value) {
-                Ok(()) => {
-                    self.core.not_full.cancel(key);
-                    return Ok(());
-                }
-                Err(TryPublishError::Closed(v)) => {
-                    self.core.not_full.cancel(key);
-                    return Err(PublishError(v));
-                }
-                Err(TryPublishError::Full(v)) => {
-                    value = v;
-                    self.core.not_full.wait(key);
-                }
-            }
+        };
+        if let Some(done) = attempt(self) {
+            return done;
         }
+        let core = Arc::clone(&self.core);
+        core.not_full
+            .wait_until(None, || attempt(self))
+            .expect(NO_DEADLINE)
     }
 
     /// Non-blocking batch publish: the whole batch lands as one atomic
@@ -558,32 +568,10 @@ impl<T: Clone + Send + Sync + 'static> Publisher<T> {
                 None => rest.len(),
                 Some(cap) => cap.min(rest.len()),
             };
-            let mut chunk: Vec<T> = rest.drain(..take).collect();
-            loop {
-                chunk = match self.try_publish_all(chunk) {
-                    Ok(()) => break,
-                    Err(TryPublishError::Closed(mut c)) => {
-                        c.extend(rest);
-                        return Err(PublishError(c));
-                    }
-                    Err(TryPublishError::Full(c)) => c,
-                };
-                let key = self.core.not_full.listen();
-                chunk = match self.try_publish_all(chunk) {
-                    Ok(()) => {
-                        self.core.not_full.cancel(key);
-                        break;
-                    }
-                    Err(TryPublishError::Closed(mut c)) => {
-                        self.core.not_full.cancel(key);
-                        c.extend(rest);
-                        return Err(PublishError(c));
-                    }
-                    Err(TryPublishError::Full(c)) => {
-                        self.core.not_full.wait(key);
-                        c
-                    }
-                };
+            let chunk: Vec<T> = rest.drain(..take).collect();
+            if let Err(PublishError(mut unsent)) = self.publish_by(chunk, Self::try_publish_all) {
+                unsent.extend(rest);
+                return Err(PublishError(unsent));
             }
         }
         Ok(())
@@ -632,7 +620,7 @@ impl<T: Clone + Send + Sync + 'static> Publisher<T> {
     }
 
     #[cfg(feature = "async")]
-    pub(crate) fn core(&self) -> &TopicCore<T> {
+    pub(crate) fn core(&self) -> &Arc<TopicCore<T>> {
         &self.core
     }
 }
@@ -745,26 +733,7 @@ impl<T: Clone + Send + Sync + 'static> Subscriber<T> {
     /// [`ConsumeError`] once the topic is closed and fully drained; every
     /// value published before the close is delivered (somewhere) first.
     pub fn recv(&mut self) -> Result<T, ConsumeError> {
-        loop {
-            match self.try_recv() {
-                Ok(value) => return Ok(value),
-                Err(TryConsumeError::Closed) => return Err(ConsumeError),
-                Err(TryConsumeError::Empty) => {}
-            }
-            let key = self.core.not_empty.listen();
-            wfqueue_metrics::adversary_yield();
-            match self.try_recv() {
-                Ok(value) => {
-                    self.core.not_empty.cancel(key);
-                    return Ok(value);
-                }
-                Err(TryConsumeError::Closed) => {
-                    self.core.not_empty.cancel(key);
-                    return Err(ConsumeError);
-                }
-                Err(TryConsumeError::Empty) => self.core.not_empty.wait(key),
-            }
-        }
+        self.recv_by(None).expect(NO_DEADLINE)
     }
 
     /// Receives with a deadline of `timeout` from now.
@@ -774,33 +743,24 @@ impl<T: Clone + Send + Sync + 'static> Subscriber<T> {
     /// [`ConsumeTimeoutError::Timeout`] if no value arrived in time;
     /// [`ConsumeTimeoutError::Closed`] as in [`Subscriber::recv`].
     pub fn recv_timeout(&mut self, timeout: Duration) -> Result<T, ConsumeTimeoutError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            match self.try_recv() {
-                Ok(value) => return Ok(value),
-                Err(TryConsumeError::Closed) => return Err(ConsumeTimeoutError::Closed),
-                Err(TryConsumeError::Empty) => {}
-            }
-            let key = self.core.not_empty.listen();
-            wfqueue_metrics::adversary_yield();
-            match self.try_recv() {
-                Ok(value) => {
-                    self.core.not_empty.cancel(key);
-                    return Ok(value);
-                }
-                Err(TryConsumeError::Closed) => {
-                    self.core.not_empty.cancel(key);
-                    return Err(ConsumeTimeoutError::Closed);
-                }
-                Err(TryConsumeError::Empty) => {
-                    if !self.core.not_empty.wait_deadline(key, deadline)
-                        && Instant::now() >= deadline
-                    {
-                        return Err(ConsumeTimeoutError::Timeout);
-                    }
-                }
-            }
+        match self.recv_by(Some(Instant::now() + timeout)) {
+            Some(got) => got.map_err(|ConsumeError| ConsumeTimeoutError::Closed),
+            None => Err(ConsumeTimeoutError::Timeout),
         }
+    }
+
+    /// The blocking receive: `None` only once `deadline` passes.
+    fn recv_by(&mut self, deadline: Option<Instant>) -> Option<Result<T, ConsumeError>> {
+        let attempt = |s: &mut Self| match s.try_recv() {
+            Ok(value) => Some(Ok(value)),
+            Err(TryConsumeError::Closed) => Some(Err(ConsumeError)),
+            Err(TryConsumeError::Empty) => None,
+        };
+        if let Some(got) = attempt(self) {
+            return Some(got);
+        }
+        let core = Arc::clone(&self.core);
+        core.not_empty.wait_until(deadline, || attempt(self))
     }
 
     /// Receives up to `max` values without blocking, using the backend's
@@ -855,7 +815,7 @@ impl<T: Clone + Send + Sync + 'static> Subscriber<T> {
     }
 
     #[cfg(feature = "async")]
-    pub(crate) fn core(&self) -> &TopicCore<T> {
+    pub(crate) fn core(&self) -> &Arc<TopicCore<T>> {
         &self.core
     }
 }

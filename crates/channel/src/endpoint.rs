@@ -17,6 +17,13 @@ use crate::error::{
 };
 use crate::wait::Signal;
 
+/// `expect` message for a value moved into an attempt and handed back
+/// on failure.
+const HELD: &str = "the value is handed back by every failed attempt";
+
+/// `expect` message for a [`Signal::wait_until`] without a deadline.
+const NO_DEADLINE: &str = "wait_until returns Some without a deadline";
+
 /// Reserves one slot of a monotone, capped counter — the same capped CEX
 /// loop as the queues' `register`, so exhaustion never over-advances.
 fn reserve_slot(counter: &AtomicUsize, limit: usize) -> Result<(), CloneError> {
@@ -286,30 +293,23 @@ impl<T: Clone + Send + Sync + 'static> Sender<T> {
     /// assert_eq!(tx.send("lost"), Err(wfqueue_channel::SendError("lost")));
     /// ```
     pub fn send(&mut self, value: T) -> Result<(), SendError<T>> {
-        let mut value = value;
-        loop {
-            match self.try_send(value) {
-                Ok(()) => return Ok(()),
-                Err(TrySendError::Disconnected(v)) => return Err(SendError(v)),
-                Err(TrySendError::Full(v)) => value = v,
+        let mut value = Some(value);
+        let mut attempt = |tx: &mut Self| match tx.try_send(value.take().expect(HELD)) {
+            Ok(()) => Some(Ok(())),
+            Err(TrySendError::Disconnected(v)) => Some(Err(SendError(v))),
+            Err(TrySendError::Full(v)) => {
+                value = Some(v);
+                None
             }
-            let key = self.shared.not_full.listen();
-            wfqueue_metrics::adversary_yield();
-            match self.try_send(value) {
-                Ok(()) => {
-                    self.shared.not_full.cancel(key);
-                    return Ok(());
-                }
-                Err(TrySendError::Disconnected(v)) => {
-                    self.shared.not_full.cancel(key);
-                    return Err(SendError(v));
-                }
-                Err(TrySendError::Full(v)) => {
-                    value = v;
-                    self.shared.not_full.wait(key);
-                }
-            }
+        };
+        if let Some(sent) = attempt(self) {
+            return sent;
         }
+        let shared = Arc::clone(&self.shared);
+        shared
+            .not_full
+            .wait_until(None, || attempt(self))
+            .expect(NO_DEADLINE)
     }
 
     /// Sends a whole batch, delegating to the backend's native
@@ -350,48 +350,44 @@ impl<T: Clone + Send + Sync + 'static> Sender<T> {
             };
             // Blocking whole-chunk reservation (no-op on unbounded and on
             // the ring, which admits the chunk natively below).
-            while !self.shared.try_reserve(take) {
-                let key = self.shared.not_full.listen();
-                if self.shared.try_reserve(take) {
-                    self.shared.not_full.cancel(key);
-                    break;
-                }
-                wfqueue_metrics::record_shared_load();
-                // ORDERING: the post-listen re-check of the Signal
-                // protocol; SC so the parked sender cannot miss the last
-                // receiver's departure (no lost disconnect wakeup).
-                if self.shared.receivers.load(Ordering::SeqCst) == 0 {
-                    self.shared.not_full.cancel(key);
+            if !self.shared.try_reserve(take) {
+                let reserved = self.shared.not_full.wait_until(None, || {
+                    if self.shared.try_reserve(take) {
+                        return Some(true);
+                    }
+                    wfqueue_metrics::record_shared_load();
+                    // ORDERING: the re-check of the Signal protocol; SC so
+                    // the parked sender cannot miss the last receiver's
+                    // departure (no lost disconnect wakeup).
+                    (self.shared.receivers.load(Ordering::SeqCst) == 0).then_some(false)
+                });
+                if !reserved.expect(NO_DEADLINE) {
                     return Err(SendError(rest));
                 }
-                self.shared.not_full.wait(key);
             }
             let chunk: Vec<T> = rest.drain(..take).collect();
             // Gated/unbounded backends accept on the first try (their
             // space was reserved above); the ring may be full right now,
             // in which case park until dequeues notify `not_full`.
-            let mut chunk = match self.raw.try_enqueue_batch(chunk) {
-                Ok(()) => Vec::new(),
-                Err(back) => back,
-            };
-            while !chunk.is_empty() {
-                let key = self.shared.not_full.listen();
-                match self.raw.try_enqueue_batch(chunk) {
-                    Ok(()) => {
-                        self.shared.not_full.cancel(key);
-                        chunk = Vec::new();
-                        continue;
+            if let Err(back) = self.raw.try_enqueue_batch(chunk) {
+                let mut chunk = Some(back);
+                let refused = self.shared.not_full.wait_until(None, || {
+                    let back = match self.raw.try_enqueue_batch(chunk.take().expect(HELD)) {
+                        Ok(()) => return Some(None),
+                        Err(back) => back,
+                    };
+                    wfqueue_metrics::record_shared_load();
+                    // ORDERING: disconnect re-check, as above.
+                    if self.shared.receivers.load(Ordering::SeqCst) == 0 {
+                        return Some(Some(back));
                     }
-                    Err(back) => chunk = back,
+                    chunk = Some(back);
+                    None
+                });
+                if let Some(mut back) = refused.expect(NO_DEADLINE) {
+                    back.extend(rest);
+                    return Err(SendError(back));
                 }
-                wfqueue_metrics::record_shared_load();
-                // ORDERING: post-listen disconnect re-check, as above.
-                if self.shared.receivers.load(Ordering::SeqCst) == 0 {
-                    self.shared.not_full.cancel(key);
-                    chunk.extend(rest);
-                    return Err(SendError(chunk));
-                }
-                self.shared.not_full.wait(key);
             }
             self.shared.not_empty.notify();
         }
@@ -535,7 +531,7 @@ impl<T: Clone + Send + Sync + 'static> Sender<T> {
 
     /// The channel state, for the futures' waker registration.
     #[cfg(feature = "async")]
-    pub(crate) fn shared(&self) -> &Shared<T> {
+    pub(crate) fn shared(&self) -> &Arc<Shared<T>> {
         &self.shared
     }
 }
@@ -661,26 +657,7 @@ impl<T: Clone + Send + Sync + 'static> Receiver<T> {
     /// assert_eq!(rx.recv(), Ok(42)); // parks until the value arrives
     /// ```
     pub fn recv(&mut self) -> Result<T, RecvError> {
-        loop {
-            match self.try_recv() {
-                Ok(value) => return Ok(value),
-                Err(TryRecvError::Disconnected) => return Err(RecvError),
-                Err(TryRecvError::Empty) => {}
-            }
-            let key = self.shared.not_empty.listen();
-            wfqueue_metrics::adversary_yield();
-            match self.try_recv() {
-                Ok(value) => {
-                    self.shared.not_empty.cancel(key);
-                    return Ok(value);
-                }
-                Err(TryRecvError::Disconnected) => {
-                    self.shared.not_empty.cancel(key);
-                    return Err(RecvError);
-                }
-                Err(TryRecvError::Empty) => self.shared.not_empty.wait(key),
-            }
-        }
+        self.recv_by(None).expect(NO_DEADLINE)
     }
 
     /// Receives with a deadline of `timeout` from now.
@@ -703,33 +680,24 @@ impl<T: Clone + Send + Sync + 'static> Receiver<T> {
     /// );
     /// ```
     pub fn recv_timeout(&mut self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            match self.try_recv() {
-                Ok(value) => return Ok(value),
-                Err(TryRecvError::Disconnected) => return Err(RecvTimeoutError::Disconnected),
-                Err(TryRecvError::Empty) => {}
-            }
-            let key = self.shared.not_empty.listen();
-            wfqueue_metrics::adversary_yield();
-            match self.try_recv() {
-                Ok(value) => {
-                    self.shared.not_empty.cancel(key);
-                    return Ok(value);
-                }
-                Err(TryRecvError::Disconnected) => {
-                    self.shared.not_empty.cancel(key);
-                    return Err(RecvTimeoutError::Disconnected);
-                }
-                Err(TryRecvError::Empty) => {
-                    if !self.shared.not_empty.wait_deadline(key, deadline)
-                        && Instant::now() >= deadline
-                    {
-                        return Err(RecvTimeoutError::Timeout);
-                    }
-                }
-            }
+        match self.recv_by(Some(Instant::now() + timeout)) {
+            Some(got) => got.map_err(|RecvError| RecvTimeoutError::Disconnected),
+            None => Err(RecvTimeoutError::Timeout),
         }
+    }
+
+    /// The blocking receive: `None` only once `deadline` passes.
+    fn recv_by(&mut self, deadline: Option<Instant>) -> Option<Result<T, RecvError>> {
+        let attempt = |rx: &mut Self| match rx.try_recv() {
+            Ok(value) => Some(Ok(value)),
+            Err(TryRecvError::Disconnected) => Some(Err(RecvError)),
+            Err(TryRecvError::Empty) => None,
+        };
+        if let Some(got) = attempt(self) {
+            return Some(got);
+        }
+        let shared = Arc::clone(&self.shared);
+        shared.not_empty.wait_until(deadline, || attempt(self))
     }
 
     /// Receives up to `max` values without blocking, delegating to the
@@ -840,7 +808,7 @@ impl<T: Clone + Send + Sync + 'static> Receiver<T> {
 
     /// The channel state, for the futures' waker registration.
     #[cfg(feature = "async")]
-    pub(crate) fn shared(&self) -> &Shared<T> {
+    pub(crate) fn shared(&self) -> &Arc<Shared<T>> {
         &self.shared
     }
 }

@@ -7,13 +7,16 @@
 //! as the blocking paths: each signal keeps a registry of `(id, Waker)`
 //! pairs next to its parked threads, and every notify drains both.
 //!
-//! The poll protocol is the async mirror of the blocking listen/re-check
-//! handshake: *try the operation → register the waker → try again*. The
-//! second attempt closes the race against a notifier that ran between the
-//! first attempt and the registration, so a wakeup can never be lost.
+//! Each `poll` is one [`Signal::poll_until`](crate::Signal::poll_until)
+//! round — *try the operation → register the waker → try again* — the
+//! async mirror of the blocking paths' `wait_until`. The second attempt
+//! closes the race against a notifier that ran between the first attempt
+//! and the registration, so a wakeup can never be lost; each future's
+//! `Drop` withdraws a registration a `Pending` poll left behind.
 
 use std::future::Future;
 use std::pin::Pin;
+use std::sync::Arc;
 use std::task::{Context, Poll};
 
 use crate::error::{RecvError, SendError, TryRecvError, TrySendError};
@@ -53,52 +56,18 @@ impl<T: Clone + Send + Sync + 'static> Future for SendFuture<'_, T> {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
-        let value = this.value.take().expect("polled after completion");
-        // First attempt.
-        let value = match this.sender.try_send(value) {
-            Ok(()) => {
-                this.sender
-                    .shared()
-                    .not_full
-                    .deregister_waker(&mut this.waker_slot);
-                return Poll::Ready(Ok(()));
+        let shared = Arc::clone(this.sender.shared());
+        shared.not_full.poll_until(&mut this.waker_slot, cx, || {
+            let value = this.value.take().expect("polled after completion");
+            match this.sender.try_send(value) {
+                Ok(()) => Some(Ok(())),
+                Err(TrySendError::Disconnected(v)) => Some(Err(SendError(v))),
+                Err(TrySendError::Full(v)) => {
+                    this.value = Some(v);
+                    None
+                }
             }
-            Err(TrySendError::Disconnected(v)) => {
-                this.sender
-                    .shared()
-                    .not_full
-                    .deregister_waker(&mut this.waker_slot);
-                return Poll::Ready(Err(SendError(v)));
-            }
-            Err(TrySendError::Full(v)) => v,
-        };
-        // Register, then re-try to close the race against a concurrent
-        // slot release.
-        this.sender
-            .shared()
-            .not_full
-            .register_waker(&mut this.waker_slot, cx.waker());
-        wfqueue_metrics::adversary_yield();
-        match this.sender.try_send(value) {
-            Ok(()) => {
-                this.sender
-                    .shared()
-                    .not_full
-                    .deregister_waker(&mut this.waker_slot);
-                Poll::Ready(Ok(()))
-            }
-            Err(TrySendError::Disconnected(v)) => {
-                this.sender
-                    .shared()
-                    .not_full
-                    .deregister_waker(&mut this.waker_slot);
-                Poll::Ready(Err(SendError(v)))
-            }
-            Err(TrySendError::Full(v)) => {
-                this.value = Some(v);
-                Poll::Pending
-            }
-        }
+        })
     }
 }
 
@@ -107,7 +76,7 @@ impl<T: Clone + Send + Sync + 'static> Drop for SendFuture<'_, T> {
         self.sender
             .shared()
             .not_full
-            .deregister_waker(&mut self.waker_slot);
+            .poll_cancel(&mut self.waker_slot);
     }
 }
 
@@ -141,45 +110,14 @@ impl<T: Clone + Send + Sync + 'static> Future for RecvFuture<'_, T> {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
         let this = self.get_mut();
-        match this.receiver.try_recv() {
-            Ok(value) => {
-                this.receiver
-                    .shared()
-                    .not_empty
-                    .deregister_waker(&mut this.waker_slot);
-                return Poll::Ready(Ok(value));
+        let shared = Arc::clone(this.receiver.shared());
+        shared.not_empty.poll_until(&mut this.waker_slot, cx, || {
+            match this.receiver.try_recv() {
+                Ok(value) => Some(Ok(value)),
+                Err(TryRecvError::Disconnected) => Some(Err(RecvError)),
+                Err(TryRecvError::Empty) => None,
             }
-            Err(TryRecvError::Disconnected) => {
-                this.receiver
-                    .shared()
-                    .not_empty
-                    .deregister_waker(&mut this.waker_slot);
-                return Poll::Ready(Err(RecvError));
-            }
-            Err(TryRecvError::Empty) => {}
-        }
-        this.receiver
-            .shared()
-            .not_empty
-            .register_waker(&mut this.waker_slot, cx.waker());
-        wfqueue_metrics::adversary_yield();
-        match this.receiver.try_recv() {
-            Ok(value) => {
-                this.receiver
-                    .shared()
-                    .not_empty
-                    .deregister_waker(&mut this.waker_slot);
-                Poll::Ready(Ok(value))
-            }
-            Err(TryRecvError::Disconnected) => {
-                this.receiver
-                    .shared()
-                    .not_empty
-                    .deregister_waker(&mut this.waker_slot);
-                Poll::Ready(Err(RecvError))
-            }
-            Err(TryRecvError::Empty) => Poll::Pending,
-        }
+        })
     }
 }
 
@@ -188,7 +126,7 @@ impl<T: Clone + Send + Sync + 'static> Drop for RecvFuture<'_, T> {
         self.receiver
             .shared()
             .not_empty
-            .deregister_waker(&mut self.waker_slot);
+            .poll_cancel(&mut self.waker_slot);
     }
 }
 

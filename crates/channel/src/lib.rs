@@ -154,7 +154,7 @@ pub use endpoint::{IntoIter, Receiver, Sender, TryIter};
 pub use error::{
     BuildError, CloneError, RecvError, RecvTimeoutError, SendError, TryRecvError, TrySendError,
 };
-pub use wait::{Entry, ListenKey, Seal, Signal};
+pub use wait::{Entry, Seal, Signal};
 pub use wfqueue_shard::{PlacementConfig, ReclaimPolicy};
 
 /// How many endpoints of each side a channel can mint

@@ -6,10 +6,10 @@
 //! *waiting for data without spinning*. The protocol is the classic
 //! event-count / sequence-lock handshake:
 //!
-//! * A waiter calls [`Signal::listen`] (registering itself in `waiters` and
-//!   snapshotting `epoch`), **re-checks the condition it is waiting for**,
-//!   and only then parks in [`Signal::wait`] — which refuses to sleep if
-//!   the epoch already advanced.
+//! * A waiter publishes itself (registering in `waiters` and snapshotting
+//!   `epoch`), **re-checks the condition it is waiting for**, and only
+//!   then parks — and the park refuses to sleep if the epoch already
+//!   advanced.
 //! * A notifier makes its update visible, then calls [`Signal::notify`],
 //!   which advances the epoch and wakes sleepers — but only after an
 //!   uncontended fast path (one `SeqCst` fence + one load of `waiters`)
@@ -24,13 +24,22 @@
 //! `tests/channel.rs` hunts this handshake under the adversarial
 //! scheduler, which yields inside every window of the protocol.
 //!
+//! The waiter's half is written once: [`Signal::wait_until`] for threads
+//! and `Signal::poll_until` for futures (`feature = "async"`) run
+//! *publish → re-check →
+//! withdraw or sleep* around a caller-supplied attempt, so no caller can
+//! forget the re-check or leave a publication behind. Every blocking
+//! path in the workspace — channel, broker, executor workers, timer and
+//! joins — parks through them; `cargo lint` (rule `park`) keeps any other
+//! `Condvar` out of first-party code.
+//!
 //! Blocking through a [`Signal`] is, of course, **not wait-free** — see
 //! the crate docs for where the wait-freedom boundary lies.
 //!
 //! The primitive is deliberately channel-agnostic (it never touches the
 //! queue), so higher layers that need the same lost-wakeup-free handshake
 //! over *their own* state reuse it instead of re-deriving the Dekker
-//! argument. That is why [`Signal`] and [`ListenKey`] are public.
+//! argument. That is why [`Signal`] is public.
 //!
 //! [`Seal`] builds the layers' drain-then-close promise on the same
 //! handshake; its docs carry that argument.
@@ -41,11 +50,10 @@ use wfqueue_sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// Proof that a waiter published itself: the epoch it observed.
 ///
-/// Must be consumed by exactly one of [`Signal::wait`],
-/// [`Signal::wait_deadline`] or [`Signal::cancel`] (the type is
-/// deliberately not `Copy`, and the methods take it by value).
+/// Consumed by exactly one of [`Signal::sleep`] or [`Signal::cancel`]
+/// (not `Copy`; both take it by value).
 #[derive(Debug)]
-pub struct ListenKey(u64);
+struct ListenKey(u64);
 
 /// An event count: the blocking half of the channel.
 #[derive(Debug, Default)]
@@ -67,12 +75,105 @@ pub struct Signal {
 }
 
 impl Signal {
-    /// Publishes the caller as a waiter and snapshots the current epoch.
+    /// Blocks the thread until `attempt` returns `Some`, or until
+    /// `deadline` passes (then `None`; with no deadline the result is
+    /// always `Some`).
     ///
-    /// After `listen` the caller **must** re-check its wakeup condition
-    /// before calling [`Signal::wait`]; that re-check is what closes the
-    /// race against a notifier that ran before the publication.
-    pub fn listen(&self) -> ListenKey {
+    /// Call it after a first attempt of your own failed: each round
+    /// publishes the caller, calls `attempt` (on success it withdraws and
+    /// returns), sleeps until a [`Signal::notify`] or the deadline, then
+    /// calls `attempt` once more before publishing again. That post-publish
+    /// re-check is what makes the handshake lost-wakeup-free, so `attempt`
+    /// must observe every condition the notifiers of this signal announce.
+    /// Calls and sleeps alternate, so a `wait_until` that returns `Some`
+    /// from its `n`-th call slept `n / 2` times.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    /// use wfqueue_channel::Signal;
+    /// use wfqueue_sync::atomic::{AtomicBool, Ordering};
+    ///
+    /// let (signal, ready) = (Arc::new(Signal::default()), Arc::new(AtomicBool::new(false)));
+    /// let (s, r) = (Arc::clone(&signal), Arc::clone(&ready));
+    /// let waiter = wfqueue_sync::thread::spawn(move || {
+    ///     s.wait_until(None, || r.load(Ordering::SeqCst).then_some("ready"))
+    /// });
+    /// ready.store(true, Ordering::SeqCst);
+    /// signal.notify();
+    /// assert_eq!(waiter.join().unwrap(), Some("ready"));
+    /// ```
+    pub fn wait_until<R>(
+        &self,
+        deadline: Option<Instant>,
+        mut attempt: impl FnMut() -> Option<R>,
+    ) -> Option<R> {
+        loop {
+            let key = self.listen();
+            wfqueue_metrics::adversary_yield();
+            if let Some(done) = attempt() {
+                self.cancel(key);
+                return Some(done);
+            }
+            if !self.sleep(key, deadline) {
+                return None;
+            }
+            if let Some(done) = attempt() {
+                return Some(done);
+            }
+        }
+    }
+
+    /// The async [`Signal::wait_until`]: calls `attempt`, and if it fails
+    /// registers `cx`'s waker, calls it again, and returns `Pending` only
+    /// if that fails too. `slot` is the future's registration id, kept
+    /// across polls so a re-poll replaces its stale waker; a `Ready` poll
+    /// withdraws it, and the future's `Drop` must call
+    /// [`Signal::poll_cancel`] for a `Pending` one.
+    #[cfg(feature = "async")]
+    pub fn poll_until<R>(
+        &self,
+        slot: &mut Option<u64>,
+        cx: &mut std::task::Context<'_>,
+        mut attempt: impl FnMut() -> Option<R>,
+    ) -> std::task::Poll<R> {
+        if let Some(done) = attempt() {
+            self.poll_cancel(slot);
+            return std::task::Poll::Ready(done);
+        }
+        self.register_waker(slot, cx.waker());
+        wfqueue_metrics::adversary_yield();
+        match attempt() {
+            Some(done) => {
+                self.poll_cancel(slot);
+                std::task::Poll::Ready(done)
+            }
+            None => std::task::Poll::Pending,
+        }
+    }
+
+    /// Withdraws the registration a `Pending` [`Signal::poll_until`] left
+    /// in `slot`, if a notify has not already consumed it. Called from
+    /// the future's `Drop`.
+    #[cfg(feature = "async")]
+    pub fn poll_cancel(&self, slot: &mut Option<u64>) {
+        if let Some(id) = slot.take() {
+            let mut wakers = self
+                .wakers
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            if let Some(pos) = wakers.iter().position(|(i, _)| *i == id) {
+                wakers.remove(pos);
+                // ORDERING: SeqCst withdrawal, mirroring cancel.
+                self.waiters.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+    }
+
+    /// Publishes the caller as a waiter and snapshots the current epoch.
+    /// The caller must re-check its condition before [`Signal::sleep`].
+    fn listen(&self) -> ListenKey {
         // ORDERING: SeqCst RMW — the waiter's half of the Dekker
         // handshake. The publication must be globally ordered before the
         // caller's re-check of the channel state; see the module docs and
@@ -83,59 +184,47 @@ impl Signal {
         ListenKey(self.epoch.load(Ordering::SeqCst))
     }
 
-    /// Withdraws a publication without sleeping (the re-check found data,
-    /// or the caller is giving up).
-    pub fn cancel(&self, key: ListenKey) {
+    /// Withdraws a publication without sleeping (the re-check succeeded).
+    fn cancel(&self, key: ListenKey) {
         let _ = key;
         // ORDERING: SeqCst to stay in the same total order as listen's
         // publication; a notifier either sees this withdrawal or wakes us.
         self.waiters.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// Parks until the epoch advances past the listened snapshot. Returns
-    /// immediately if it already has.
-    pub fn wait(&self, key: ListenKey) {
-        let mut guard = self
-            .lock
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        // ORDERING: SeqCst epoch read under the lock pairs with notify's
-        // locked epoch increment: no sleep once the epoch moved on.
-        while self.epoch.load(Ordering::SeqCst) == key.0 {
-            guard = self
-                .cv
-                .wait(guard)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-        drop(guard);
-        // ORDERING: SeqCst withdrawal, mirroring cancel.
-        self.waiters.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Parks until the epoch advances or `deadline` passes. Returns `true`
-    /// if the epoch advanced (a notification arrived), `false` on timeout.
-    pub fn wait_deadline(&self, key: ListenKey, deadline: Instant) -> bool {
+    /// Parks until the epoch advances past the listened snapshot (then
+    /// `true`; at once if it already has) or `deadline` passes (`false`),
+    /// and withdraws the publication.
+    fn sleep(&self, key: ListenKey, deadline: Option<Instant>) -> bool {
         let mut guard = self
             .lock
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         let notified = loop {
-            // ORDERING: as in `wait` — locked SeqCst epoch read.
+            // ORDERING: SeqCst epoch read under the lock pairs with
+            // notify's locked epoch increment: no sleep once the epoch
+            // moved on.
             if self.epoch.load(Ordering::SeqCst) != key.0 {
                 break true;
             }
-            let now = Instant::now();
-            let Some(remaining) = deadline
-                .checked_duration_since(now)
-                .filter(|d| !d.is_zero())
-            else {
-                break false;
+            guard = match deadline {
+                None => self
+                    .cv
+                    .wait(guard)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner),
+                Some(deadline) => {
+                    let Some(remaining) = deadline
+                        .checked_duration_since(Instant::now())
+                        .filter(|d| !d.is_zero())
+                    else {
+                        break false;
+                    };
+                    self.cv
+                        .wait_timeout(guard, remaining)
+                        .unwrap_or_else(std::sync::PoisonError::into_inner)
+                        .0
+                }
             };
-            let (g, _timeout) = self
-                .cv
-                .wait_timeout(guard, remaining)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            guard = g;
         };
         drop(guard);
         // ORDERING: SeqCst withdrawal, mirroring cancel.
@@ -166,7 +255,7 @@ impl Signal {
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             // ORDERING: SeqCst epoch advance under the lock; pairs with
-            // the locked reads in wait/wait_deadline.
+            // the locked read in `sleep`.
             self.epoch.fetch_add(1, Ordering::SeqCst);
             self.cv.notify_all();
         }
@@ -174,11 +263,9 @@ impl Signal {
         self.wake_all();
     }
 
-    /// Registers (or refreshes) an async waker. `slot` is the future's
-    /// registration id, threaded through polls so a re-poll replaces its
-    /// stale waker instead of piling up duplicates.
+    /// Registers (or refreshes) an async waker under `slot`'s id.
     #[cfg(feature = "async")]
-    pub fn register_waker(&self, slot: &mut Option<u64>, waker: &std::task::Waker) {
+    fn register_waker(&self, slot: &mut Option<u64>, waker: &std::task::Waker) {
         let mut wakers = self
             .wakers
             .lock()
@@ -196,23 +283,6 @@ impl Signal {
         wakers.push((id, waker.clone()));
         // ORDERING: SeqCst publication, same Dekker role as listen's.
         self.waiters.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Withdraws a future's registration, if a notify has not already
-    /// consumed it. Called on future completion and drop.
-    #[cfg(feature = "async")]
-    pub fn deregister_waker(&self, slot: &mut Option<u64>) {
-        if let Some(id) = slot.take() {
-            let mut wakers = self
-                .wakers
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if let Some(pos) = wakers.iter().position(|(i, _)| *i == id) {
-                wakers.remove(pos);
-                // ORDERING: SeqCst withdrawal, mirroring cancel.
-                self.waiters.fetch_sub(1, Ordering::SeqCst);
-            }
-        }
     }
 
     /// Drains and fires every registered waker.
@@ -384,8 +454,8 @@ mod tests {
         // A notifier that runs between listen and wait advances the epoch
         // (waiters is 1, so the slow path is taken).
         s.notify();
-        s.wait(key); // must not block
-                     // ORDERING: test-only assertion.
+        assert!(s.sleep(key, None), "must not block");
+        // ORDERING: test-only assertion.
         assert_eq!(s.waiters.load(Ordering::SeqCst), 0);
     }
 
@@ -393,7 +463,7 @@ mod tests {
     fn wait_deadline_times_out() {
         let s = Signal::default();
         let key = s.listen();
-        let woken = s.wait_deadline(key, Instant::now() + Duration::from_millis(10));
+        let woken = s.sleep(key, Some(Instant::now() + Duration::from_millis(10)));
         assert!(!woken);
         // ORDERING: test-only assertion.
         assert_eq!(s.waiters.load(Ordering::SeqCst), 0);
@@ -408,7 +478,7 @@ mod tests {
         assert!(seal.enter(&wake).is_none());
         // The refusal's notify advanced the epoch, so the wait returns at
         // once instead of timing out.
-        assert!(wake.wait_deadline(key, Instant::now() + Duration::from_secs(60)));
+        assert!(wake.sleep(key, Some(Instant::now() + Duration::from_secs(60))));
         assert!(seal.is_drained());
     }
 
@@ -439,29 +509,83 @@ mod tests {
     }
 
     #[test]
+    fn wait_until_deadline_expires_with_waiters_balanced() {
+        let s = Signal::default();
+        let mut calls = 0;
+        let deadline = Instant::now() + Duration::from_millis(10);
+        let got = s.wait_until(Some(deadline), || -> Option<()> {
+            calls += 1;
+            None
+        });
+        assert_eq!(got, None);
+        assert!(Instant::now() >= deadline);
+        assert_eq!(
+            calls, 1,
+            "the timed-out sleep is not followed by an attempt"
+        );
+        // ORDERING: test-only assertion.
+        assert_eq!(s.waiters.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn wait_until_withdraws_after_a_post_listen_success() {
+        let s = Signal::default();
+        let got = s.wait_until(None, || {
+            // The attempt runs with the caller published.
+            // ORDERING: test-only read.
+            assert_eq!(s.waiters.load(Ordering::SeqCst), 1);
+            Some(7)
+        });
+        assert_eq!(got, Some(7));
+        // ORDERING: test-only assertions.
+        assert_eq!(s.waiters.load(Ordering::SeqCst), 0);
+        // Nothing is left to wake: notify keeps to its fast path.
+        s.notify();
+        // ORDERING: test-only assertion.
+        assert_eq!(s.epoch.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
     fn cross_thread_wakeup() {
         let s = Arc::new(Signal::default());
         let flag = Arc::new(AtomicBool::new(false));
         let (s2, flag2) = (Arc::clone(&s), Arc::clone(&flag));
-        let waiter = wfqueue_sync::thread::spawn(move || loop {
+        let waiter = wfqueue_sync::thread::spawn(move || {
             // ORDERING: the flag is the "channel state" of the Dekker
             // handshake; SC on both sides closes the sleep/notify race.
-            if flag2.load(Ordering::SeqCst) {
-                return;
-            }
-            let key = s2.listen();
-            // ORDERING: the post-listen re-check the protocol requires.
-            if flag2.load(Ordering::SeqCst) {
-                s2.cancel(key);
-                return;
-            }
-            s2.wait(key);
+            s2.wait_until(None, || flag2.load(Ordering::SeqCst).then_some(()))
         });
         wfqueue_sync::thread::sleep(Duration::from_millis(20));
         // ORDERING: the notifier's state update; notify's fence orders it
         // before the `waiters` read.
         flag.store(true, Ordering::SeqCst);
         s.notify();
-        waiter.join().unwrap();
+        assert_eq!(waiter.join().unwrap(), Some(()));
+        // ORDERING: test-only assertion.
+        assert_eq!(s.waiters.load(Ordering::SeqCst), 0);
+    }
+
+    #[cfg(feature = "async")]
+    #[test]
+    fn pending_poll_then_cancel_leaves_no_waker() {
+        use std::task::{Context, Poll, Waker};
+        let s = Signal::default();
+        let mut cx = Context::from_waker(Waker::noop());
+        let mut slot = None;
+        let mut calls = 0;
+        let polled = s.poll_until(&mut slot, &mut cx, || -> Option<()> {
+            calls += 1;
+            None
+        });
+        assert_eq!(polled, Poll::Pending);
+        assert_eq!(calls, 2, "one attempt before and one after registering");
+        // ORDERING: test-only assertion.
+        assert_eq!(s.waiters.load(Ordering::SeqCst), 1);
+        // What a dropped future's `Drop` runs.
+        s.poll_cancel(&mut slot);
+        assert_eq!(slot, None);
+        // ORDERING: test-only assertion.
+        assert_eq!(s.waiters.load(Ordering::SeqCst), 0);
+        assert!(s.wakers.lock().unwrap().is_empty());
     }
 }

@@ -22,9 +22,10 @@
 //!   `try_enqueue_batch`.
 //!
 //! Timers live in a hashed timer wheel serviced by a dedicated timeout
-//! worker that injects due tasks into the global queue; idle workers park
-//! on the channel crate's lost-wakeup-free [`Signal`]
-//! (listen → re-check → wait, model-checked as `steal_park_scenario` in
+//! worker that injects due tasks into the global queue; idle workers, the
+//! timeout worker and [`JoinHandle::join`] all park through the channel
+//! crate's lost-wakeup-free [`Signal::wait_until`] (publish → re-check →
+//! sleep, model-checked as `steal_park_scenario` in
 //! `wfqueue_sync::model::protocols`).
 //!
 //! # What is and is not wait-free
@@ -696,28 +697,29 @@ fn worker_loop(inner: &Arc<Inner>, w: usize) {
         .map(|(v, ring)| (v, ring.register().expect("ring sized for stealers")))
         .collect();
     let mut rotation = w; // start victims offset per worker
+
+    // `Some(None)` is the exit: the post-listen re-check must cover it
+    // too, or the last completion's notify could be slept through.
+    let mut attempt = || match find_task(inner, w, &mut inj, &mut steals, &mut rotation) {
+        Some(found) => Some(Some(found)),
+        None => inner.exit_ready().then_some(None),
+    };
     loop {
-        if let Some((task, source)) = find_task(inner, w, &mut inj, &mut steals, &mut rotation) {
-            inner.run_task(&task, source);
-            continue;
-        }
-        if inner.exit_ready() {
-            break;
-        }
-        let key = inner.signal.listen();
-        // Post-listen re-check: a task enqueued (or the last completion
-        // published) before our listen would otherwise be a lost wakeup.
-        if let Some((task, source)) = find_task(inner, w, &mut inj, &mut steals, &mut rotation) {
-            inner.signal.cancel(key);
-            inner.run_task(&task, source);
-            continue;
-        }
-        if inner.exit_ready() {
-            inner.signal.cancel(key);
-            break;
-        }
-        inner.counters.parks.fetch_add(1, Ordering::Relaxed);
-        inner.signal.wait(key);
+        let next = match attempt() {
+            Some(next) => next,
+            None => {
+                let mut calls = 0;
+                let next = inner.signal.wait_until(None, || {
+                    calls += 1;
+                    attempt()
+                });
+                // Calls and sleeps alternate (see `Signal::wait_until`).
+                inner.counters.parks.fetch_add(calls / 2, Ordering::Relaxed);
+                next.expect("wait_until returns Some without a deadline")
+            }
+        };
+        let Some((task, source)) = next else { break };
+        inner.run_task(&task, source);
     }
     // Cascade the exit wakeup so sibling workers parked before the final
     // notify also re-evaluate `exit_ready`.
@@ -834,22 +836,12 @@ fn timer_loop(inner: &Arc<Inner>) {
             }
             continue;
         }
-        let key = inner.wheel.signal.listen();
-        // Post-listen re-check: an insert (or the seal) that landed
-        // before our listen must not be slept through.
-        if inner.seal.is_sealed() {
-            inner.wheel.signal.cancel(key);
-            break;
-        }
-        match inner.wheel.next_deadline() {
-            Some(deadline) if deadline <= Instant::now() => {
-                inner.wheel.signal.cancel(key);
-            }
-            Some(deadline) => {
-                inner.wheel.signal.wait_deadline(key, deadline);
-            }
-            None => inner.wheel.signal.wait(key),
-        }
+        // Sleep until the next deadline; the seal, or an insert that moves
+        // the deadline, wakes the sleep early.
+        let parked_on = inner.wheel.next_deadline();
+        inner.wheel.signal.wait_until(parked_on, || {
+            (inner.seal.is_sealed() || inner.wheel.next_deadline() != parked_on).then_some(())
+        });
     }
     // A seal entry lasts a handful of instructions: the wait is short.
     while !inner.seal.is_drained() {

@@ -9,10 +9,11 @@
 //!
 //! The [`JoinHandle`] half is the executor's completion protocol: the
 //! runner stores the outcome, flips `done`, and notifies the handle's
-//! [`Signal`] — the same publish-then-notify / listen-then-re-check
-//! Dekker handshake as the channel's blocking receive (model-checked as
-//! the `signal` scenarios in `tests/model.rs`), so a `join` can never
-//! sleep through its task's completion.
+//! [`Signal`]; `join` waits in [`Signal::wait_until`] — the same
+//! publish-then-notify / publish-then-re-check Dekker handshake as the
+//! channel's blocking receive (model-checked as the `signal` scenarios in
+//! `tests/model.rs`), so a `join` can never sleep through its task's
+//! completion.
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -132,19 +133,12 @@ impl<T> JoinHandle<T> {
     /// preserved), [`JoinError::Cancelled`] if it was cancelled before
     /// running.
     pub fn join(self) -> Result<T, JoinError> {
-        loop {
-            if self.is_finished() {
-                return self.state.take();
-            }
-            let key = self.state.signal.listen();
-            // The post-listen re-check that closes the race against a
-            // completion that finished before our publication.
-            if self.is_finished() {
-                self.state.signal.cancel(key);
-                return self.state.take();
-            }
-            self.state.signal.wait(key);
+        if !self.is_finished() {
+            self.state
+                .signal
+                .wait_until(None, || self.is_finished().then_some(()));
         }
+        self.state.take()
     }
 
     /// Like [`JoinHandle::join`] with a deadline: returns `Err(self)` (so
@@ -155,18 +149,16 @@ impl<T> JoinHandle<T> {
     /// Returns `Err(self)` on timeout; a finished task yields the same
     /// outcomes as [`JoinHandle::join`].
     pub fn join_deadline(self, deadline: Instant) -> Result<Result<T, JoinError>, Self> {
-        loop {
-            if self.is_finished() {
-                return Ok(self.state.take());
-            }
-            let key = self.state.signal.listen();
-            if self.is_finished() {
-                self.state.signal.cancel(key);
-                return Ok(self.state.take());
-            }
-            if !self.state.signal.wait_deadline(key, deadline) && !self.is_finished() {
-                return Err(self);
-            }
+        if !self.is_finished() {
+            self.state
+                .signal
+                .wait_until(Some(deadline), || self.is_finished().then_some(()));
+        }
+        // Re-read after a timeout too: a completion may land at the deadline.
+        if self.is_finished() {
+            Ok(self.state.take())
+        } else {
+            Err(self)
         }
     }
 

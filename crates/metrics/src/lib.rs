@@ -194,46 +194,6 @@ impl fmt::Display for StepSnapshot {
     }
 }
 
-/// A snapshot of this thread's *routing* diagnostics — events of the
-/// sharded frontend's `Nearest` scan, kept separate from [`StepSnapshot`]
-/// because they are route-quality signals, not shared-memory steps of the
-/// paper's cost model (probing an empty shard performs its shared steps
-/// through the ordinary recorders; these counters only classify *why*).
-///
-/// Differences of two snapshots ([`Sub`], later minus earlier) give the
-/// events in between, mirroring [`StepSnapshot`].
-///
-/// # Examples
-///
-/// ```
-/// let before = wfqueue_metrics::route_snapshot();
-/// wfqueue_metrics::record_empty_probe();
-/// let d = wfqueue_metrics::route_snapshot() - before;
-/// assert_eq!(d.empty_probes, 1);
-/// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct RouteSnapshot {
-    /// Dequeue probes that found their shard empty during a sweep.
-    pub empty_probes: u64,
-}
-
-impl Sub for RouteSnapshot {
-    type Output = RouteSnapshot;
-
-    /// Component-wise saturating difference, as for [`StepSnapshot`].
-    fn sub(self, rhs: RouteSnapshot) -> RouteSnapshot {
-        RouteSnapshot {
-            empty_probes: self.empty_probes.saturating_sub(rhs.empty_probes),
-        }
-    }
-}
-
-impl fmt::Display for RouteSnapshot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "empty_probes={}", self.empty_probes)
-    }
-}
-
 #[derive(Default)]
 struct ThreadCounters {
     shared_loads: Cell<u64>,
@@ -244,7 +204,6 @@ struct ThreadCounters {
     block_allocs: Cell<u64>,
     gc_phases: Cell<u64>,
     help_calls: Cell<u64>,
-    empty_probes: Cell<u64>,
 }
 
 thread_local! {
@@ -301,21 +260,6 @@ pub fn record_gc_phase() {
 #[inline]
 pub fn record_help() {
     bump!(help_calls);
-}
-
-/// Records one dequeue probe that found its shard empty during a sweep.
-#[inline]
-pub fn record_empty_probe() {
-    bump!(empty_probes);
-}
-
-/// Returns the current thread's cumulative routing diagnostics (see
-/// [`RouteSnapshot`]).
-#[must_use]
-pub fn route_snapshot() -> RouteSnapshot {
-    COUNTERS.with(|c| RouteSnapshot {
-        empty_probes: c.empty_probes.get(),
-    })
 }
 
 /// Returns the current thread's cumulative counters.
@@ -437,19 +381,6 @@ mod tests {
         let s = StepSnapshot::default();
         assert!(!format!("{s}").is_empty());
         assert!(!format!("{s:?}").is_empty());
-    }
-
-    #[test]
-    fn route_counters_are_separate_from_steps() {
-        let steps_before = snapshot();
-        let route_before = route_snapshot();
-        record_empty_probe();
-        record_empty_probe();
-        let d = route_snapshot() - route_before;
-        assert_eq!(d.empty_probes, 2);
-        // Route diagnostics are not shared-memory steps.
-        assert_eq!(snapshot() - steps_before, StepSnapshot::default());
-        assert!(!format!("{d}").is_empty());
     }
 
     #[test]

@@ -660,7 +660,6 @@ impl<'q, Q: Shard> ShardedHandle<'q, Q> {
             }
             if hinted {
                 self.queue.hints.mark_empty(s);
-                wfqueue_metrics::record_empty_probe();
             }
         }
         None
@@ -756,7 +755,6 @@ impl<'q, Q: Shard> ShardedHandle<'q, Q> {
             // The shard ran dry iff it could not fill the remainder.
             if hinted && out.len() < count {
                 self.queue.hints.mark_empty(s);
-                wfqueue_metrics::record_empty_probe();
             }
         }
         out.resize_with(count, || None);

@@ -60,8 +60,8 @@ pub struct SignalBugs {
     /// still able to read the stale data value, goes to sleep: a lost
     /// wakeup, detected as a deadlock.
     pub skip_notify_fence: bool,
-    /// Skip the waiter's re-check of its condition between `listen` and
-    /// `wait` — the other half of the handshake. A notifier that ran
+    /// Skip the re-check `wait_until` makes between `listen` and `wait`
+    /// — the other half of the handshake. A notifier that ran
     /// entirely before the publication then never advances the epoch,
     /// and the waiter sleeps forever.
     pub skip_listen_recheck: bool,
@@ -86,25 +86,31 @@ impl SignalProto {
         }
     }
 
-    /// `Signal::listen`: publish, then snapshot the epoch.
-    fn listen(&self) -> u64 {
-        self.waiters.fetch_add(1, Ordering::SeqCst);
-        self.epoch.load(Ordering::SeqCst)
-    }
-
-    /// `Signal::cancel`: withdraw a publication without sleeping.
-    fn cancel(&self) {
-        self.waiters.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// `Signal::wait`: park until the epoch leaves the snapshot.
-    fn wait(&self, key: u64) {
-        let mut guard = self.lock.lock();
-        while self.epoch.load(Ordering::SeqCst) == key {
-            guard = self.cv.wait(guard);
+    /// `Signal::wait_until` without a deadline, called after the
+    /// caller's own first attempt failed: publish (`listen`), re-check
+    /// with `attempt` (withdrawing on success — the seeded
+    /// `skip_listen_recheck` skips this), park until the epoch leaves
+    /// the snapshot, then attempt again before publishing anew.
+    fn wait_until<R>(&self, bugs: SignalBugs, mut attempt: impl FnMut() -> Option<R>) -> R {
+        loop {
+            self.waiters.fetch_add(1, Ordering::SeqCst);
+            let key = self.epoch.load(Ordering::SeqCst);
+            if !bugs.skip_listen_recheck {
+                if let Some(done) = attempt() {
+                    self.waiters.fetch_sub(1, Ordering::SeqCst);
+                    return done;
+                }
+            }
+            let mut guard = self.lock.lock();
+            while self.epoch.load(Ordering::SeqCst) == key {
+                guard = self.cv.wait(guard);
+            }
+            drop(guard);
+            self.waiters.fetch_sub(1, Ordering::SeqCst);
+            if let Some(done) = attempt() {
+                return done;
+            }
         }
-        drop(guard);
-        self.waiters.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// `Signal::notify`: fence, fast-path check, then epoch bump +
@@ -143,18 +149,9 @@ pub fn signal_scenario(bugs: SignalBugs, extra_waiter: bool) -> impl Fn() + Send
             let sig = Arc::clone(&sig);
             let data = Arc::clone(&data);
             handles.push(spawn(move || {
-                loop {
-                    if data.load(Ordering::Acquire) == 1 {
-                        break;
-                    }
-                    let key = sig.listen();
-                    // The re-check that closes the race against a notify
-                    // that ran before the publication above.
-                    if !bugs.skip_listen_recheck && data.load(Ordering::Acquire) == 1 {
-                        sig.cancel();
-                        break;
-                    }
-                    sig.wait(key);
+                let ready = || (data.load(Ordering::Acquire) == 1).then_some(());
+                if ready().is_none() {
+                    sig.wait_until(bugs, ready);
                 }
                 assert_eq!(
                     data.load(Ordering::Acquire),
@@ -737,7 +734,8 @@ impl MiniRing {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StealParkBugs {
     /// Skip the worker's post-`listen` re-check of the run queue and the
-    /// drain condition. A stealer that drains the last task and notifies
+    /// drain condition (seeded as [`SignalBugs::skip_listen_recheck`] in
+    /// its `wait_until`). A stealer that drains the last task and notifies
     /// *between* the worker's empty probe and its `listen` hits the
     /// notify fast path (no waiters yet); the worker then parks with
     /// nothing left to wake it — a lost wakeup, detected as a deadlock.
@@ -761,10 +759,10 @@ pub struct StealParkBugs {
 ///   store (deliberately `Relaxed`: the slot publication is what carries
 ///   the edge, exactly as the ring hands a `TaskRef` across), then the
 ///   `SeqCst` slot store, then `notify` (the spawn's seal entry drop);
-/// - the **worker** runs the real loop: exit check, pop attempt
-///   (`SeqCst` CAS — the ring's own protocol is `SeqCst`-heavy), then
-///   `listen` → re-check (queue probe + exit condition; the seeded skip)
-///   → `wait`;
+/// - the **worker** runs the real loop: an attempt (exit check, then a
+///   pop with a `SeqCst` CAS — the ring's own protocol is
+///   `SeqCst`-heavy), and on failure `wait_until` with the same attempt
+///   as its post-`listen` re-check (the seeded skip);
 /// - the **stealer** makes one claim attempt with the steal CAS (the
 ///   seeded weakening) and, on success, runs the task and publishes its
 ///   completion with `notify` — `run_task`'s sealed-drain completion
@@ -788,18 +786,29 @@ pub fn steal_park_scenario(bugs: StealParkBugs) -> impl Fn() + Send + Sync + 'st
             Arc::clone(&payload),
             Arc::clone(&completed),
         );
-        let worker = spawn(move || loop {
-            // `exit_ready`: sealed (always, here) and every admitted task
-            // completed.
-            if completed_w.load(Ordering::SeqCst) == 1 {
-                break;
-            }
-            // `find_task`: pop the local ring (the worker's own pop keeps
-            // the ring's full orderings regardless of the steal seeding).
-            if slot_w
-                .compare_exchange(1, 0, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
+        let worker = spawn(move || {
+            // `find_task` + `exit_ready` as one attempt: `Some(true)` runs a
+            // popped task, `Some(false)` exits (sealed, here, and every
+            // admitted task completed).
+            let attempt = || {
+                if completed_w.load(Ordering::SeqCst) == 1 {
+                    return Some(false);
+                }
+                // The worker's own pop keeps the ring's full orderings
+                // regardless of the steal seeding.
+                slot_w
+                    .compare_exchange(1, 0, Ordering::SeqCst, Ordering::SeqCst)
+                    .is_ok()
+                    .then_some(true)
+            };
+            // The post-listen re-check (pop + exit condition — the two
+            // facts a notify published before our `listen` could be
+            // about) is the one the seeded skip drops.
+            let recheck = SignalBugs {
+                skip_listen_recheck: bugs.skip_park_recheck,
+                ..SignalBugs::default()
+            };
+            while attempt().unwrap_or_else(|| sig_w.wait_until(recheck, attempt)) {
                 assert_eq!(
                     payload_w.load(Ordering::Relaxed),
                     7,
@@ -808,19 +817,7 @@ pub fn steal_park_scenario(bugs: StealParkBugs) -> impl Fn() + Send + Sync + 'st
                 completed_w.fetch_add(1, Ordering::SeqCst);
                 // `run_task`'s sealed-drain completion notify.
                 sig_w.notify(SignalBugs::default());
-                continue;
             }
-            let key = sig_w.listen();
-            // The post-listen re-check: probe the queue again and
-            // re-evaluate the exit condition — the two facts a notify
-            // published before our `listen` could be about.
-            if !bugs.skip_park_recheck
-                && (slot_w.load(Ordering::SeqCst) == 1 || completed_w.load(Ordering::SeqCst) == 1)
-            {
-                sig_w.cancel();
-                continue;
-            }
-            sig_w.wait(key);
         });
 
         let (sig_s, slot_s, payload_s, completed_s) = (
@@ -1022,10 +1019,10 @@ impl SealTopic {
 
 /// The drain-then-close scenario: a publisher publishes one value, the
 /// main thread closes (seal, then notify), and a consumer runs the
-/// blocking `recv` loop — `try_recv`, then `listen` → re-check → `wait`
-/// — until it sees `Closed`. In every schedule all three threads
-/// terminate, and the consumer has received every value counted as
-/// published.
+/// blocking `recv` loop — `try_recv`, then `wait_until` with `try_recv`
+/// as its re-check — until it sees `Closed`. In every schedule all three
+/// threads terminate, and the consumer has received every value counted
+/// as published.
 pub fn seal_scenario(bugs: SealBugs) -> impl Fn() + Send + Sync + 'static {
     move || {
         let topic = Arc::new(SealTopic {
@@ -1038,28 +1035,16 @@ pub fn seal_scenario(bugs: SealBugs) -> impl Fn() + Send + Sync + 'static {
         let t = Arc::clone(&topic);
         let consumer = spawn(move || {
             let mut received = 0usize;
-            loop {
-                match t.try_recv() {
-                    Consumed::Value => {
-                        received += 1;
-                        continue;
-                    }
-                    Consumed::Closed => return received,
-                    Consumed::Empty => {}
-                }
-                let key = t.wake.listen();
-                match t.try_recv() {
-                    Consumed::Value => {
-                        t.wake.cancel();
-                        received += 1;
-                    }
-                    Consumed::Closed => {
-                        t.wake.cancel();
-                        return received;
-                    }
-                    Consumed::Empty => t.wake.wait(key),
-                }
+            // `Some(true)` received a value, `Some(false)` saw `Closed`.
+            let attempt = || match t.try_recv() {
+                Consumed::Value => Some(true),
+                Consumed::Closed => Some(false),
+                Consumed::Empty => None,
+            };
+            while attempt().unwrap_or_else(|| t.wake.wait_until(SignalBugs::default(), attempt)) {
+                received += 1;
             }
+            received
         });
         let t = Arc::clone(&topic);
         let publisher = spawn(move || t.publish(7, bugs));

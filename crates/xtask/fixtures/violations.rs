@@ -11,6 +11,9 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
+// Trips the park rule: a hand-rolled sleep beside the checked handshake.
+static PARKED: std::sync::Condvar = std::sync::Condvar::new();
+
 // Trips the allow rule: no justification given.
 #[allow(dead_code)]
 fn spin(flag: &AtomicUsize) {

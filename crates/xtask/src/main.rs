@@ -25,6 +25,11 @@
 //! 4. **allow**: every `#[allow(...)]` / `#![allow(...)]` states a
 //!    `reason = "..."` — un-reasoned suppressions are how lint debt
 //!    becomes invisible.
+//! 5. **park**: no `Condvar` outside `crates/channel/src/wait.rs` and
+//!    `crates/sync` — every thread sleep goes through `Signal`'s
+//!    `wait_until`, the one park handshake the model checker covers
+//!    (`signal_scenario`). A second hand-rolled condvar wait is a second
+//!    lost-wakeup argument nobody has checked.
 //!
 //! Comments and string literals are stripped before matching, so prose,
 //! doc examples (doctests live inside doc *comments*), and log messages
@@ -153,6 +158,7 @@ fn lint_file(rel: &Path, text: &str, out: &mut Vec<Violation>) {
     check_unsafe(rel, &original, &stripped, out);
     check_ordering(rel, &original, &stripped, out);
     check_allow(rel, &original, &stripped, out);
+    check_park(rel, &stripped, out);
 }
 
 // ---------------------------------------------------------------------------
@@ -326,6 +332,31 @@ fn check_allow(rel: &Path, original: &[&str], stripped: &[&str], out: &mut Vec<V
             i = j + 1;
         } else {
             i += 1;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Rule 5: one park handshake
+// ---------------------------------------------------------------------------
+
+fn check_park(rel: &Path, stripped: &[&str], out: &mut Vec<Violation>) {
+    if in_sync_crate(rel) || rel == Path::new("crates/channel/src/wait.rs") {
+        return;
+    }
+    // `concat!` keeps this file from flagging itself.
+    let condvar = concat!("Cond", "var");
+    for (i, line) in stripped.iter().enumerate() {
+        if has_word(line, condvar) {
+            out.push(Violation {
+                file: rel.to_path_buf(),
+                line: i + 1,
+                rule: "park",
+                message: format!(
+                    "`{condvar}` outside crates/channel/src/wait.rs — park through \
+                     `Signal::wait_until`, whose handshake the model checker covers"
+                ),
+            });
         }
     }
 }
@@ -587,6 +618,18 @@ mod tests {
         assert!(lint_str("crates/core/src/x.rs", multiline).is_empty());
     }
 
+    #[test]
+    fn condvar_outside_signal_detected() {
+        let bad = "use std::sync::{Condvar, Mutex};\n";
+        let v = lint_str("crates/executor/src/x.rs", bad);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].rule, "park");
+        assert!(lint_str("crates/channel/src/wait.rs", bad).is_empty());
+        assert!(lint_str("crates/sync/src/model/sync.rs", bad).is_empty());
+        // A longer identifier is not the type.
+        assert!(lint_str("crates/core/src/x.rs", "struct CondvarFree;\n").is_empty());
+    }
+
     /// The committed fixture must keep tripping every rule — this is the
     /// "lint fails on a violating input" acceptance check.
     #[test]
@@ -594,7 +637,7 @@ mod tests {
         let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/violations.rs");
         let text = std::fs::read_to_string(&fixture).expect("fixture present");
         let v = lint_str("crates/core/src/violations.rs", &text);
-        for rule in ["facade", "safety", "ordering", "allow"] {
+        for rule in ["facade", "safety", "ordering", "allow", "park"] {
             assert!(
                 v.iter().any(|x| x.rule == rule),
                 "fixture no longer trips rule {rule}: {v:?}"

@@ -11,8 +11,8 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use wfqueue_broker::{
-    Broker, BrokerError, ConsumeTimeoutError, Publisher, ReclaimPolicy, Subscriber, TopicConfig,
-    TryConsumeError, TryPublishError,
+    Broker, BrokerError, ConsumeTimeoutError, PublishError, Publisher, ReclaimPolicy, Subscriber,
+    TopicConfig, TryConsumeError, TryPublishError,
 };
 use wfqueue_harness::broker_api::WfBrokerTopic;
 use wfqueue_harness::channel_api::ChannelMode;
@@ -221,6 +221,36 @@ fn close_is_drain_then_closed_on_every_path() {
             ),
         }
     }
+}
+
+/// Close wakes publishers parked on a full bounded topic, and each hands
+/// back every value it had not published: `publish` its one value,
+/// `publish_all` its parked chunk plus the chunks still queued behind it.
+#[test]
+fn close_hands_parked_publishers_every_unsent_value() {
+    let broker = Broker::new();
+    let topic = broker
+        .create_topic::<u64>("full", TopicConfig::bounded(2))
+        .unwrap();
+    topic.publisher().unwrap().publish_all([1, 2]).unwrap();
+    let (mut one, mut many) = (topic.publisher().unwrap(), topic.publisher().unwrap());
+    let single = wfqueue_sync::thread::spawn(move || one.publish(3));
+    let batch = wfqueue_sync::thread::spawn(move || many.publish_all([4, 5, 6, 7, 8]));
+    // Give both time to park on the full topic (a close that lands first
+    // must hand the same values back through the try path).
+    wfqueue_sync::thread::sleep(Duration::from_millis(30));
+    topic.close();
+    assert_eq!(single.join().unwrap(), Err(PublishError(3)));
+    assert_eq!(
+        batch.join().unwrap(),
+        Err(PublishError(vec![4, 5, 6, 7, 8]))
+    );
+    // Only the values accepted before the close are delivered.
+    let mut subscriber = topic.subscriber().unwrap();
+    assert_eq!(subscriber.recv(), Ok(1));
+    assert_eq!(subscriber.recv(), Ok(2));
+    assert_eq!(subscriber.try_recv(), Err(TryConsumeError::Closed));
+    assert_eq!(topic.stats().published, 2);
 }
 
 /// Dropping every subscriber handle never strands published values: the

@@ -457,6 +457,32 @@ fn executor_churn_soak() {
 
 /// A `JoinError::Cancelled` vs value outcome is the whole reporting
 /// surface; make sure the error type's helpers behave.
+/// A timed join on a task that is still running hands the handle back
+/// after the deadline, and a later `join` still returns the value.
+#[test]
+fn timed_join_on_a_running_task_hands_the_handle_back() {
+    let pool = Executor::with_workers(1);
+    let (mut release, mut gate) = wfqueue_channel::unbounded::<()>();
+    let handle = pool
+        .spawn(move || {
+            gate.recv().expect("released");
+            42u64
+        })
+        .expect("pool is open");
+    let Err(handle) = handle.join_timeout(Duration::from_millis(20)) else {
+        panic!("join_timeout returned while the task was blocked");
+    };
+    let deadline = Instant::now() + Duration::from_millis(20);
+    let Err(handle) = handle.join_deadline(deadline) else {
+        panic!("join_deadline returned while the task was blocked");
+    };
+    assert!(Instant::now() >= deadline, "returned before the deadline");
+    assert!(!handle.is_finished());
+    release.send(()).unwrap();
+    assert_eq!(handle.join().expect("task ran"), 42);
+    assert!(pool.shutdown().quiescent());
+}
+
 #[test]
 fn join_error_helpers() {
     assert!(JoinError::Cancelled.is_cancelled());
