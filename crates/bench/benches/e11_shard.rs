@@ -25,7 +25,7 @@
 //! `--json` prints a machine-readable summary (used by
 //! `scripts/bench_e11.sh` to record `BENCH_e11.json`).
 
-use wfqueue_harness::queue_api::{ConcurrentQueue, PlacementConfig, Routing};
+use wfqueue_harness::queue_api::{ConcurrentQueue, Routing};
 use wfqueue_harness::table::{f1, f2, Table};
 use wfqueue_harness::workload::{run_workload, RunReport, WorkloadSpec};
 use wfqueue_shard::{ShardedQueue, ShardedUnbounded};
@@ -113,13 +113,9 @@ fn main() {
     );
     sweep(
         |s| {
-            ShardedQueue::build(
-                s,
-                THREADS,
-                Routing::PerProducer,
-                PlacementConfig::default(),
-                |cap| wfqueue::bounded::Queue::<u64>::with_gc_period(cap, BOUNDED_GC_PERIOD),
-            )
+            ShardedQueue::build(s, THREADS, Routing::PerProducer, |cap| {
+                wfqueue::bounded::Queue::<u64>::with_gc_period(cap, BOUNDED_GC_PERIOD)
+            })
         },
         "wf-sharded-bounded",
         "per-producer",

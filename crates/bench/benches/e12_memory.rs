@@ -45,7 +45,7 @@ use wfqueue::unbounded;
 use wfqueue::unbounded::introspect as uintro;
 use wfqueue::unbounded::ReclaimPolicy;
 use wfqueue_harness::table::Table;
-use wfqueue_shard::{PlacementConfig, Routing, ShardedQueue, ShardedUnbounded};
+use wfqueue_shard::{Routing, ShardedQueue, ShardedUnbounded};
 
 const THREADS: usize = 4;
 const CHECKPOINTS: usize = 8;
@@ -158,13 +158,9 @@ fn unbounded_series(policy: ReclaimPolicy, label: &'static str) -> Series {
 }
 
 fn sharded_series() -> Series {
-    let q: ShardedUnbounded<u64> = ShardedQueue::build(
-        2,
-        THREADS,
-        Routing::PerProducer,
-        PlacementConfig::default(),
-        |cap| unbounded::Queue::with_reclaim(cap, ReclaimPolicy::EveryKRootBlocks(PERIOD)),
-    );
+    let q: ShardedUnbounded<u64> = ShardedQueue::build(2, THREADS, Routing::PerProducer, |cap| {
+        unbounded::Queue::with_reclaim(cap, ReclaimPolicy::EveryKRootBlocks(PERIOD))
+    });
     let mut handles = q.handles();
     for i in 0..RESIDENT {
         handles[0].enqueue(i);

@@ -16,9 +16,9 @@
 //!
 //! Cross-knob validation happens once, in [`ChannelBuilder::build`], which
 //! returns a [`BuildError`] instead of panicking deep inside a backend
-//! constructor: a reclaim policy on the ring, a placement on a
-//! single-queue backend, a zero capacity — all are rejected up front with
-//! a message naming the inconsistent pair. [`unbounded`](crate::unbounded)
+//! constructor: a reclaim policy on the ring, a GC period on an unbounded
+//! backend, a zero capacity — all are rejected up front with a message
+//! naming the inconsistent pair. [`unbounded`](crate::unbounded)
 //! and [`bounded`](crate::bounded) are one-call shorthands for a builder
 //! with no knob set.
 
@@ -29,7 +29,7 @@ use wfqueue_ring::Ring;
 use crate::backend::Backend as Queue;
 use wfqueue_shard::{Routing, ShardedQueue};
 
-use crate::{BuildError, Endpoints, PlacementConfig, Receiver, ReclaimPolicy, Sender, Shared};
+use crate::{BuildError, Endpoints, Receiver, ReclaimPolicy, Sender, Shared};
 
 /// Which queue stores the channel's values — the builder's backend knob.
 ///
@@ -67,10 +67,9 @@ pub enum Backend {
     },
     /// `shards` independent wait-free unbounded queues: root-CAS bandwidth
     /// multiplies by the shard count, ordering relaxes to per-sender FIFO
-    /// (configure via [`ChannelBuilder::placement`] /
-    /// [`ChannelBuilder::reclaim`]). Senders pin to their home shard;
-    /// receivers scan every shard nearest-first
-    /// ([`wfqueue_shard::Routing::Nearest`]).
+    /// (configure via [`ChannelBuilder::reclaim`]). Senders pin to their
+    /// home shard; receivers scan every shard in cyclic order from their
+    /// own home ([`wfqueue_shard::Routing::Nearest`]).
     Sharded {
         /// Independent shards (≥ 1); `1` is observationally `Unbounded`.
         shards: usize,
@@ -116,7 +115,6 @@ impl Channel {
             backend: Backend::Unbounded,
             endpoints: Endpoints::default(),
             reclaim: None,
-            placement: None,
             gc_period: None,
             _values: PhantomData,
         }
@@ -126,17 +124,16 @@ impl Channel {
 /// Builds a channel from a [`Backend`] choice plus the knobs that backend
 /// supports; see [`Channel::builder`].
 ///
-/// Knobs left unset take their defaults: reclaim `EveryKRootBlocks(64)`,
-/// detected placement, and a GC period that follows the registered
-/// endpoints. Setting a knob the chosen backend cannot honour is a
-/// [`BuildError`], not a silent ignore.
+/// Knobs left unset take their defaults: reclaim `EveryKRootBlocks(64)`
+/// and a GC period that follows the registered endpoints. Setting a knob
+/// the chosen backend cannot honour is a [`BuildError`], not a silent
+/// ignore.
 #[derive(Debug, Clone, Copy)]
 #[must_use = "a builder does nothing until `.build()`"]
 pub struct ChannelBuilder<T> {
     backend: Backend,
     endpoints: Endpoints,
     reclaim: Option<ReclaimPolicy>,
-    placement: Option<PlacementConfig>,
     gc_period: Option<usize>,
     _values: PhantomData<fn() -> T>,
 }
@@ -177,32 +174,6 @@ impl<T: Clone + Send + Sync + 'static> ChannelBuilder<T> {
     /// ```
     pub fn reclaim(mut self, reclaim: ReclaimPolicy) -> Self {
         self.reclaim = Some(reclaim);
-        self
-    }
-
-    /// Sets the hardware placement that orders the sharded backend's
-    /// nearest-first receive scan — [`Backend::Sharded`] only (default:
-    /// [`PlacementConfig::Detect`], which reads `/sys/devices/system/cpu`
-    /// once, with a deterministic fallback). Tests and reproducible
-    /// benchmarks pin [`PlacementConfig::Flat`] or
-    /// [`PlacementConfig::Uniform`].
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use wfqueue_channel::{Backend, Channel, PlacementConfig};
-    ///
-    /// let (mut tx, mut rx) = Channel::builder()
-    ///     .backend(Backend::Sharded { shards: 2 })
-    ///     .placement(PlacementConfig::Flat)
-    ///     .build()
-    ///     .unwrap();
-    /// tx.send_all([1, 2, 3]).unwrap(); // one sender: arrives in order
-    /// assert_eq!(rx.recv(), Ok(1));
-    /// assert_eq!(rx.recv_up_to(5), vec![2, 3]);
-    /// ```
-    pub fn placement(mut self, placement: PlacementConfig) -> Self {
-        self.placement = Some(placement);
         self
     }
 
@@ -261,7 +232,6 @@ impl<T: Clone + Send + Sync + 'static> ChannelBuilder<T> {
                     shards,
                     total,
                     Routing::Nearest,
-                    self.placement.unwrap_or_default(),
                     |cap| wfqueue::unbounded::Queue::with_reclaim(cap, reclaim),
                 )),
                 None,
@@ -285,9 +255,6 @@ impl<T: Clone + Send + Sync + 'static> ChannelBuilder<T> {
         let reclaim_ok = matches!(self.backend, Backend::Unbounded | Backend::Sharded { .. });
         if self.reclaim.is_some() && !reclaim_ok {
             return Err(BuildError::ReclaimUnsupported { backend });
-        }
-        if self.placement.is_some() && !matches!(self.backend, Backend::Sharded { .. }) {
-            return Err(BuildError::PlacementUnsupported { backend });
         }
         if self.gc_period.is_some() && !matches!(self.backend, Backend::BoundedTree { .. }) {
             return Err(BuildError::GcPeriodUnsupported { backend });
@@ -406,14 +373,6 @@ mod tests {
             }
         );
         assert_eq!(
-            build(
-                Channel::builder()
-                    .backend(Backend::Ring { capacity: 8 })
-                    .placement(PlacementConfig::Flat)
-            ),
-            BuildError::PlacementUnsupported { backend: "ring" }
-        );
-        assert_eq!(
             build(Channel::builder().gc_period(16)),
             BuildError::GcPeriodUnsupported {
                 backend: "unbounded"
@@ -423,10 +382,9 @@ mod tests {
 
     #[test]
     fn valid_knobs_reach_their_backends() {
-        // Sharded accepts placement + reclaim.
+        // Sharded accepts reclaim.
         let (mut tx, mut rx) = Channel::builder::<u32>()
             .backend(Backend::Sharded { shards: 2 })
-            .placement(PlacementConfig::Flat)
             .reclaim(ReclaimPolicy::EveryKRootBlocks(8))
             .build()
             .unwrap();

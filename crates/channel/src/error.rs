@@ -168,9 +168,11 @@ impl std::error::Error for CloneError {}
 ///
 /// The builder validates the whole configuration up front and reports the
 /// first inconsistency here instead of panicking deep inside a backend
-/// constructor; the legacy free constructors
-/// ([`unbounded`](crate::unbounded), [`bounded`](crate::bounded), …) are
-/// thin wrappers that turn these errors back into their documented panics.
+/// constructor. The crate has exactly two knob-free shorthands over the
+/// builder: [`unbounded`](crate::unbounded) takes no argument, so its
+/// configuration is always valid and it never fails, and
+/// [`bounded`](crate::bounded) panics with this error's message when its
+/// `capacity` is zero ([`BuildError::ZeroCapacity`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum BuildError {
@@ -201,12 +203,6 @@ pub enum BuildError {
     /// (the bounded tree has its own GC; the ring recycles slots in
     /// place).
     ReclaimUnsupported {
-        /// The backend that was requested.
-        backend: &'static str,
-    },
-    /// A hardware placement was set, but the chosen backend has no
-    /// shards to place.
-    PlacementUnsupported {
         /// The backend that was requested.
         backend: &'static str,
     },
@@ -245,9 +241,6 @@ impl fmt::Display for BuildError {
             }
             BuildError::ReclaimUnsupported { backend } => {
                 write!(f, "the {backend} backend does not take a reclaim policy")
-            }
-            BuildError::PlacementUnsupported { backend } => {
-                write!(f, "the {backend} backend has no shards to place")
             }
             BuildError::GcPeriodUnsupported { backend } => write!(
                 f,

@@ -155,7 +155,7 @@ pub use error::{
     BuildError, CloneError, RecvError, RecvTimeoutError, SendError, TryRecvError, TrySendError,
 };
 pub use wait::{Entry, Seal, Signal};
-pub use wfqueue_shard::{PlacementConfig, ReclaimPolicy};
+pub use wfqueue_shard::ReclaimPolicy;
 
 /// How many endpoints of each side a channel can mint
 /// ([`Sender::try_clone`] / [`Receiver::try_clone`] draw on this budget).

@@ -12,10 +12,10 @@
 //!   instead of inventing a deque.
 //! - **Global injection queue** — a [`wfqueue_shard::ShardedUnbounded`]
 //!   (§3 wait-free queue per shard, reclamation on) with
-//!   [`wfqueue_shard::Routing::Nearest`]: every spawner handle *places*
-//!   per producer (its enqueues stay on its home shard, preserving
-//!   per-spawner FIFO) while worker dequeues sweep all shards
-//!   hinted-nonempty-nearest-first, so no spawner's shard can strand.
+//!   [`wfqueue_shard::Routing::Nearest`]: every spawner handle enqueues
+//!   on its home shard (preserving per-spawner FIFO) while worker
+//!   dequeues sweep all shards, hinted-nonempty first in cyclic order
+//!   from the worker's home, so no spawner's shard can strand.
 //! - **Steal-half batches** — an idle worker claims up to half of a
 //!   victim ring with `dequeue_batch`, runs the first stolen task, and
 //!   re-queues the rest into its own ring with the ring's all-or-nothing
@@ -30,10 +30,22 @@
 //!
 //! # What is and is not wait-free
 //!
-//! Queue hops (inject, local push/pop, steal) are wait-free or lock-free
-//! per their backing crates; *parking* is blocking by design — the point
-//! of the Dekker handshake is that blocking never loses a wakeup, not
-//! that it never blocks. See DESIGN.md §executor.
+//! Not every queue hop is wait-free today. Four hops block or only make
+//! lock-free progress:
+//!
+//! - every local push and pop takes worker `w`'s `Mutex<RingHandle>`
+//!   (`Inner::locals`; ROADMAP item 6);
+//! - every [`Executor::spawn`] from a thread that is not a worker of the
+//!   pool, and every spawn whose local ring is full, takes the `fallback`
+//!   `Mutex` around a shared injection handle (ROADMAP item 6);
+//! - ring ticket claims (local push/pop and steal) are lock-free, not
+//!   wait-free — see the `wfqueue_ring` crate docs;
+//! - the reclaiming injection queue pins the vendored epoch shim, which
+//!   does every pin under one process-wide lock (ROADMAP item 1).
+//!
+//! *Parking* is blocking by design — the point of the Dekker handshake is
+//! that blocking never loses a wakeup, not that it never blocks. See
+//! DESIGN.md §executor.
 //!
 //! # Shutdown certification
 //!
@@ -72,9 +84,7 @@ use std::time::{Duration, Instant};
 use wfqueue::unbounded;
 use wfqueue_channel::{Entry, Seal, Signal};
 use wfqueue_ring::{Ring, RingHandle};
-use wfqueue_shard::{
-    PlacementConfig, ReclaimPolicy, Routing, ShardedHandle, ShardedQueue, ShardedUnbounded,
-};
+use wfqueue_shard::{ReclaimPolicy, Routing, ShardedHandle, ShardedQueue, ShardedUnbounded};
 use wfqueue_sync::atomic::{AtomicU64, Ordering};
 use wfqueue_sync::thread;
 
@@ -453,7 +463,6 @@ impl Executor {
             workers,
             workers + config.max_spawners + 2,
             Routing::Nearest,
-            PlacementConfig::default(),
             |cap| {
                 unbounded::Queue::with_reclaim(
                     cap,
@@ -546,8 +555,8 @@ impl Executor {
         Ok(handle)
     }
 
-    /// Mints a detached [`Spawner`] with its own per-producer injection
-    /// shard placement, or `None` once `max_spawners` are outstanding.
+    /// Mints a detached [`Spawner`] with its own home injection shard, or
+    /// `None` once `max_spawners` are outstanding.
     #[must_use]
     pub fn try_spawner(&self) -> Option<Spawner> {
         // SAFETY: the spawner's handle borrows the queue owned by the

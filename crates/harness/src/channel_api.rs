@@ -24,9 +24,7 @@
 use std::sync::Mutex;
 use std::time::Duration;
 
-use wfqueue_channel::{
-    Backend, Channel, Endpoints, PlacementConfig, Receiver, ReclaimPolicy, Sender,
-};
+use wfqueue_channel::{Backend, Channel, Endpoints, Receiver, ReclaimPolicy, Sender};
 
 use crate::queue_api::{ConcurrentQueue, QueueHandle};
 
@@ -127,9 +125,8 @@ impl<T: Clone + Send + Sync + 'static> WfChannel<T> {
         Self::from_pair(tx, rx, p, mode, "wf-channel-ring")
     }
 
-    /// A sharded channel (`shards` wait-free shards, nearest-first receive
-    /// scan) sized for `p` harness handles. Placement is pinned to
-    /// [`PlacementConfig::Flat`] for run-to-run determinism.
+    /// A sharded channel (`shards` wait-free shards, receive scan cyclic
+    /// from each receiver's home shard) sized for `p` harness handles.
     ///
     /// The `shards > 1` composite is per-*sender* FIFO, not one
     /// linearizable queue — run the Wing–Gong checker against
@@ -143,7 +140,6 @@ impl<T: Clone + Send + Sync + 'static> WfChannel<T> {
                 senders: p,
                 receivers: p,
             })
-            .placement(PlacementConfig::Flat)
             .reclaim(ReclaimPolicy::Off)
             .build()
             .expect("valid harness channel config");

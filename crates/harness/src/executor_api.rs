@@ -4,8 +4,8 @@
 //! join pipeline through the same uniform interface as every queue.
 //!
 //! The mapping: a harness *enqueue* spawns a task that returns the
-//! value (through the handle's own [`Spawner`], i.e. the per-producer
-//! injection placement), and a harness *dequeue* joins this handle's
+//! value (through the handle's own [`Spawner`], i.e. its own home
+//! injection shard), and a harness *dequeue* joins this handle's
 //! oldest outstanding task — so a dequeue completes only once the pool
 //! has actually scheduled and executed the task, and the values drain in
 //! per-handle spawn order. Per-producer FIFO therefore holds by

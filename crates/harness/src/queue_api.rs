@@ -11,7 +11,7 @@ use wfqueue_baselines::{MsQueue, MutexQueue, SegQueueAdapter, TwoLockQueue};
 use wfqueue_ring::Ring;
 use wfqueue_shard::{ShardHandle, ShardedHandle, ShardedQueue};
 
-pub use wfqueue_shard::{PlacementConfig, ReclaimPolicy, Routing};
+pub use wfqueue_shard::{ReclaimPolicy, Routing};
 
 /// A shared multi-producer multi-consumer FIFO queue under test.
 ///
@@ -276,6 +276,7 @@ baseline_adapter!(Seg, SegQueueAdapter<T>, "crossbeam-seg", Send);
 mod tests {
     use super::*;
     use wfqueue::{bounded, unbounded};
+    use wfqueue_shard::ShardedUnbounded;
 
     fn round_trip<Q: ConcurrentQueue<u64>>(q: &Q) {
         let mut h = q.handle();
@@ -285,21 +286,6 @@ mod tests {
         assert_eq!(h.dequeue(), Some(2));
         assert_eq!(h.dequeue(), None);
         assert!(!q.name().is_empty());
-    }
-
-    /// Sharded unbounded shards over a pinned flat placement.
-    fn flat_sharded(
-        shards: usize,
-        processes: usize,
-        routing: Routing,
-    ) -> ShardedQueue<unbounded::Queue<u64>> {
-        ShardedQueue::build(
-            shards,
-            processes,
-            routing,
-            PlacementConfig::Flat,
-            unbounded::Queue::new,
-        )
     }
 
     #[test]
@@ -315,21 +301,13 @@ mod tests {
         // A ring no larger than the in-flight window still round-trips.
         round_trip(&Ring::new(2, 2));
         for routing in [Routing::PerProducer, Routing::Nearest] {
-            round_trip(&flat_sharded(2, 2, routing));
-            round_trip(&ShardedQueue::build(
-                2,
-                2,
-                routing,
-                PlacementConfig::default(),
-                |cap| unbounded::Queue::with_reclaim(cap, ReclaimPolicy::EveryKRootBlocks(4)),
-            ));
-            round_trip(&ShardedQueue::build(
-                2,
-                2,
-                routing,
-                PlacementConfig::default(),
-                |cap| bounded::Queue::with_gc_period(cap, 4),
-            ));
+            round_trip(&ShardedUnbounded::<u64>::new(2, 2, routing));
+            round_trip(&ShardedQueue::build(2, 2, routing, |cap| {
+                unbounded::Queue::with_reclaim(cap, ReclaimPolicy::EveryKRootBlocks(4))
+            }));
+            round_trip(&ShardedQueue::build(2, 2, routing, |cap| {
+                bounded::Queue::with_gc_period(cap, 4)
+            }));
         }
         round_trip(&Ms::new());
         round_trip(&TwoLock::new());
@@ -348,7 +326,7 @@ mod tests {
             Some(5)
         );
         assert_eq!(
-            ConcurrentQueue::<u64>::capacity(&wfqueue_shard::ShardedUnbounded::<u64>::new(
+            ConcurrentQueue::<u64>::capacity(&ShardedUnbounded::<u64>::new(
                 4,
                 6,
                 Routing::PerProducer
@@ -402,7 +380,7 @@ mod tests {
         // identical observable behaviour.
         batch_round_trip(&unbounded::Queue::new(1));
         batch_round_trip(&bounded::Queue::with_gc_period(1, 2));
-        batch_round_trip(&flat_sharded(2, 1, Routing::Nearest));
+        batch_round_trip(&ShardedUnbounded::<u64>::new(2, 1, Routing::Nearest));
         batch_round_trip(&wfqueue_shard::ShardedBounded::new(
             2,
             1,

@@ -492,20 +492,9 @@ pub fn run_batch_workload<Q: ConcurrentQueue<u64>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue_api::{CoarseMutex, Ms, PlacementConfig, Routing};
+    use crate::queue_api::{CoarseMutex, Ms, Routing};
     use wfqueue::{bounded, unbounded};
-    use wfqueue_shard::{ShardedQueue, ShardedUnbounded};
-
-    /// Sharded unbounded shards over a pinned flat placement.
-    fn flat_sharded(shards: usize, processes: usize, routing: Routing) -> ShardedUnbounded<u64> {
-        ShardedQueue::build(
-            shards,
-            processes,
-            routing,
-            PlacementConfig::Flat,
-            unbounded::Queue::new,
-        )
-    }
+    use wfqueue_shard::ShardedUnbounded;
 
     #[test]
     fn tags_round_trip() {
@@ -660,7 +649,7 @@ mod tests {
         // for both routing policies and every shard count.
         for routing in [Routing::PerProducer, Routing::Nearest] {
             for shards in [1usize, 2, 4] {
-                let q = flat_sharded(shards, 4, routing);
+                let q: ShardedUnbounded<u64> = ShardedUnbounded::new(shards, 4, routing);
                 let spec = WorkloadSpec {
                     threads: 4,
                     ops_per_thread: 1_500,
@@ -677,7 +666,7 @@ mod tests {
     #[test]
     fn batch_workload_audits_pass_on_sharded_composites() {
         for routing in [Routing::PerProducer, Routing::Nearest] {
-            let q = flat_sharded(2, 4, routing);
+            let q: ShardedUnbounded<u64> = ShardedUnbounded::new(2, 4, routing);
             let spec = BatchWorkloadSpec {
                 threads: 4,
                 batches_per_thread: 200,

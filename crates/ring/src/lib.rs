@@ -699,11 +699,10 @@ impl<T> RingHandle<'_, T> {
 ///
 /// ```
 /// use wfqueue_ring::{Ring, ShardedRing};
-/// use wfqueue_shard::{PlacementConfig, Routing, ShardHandle};
+/// use wfqueue_shard::{Routing, ShardHandle};
 ///
 /// let shards = (0..2).map(|_| Ring::new(8, 4)).collect();
-/// let q: ShardedRing<u32> =
-///     ShardedRing::with_shards(shards, 4, Routing::Nearest, PlacementConfig::Detect);
+/// let q: ShardedRing<u32> = ShardedRing::with_shards(shards, 4, Routing::Nearest);
 /// let mut h = q.try_handle().unwrap();
 /// h.enqueue(5);
 /// assert_eq!(h.dequeue(), Some(5));
@@ -1011,10 +1010,9 @@ mod tests {
 
     #[test]
     fn sharded_ring_round_trips() {
-        use wfqueue_shard::{PlacementConfig, Routing};
+        use wfqueue_shard::Routing;
         let shards = (0..2).map(|_| Ring::new(16, 4)).collect();
-        let q: ShardedRing<u64> =
-            ShardedRing::with_shards(shards, 4, Routing::Nearest, PlacementConfig::Detect);
+        let q: ShardedRing<u64> = ShardedRing::with_shards(shards, 4, Routing::Nearest);
         let mut h = q.try_handle().unwrap();
         h.enqueue_batch(vec![1, 2, 3]);
         let mut got: Vec<u64> = (0..3).map(|_| h.dequeue().unwrap()).collect();

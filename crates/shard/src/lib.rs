@@ -11,19 +11,13 @@
 //! # Routing
 //!
 //! Routing is the plain [`Routing`] enum, matched inside [`ShardedHandle`]
-//! (see `DESIGN.md` § "Routing"), over two supporting pieces:
-//!
-//! * [`placement`] — hardware topology: which shards share a cache
-//!   domain, and the precomputed nearest-first scan order per home shard.
-//!   (Distinct from `crates/core`'s *ordering-tree* topology — that one
-//!   is the paper's §3.1 proof artifact, this one is a locality artifact.)
-//! * [`ShardHints`] — per-shard `Relaxed` emptiness hints that order the
-//!   `Nearest` scan.
+//! (see `DESIGN.md` § "Routing"), with per-shard `Relaxed` emptiness hints
+//! ([`ShardHints`]) ordering the `Nearest` scan.
 //!
 //! | variant | enqueue | dequeue scan | per-producer FIFO |
 //! |---|---|---|---|
 //! | [`Routing::PerProducer`] | home shard | home shard only | yes |
-//! | [`Routing::Nearest`] | home shard | all, hinted-nonempty nearest first | yes |
+//! | [`Routing::Nearest`] | home shard | all, hinted-nonempty first, cyclic from home | yes |
 //!
 //! Handle `i`'s home shard is `i % S` under both variants, and every one
 //! of its enqueues lands there. `PerProducer` sizes each shard's tree to
@@ -31,8 +25,11 @@
 //! drops from `O(log p)` to `O(log(p/S))` *and* root CASes spread over `S`
 //! roots. `Nearest` lets every handle dequeue from every shard: its scan
 //! starts at the handle's own home shard and probes hinted-nonempty shards
-//! nearest first, falling back over the rest so a `None` still witnesses a
-//! full sweep. The scan takes no shared read-modify-write.
+//! in cyclic order (`home, home+1, …, home−1 mod S`), falling back over the
+//! rest in the same order so a `None` still witnesses a full sweep. The
+//! scan takes no shared read-modify-write. No layer pins threads to CPUs,
+//! so "nearest" means cyclic distance from the home shard, not cache
+//! locality.
 //!
 //! What the composite is *not*: a single linearizable FIFO queue (for
 //! `S > 1`). Each shard individually is linearizable, a producer's values
@@ -59,7 +56,6 @@
 
 #![deny(missing_docs)]
 
-pub mod placement;
 mod policy;
 
 use std::fmt;
@@ -68,7 +64,6 @@ use wfqueue_sync::atomic::{AtomicUsize, Ordering};
 use wfqueue::bounded;
 use wfqueue::unbounded;
 
-pub use placement::{HwTopology, Placement, PlacementConfig, TopologySource};
 use policy::RouterState;
 pub use policy::ShardHints;
 pub use wfqueue::unbounded::ReclaimPolicy;
@@ -216,9 +211,13 @@ pub enum Routing {
     /// sharded-lanes model of SPSC fan-out designs.
     PerProducer,
     /// The contention-aware scan: dequeues probe hinted-nonempty shards
-    /// nearest-first from the handle's home per the queue's [`Placement`],
-    /// then the rest — full coverage, and **no shared RMW per sweep**
+    /// nearest-first from the handle's home, then the rest in the same
+    /// order — full coverage, and **no shared RMW per sweep**
     /// (handle-local state plus `Relaxed` advisory [`ShardHints`]).
+    ///
+    /// "Nearest" is cyclic distance from the home shard: the scan order is
+    /// `home, home+1, …, home−1 (mod S)`. It is not a cache-locality
+    /// claim — no layer pins threads to CPUs.
     Nearest,
 }
 
@@ -278,7 +277,6 @@ impl Routing {
 pub struct ShardedQueue<Q: Shard> {
     shards: Vec<Q>,
     routing: Routing,
-    placement: Placement,
     hints: ShardHints,
     max_handles: usize,
     next_handle: AtomicUsize,
@@ -293,10 +291,7 @@ pub type ShardedBounded<T> = ShardedQueue<bounded::Queue<T>>;
 impl<Q: Shard> ShardedQueue<Q> {
     /// Builds a sharded queue from `num_shards` shards produced by `make`,
     /// which receives each shard's required handle capacity
-    /// ([`Routing::shard_capacity`]). `placement` orders
-    /// [`Routing::Nearest`]'s scan: [`PlacementConfig::Detect`] reads the
-    /// host once, while tests and reproducible benchmarks pin
-    /// [`PlacementConfig::Uniform`] or [`PlacementConfig::Flat`].
+    /// ([`Routing::shard_capacity`]).
     ///
     /// # Panics
     ///
@@ -307,36 +302,29 @@ impl<Q: Shard> ShardedQueue<Q> {
     ///
     /// ```
     /// use wfqueue::unbounded::{Queue, ReclaimPolicy};
-    /// use wfqueue_shard::{PlacementConfig, Routing, ShardedQueue};
+    /// use wfqueue_shard::{Routing, ShardedQueue};
     ///
     /// // Each shard gets exactly the capacity routing demands, and is
     /// // built however the caller likes — here with a reclaim policy.
-    /// let q = ShardedQueue::build(
-    ///     4,
-    ///     4,
-    ///     Routing::Nearest,
-    ///     PlacementConfig::Uniform { cpus: 8, domains: 2 },
-    ///     |cap| Queue::<u64>::with_reclaim(cap, ReclaimPolicy::EveryKRootBlocks(16)),
-    /// );
+    /// let q = ShardedQueue::build(4, 4, Routing::Nearest, |cap| {
+    ///     Queue::<u64>::with_reclaim(cap, ReclaimPolicy::EveryKRootBlocks(16))
+    /// });
     /// assert_eq!(q.num_shards(), 4);
     /// assert_eq!(q.shards()[0].num_processes(), 4, "Nearest: every handle anywhere");
-    /// assert_eq!(q.placement().num_domains(), 2);
     /// ```
     pub fn build(
         num_shards: usize,
         max_handles: usize,
         routing: Routing,
-        placement: PlacementConfig,
         mut make: impl FnMut(usize) -> Q,
     ) -> Self {
         let shards = (0..num_shards)
             .map(|s| make(routing.shard_capacity(max_handles, num_shards, s)))
             .collect();
-        Self::with_shards(shards, max_handles, routing, placement)
+        Self::with_shards(shards, max_handles, routing)
     }
 
-    /// Builds a sharded queue over caller-constructed shards, with
-    /// `placement` as in [`ShardedQueue::build`].
+    /// Builds a sharded queue over caller-constructed shards.
     ///
     /// # Panics
     ///
@@ -349,25 +337,20 @@ impl<Q: Shard> ShardedQueue<Q> {
     ///
     /// ```
     /// use wfqueue::unbounded::{Queue, ReclaimPolicy};
-    /// use wfqueue_shard::{PlacementConfig, Routing, ShardedQueue};
+    /// use wfqueue_shard::{Routing, ShardedQueue};
     ///
     /// // Each shard truncates its own ordering tree under its own policy.
     /// let shards = (0..2)
     ///     .map(|_| Queue::<u64>::with_reclaim(1, ReclaimPolicy::EveryKRootBlocks(16)))
     ///     .collect();
-    /// let q = ShardedQueue::with_shards(shards, 2, Routing::PerProducer, PlacementConfig::Flat);
+    /// let q = ShardedQueue::with_shards(shards, 2, Routing::PerProducer);
     /// let mut h = q.try_handle().unwrap();
     /// for i in 0..100 {
     ///     h.enqueue(i);
     ///     assert_eq!(h.dequeue(), Some(i));
     /// }
     /// ```
-    pub fn with_shards(
-        shards: Vec<Q>,
-        max_handles: usize,
-        routing: Routing,
-        placement: PlacementConfig,
-    ) -> Self {
+    pub fn with_shards(shards: Vec<Q>, max_handles: usize, routing: Routing) -> Self {
         assert!(!shards.is_empty(), "need at least one shard");
         assert!(max_handles > 0, "need at least one handle");
         for (s, shard) in shards.iter().enumerate() {
@@ -383,7 +366,6 @@ impl<Q: Shard> ShardedQueue<Q> {
         ShardedQueue {
             shards,
             routing,
-            placement: placement.resolve(num_shards),
             hints: ShardHints::new(num_shards),
             max_handles,
             next_handle: AtomicUsize::new(0),
@@ -406,27 +388,6 @@ impl<Q: Shard> ShardedQueue<Q> {
     #[must_use]
     pub fn routing(&self) -> Routing {
         self.routing
-    }
-
-    /// The queue's resolved hardware placement.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use wfqueue_shard::{PlacementConfig, Routing, ShardedQueue, ShardedUnbounded};
-    ///
-    /// let q: ShardedUnbounded<u64> = ShardedQueue::build(
-    ///     4,
-    ///     4,
-    ///     Routing::Nearest,
-    ///     PlacementConfig::Uniform { cpus: 8, domains: 2 },
-    ///     wfqueue::unbounded::Queue::new,
-    /// );
-    /// assert_eq!(q.placement().num_domains(), 2);
-    /// ```
-    #[must_use]
-    pub fn placement(&self) -> &Placement {
-        &self.placement
     }
 
     /// The queue's advisory per-shard emptiness hints (maintained under
@@ -487,12 +448,12 @@ impl<Q: Shard> ShardedQueue<Q> {
 
 impl<T: Clone + Send + Sync> ShardedUnbounded<T> {
     /// Creates a sharded queue over `num_shards` unbounded shards, capped
-    /// at `max_handles` composite handles, with detected placement.
+    /// at `max_handles` composite handles.
     ///
     /// Each shard is sized to [`Routing::shard_capacity`]; under
     /// [`Routing::PerProducer`] that is `⌈max_handles/num_shards⌉`, so the
     /// per-shard trees are shallower than a single queue's. For a reclaim
-    /// policy or a pinned placement, use [`ShardedQueue::build`].
+    /// policy, use [`ShardedQueue::build`].
     ///
     /// # Panics
     ///
@@ -508,35 +469,22 @@ impl<T: Clone + Send + Sync> ShardedUnbounded<T> {
     /// ```
     #[must_use]
     pub fn new(num_shards: usize, max_handles: usize, routing: Routing) -> Self {
-        Self::build(
-            num_shards,
-            max_handles,
-            routing,
-            PlacementConfig::default(),
-            unbounded::Queue::new,
-        )
+        Self::build(num_shards, max_handles, routing, unbounded::Queue::new)
     }
 }
 
 impl<T: Clone + Send + Sync> ShardedBounded<T> {
     /// Creates a sharded queue over `num_shards` bounded-space shards
     /// whose GC periods follow the handles each shard registers (see
-    /// [`bounded::Queue::new`]), capped at `max_handles` composite handles,
-    /// with detected placement. For an explicit GC period, use
-    /// [`ShardedQueue::build`].
+    /// [`bounded::Queue::new`]), capped at `max_handles` composite handles.
+    /// For an explicit GC period, use [`ShardedQueue::build`].
     ///
     /// # Panics
     ///
     /// Panics if `num_shards` or `max_handles` is zero.
     #[must_use]
     pub fn new(num_shards: usize, max_handles: usize, routing: Routing) -> Self {
-        Self::build(
-            num_shards,
-            max_handles,
-            routing,
-            PlacementConfig::default(),
-            bounded::Queue::new,
-        )
+        Self::build(num_shards, max_handles, routing, bounded::Queue::new)
     }
 }
 
@@ -545,7 +493,6 @@ impl<Q: Shard> fmt::Debug for ShardedQueue<Q> {
         f.debug_struct("ShardedQueue")
             .field("num_shards", &self.num_shards())
             .field("routing", &self.routing)
-            .field("placement", &format_args!("{}", self.placement))
             .field("max_handles", &self.max_handles)
             .field("handles_taken", &self.next_handle.load(Ordering::Relaxed))
             .finish()
@@ -613,9 +560,7 @@ impl<'q, Q: Shard> ShardedHandle<'q, Q> {
         let queue = self.queue;
         match queue.routing {
             Routing::PerProducer => self.router.plan_home_scan(),
-            Routing::Nearest => self
-                .router
-                .plan_nearest_scan(&queue.placement, &queue.hints),
+            Routing::Nearest => self.router.plan_nearest_scan(&queue.hints),
         }
     }
 
@@ -677,15 +622,9 @@ impl<'q, Q: Shard> ShardedHandle<'q, Q> {
     /// # Examples
     ///
     /// ```
-    /// use wfqueue_shard::{PlacementConfig, Routing, ShardedQueue, ShardedUnbounded};
+    /// use wfqueue_shard::{Routing, ShardedUnbounded};
     ///
-    /// let q: ShardedUnbounded<u64> = ShardedQueue::build(
-    ///     2,
-    ///     2,
-    ///     Routing::Nearest,
-    ///     PlacementConfig::Flat,
-    ///     wfqueue::unbounded::Queue::new,
-    /// );
+    /// let q: ShardedUnbounded<u64> = ShardedUnbounded::new(2, 2, Routing::Nearest);
     /// let mut hs = q.handles();
     /// hs[0].enqueue_batch(vec![1, 2, 3]); // one leaf block on shard 0
     /// hs[1].enqueue_batch(vec![4, 5]); // one leaf block on shard 1
@@ -713,15 +652,9 @@ impl<'q, Q: Shard> ShardedHandle<'q, Q> {
     /// # Examples
     ///
     /// ```
-    /// use wfqueue_shard::{PlacementConfig, Routing, ShardedQueue, ShardedUnbounded};
+    /// use wfqueue_shard::{Routing, ShardedUnbounded};
     ///
-    /// let q: ShardedUnbounded<u64> = ShardedQueue::build(
-    ///     2,
-    ///     2,
-    ///     Routing::Nearest,
-    ///     PlacementConfig::Flat,
-    ///     wfqueue::unbounded::Queue::new,
-    /// );
+    /// let q: ShardedUnbounded<u64> = ShardedUnbounded::new(2, 2, Routing::Nearest);
     /// let mut hs = q.handles();
     /// hs[0].enqueue_batch(vec![1, 2]); // shard 0
     /// hs[1].enqueue_batch(vec![3]); // shard 1
@@ -815,17 +748,6 @@ mod tests {
     /// Every Routing variant, for exhaustive little loops.
     const ALL: [Routing; 2] = [Routing::PerProducer, Routing::Nearest];
 
-    /// Unbounded shards over a pinned flat placement.
-    fn flat(num_shards: usize, max_handles: usize, routing: Routing) -> ShardedUnbounded<u64> {
-        ShardedQueue::build(
-            num_shards,
-            max_handles,
-            routing,
-            PlacementConfig::Flat,
-            unbounded::Queue::new,
-        )
-    }
-
     #[test]
     fn shard_capacity_per_policy() {
         // 8 handles over 3 shards: pinned counts 3, 3, 2.
@@ -842,7 +764,7 @@ mod tests {
     fn round_trip_all_policies_unbounded() {
         for routing in ALL {
             for shards in [1usize, 2, 3] {
-                let q: ShardedUnbounded<u64> = flat(shards, 2, routing);
+                let q: ShardedUnbounded<u64> = ShardedUnbounded::new(shards, 2, routing);
                 let mut h = q.try_handle().unwrap();
                 for v in 0..10 {
                     h.enqueue(v);
@@ -859,10 +781,9 @@ mod tests {
 
     #[test]
     fn round_trip_bounded_shards() {
-        let q: ShardedBounded<u64> =
-            ShardedQueue::build(2, 2, Routing::Nearest, PlacementConfig::Flat, |cap| {
-                bounded::Queue::with_gc_period(cap, 4)
-            });
+        let q: ShardedBounded<u64> = ShardedQueue::build(2, 2, Routing::Nearest, |cap| {
+            bounded::Queue::with_gc_period(cap, 4)
+        });
         let mut h = q.try_handle().unwrap();
         h.enqueue_batch(vec![1, 2, 3]);
         let got: Vec<u64> = h.drain().collect();
@@ -891,7 +812,7 @@ mod tests {
 
     #[test]
     fn nearest_scan_reaches_every_shard() {
-        let q: ShardedUnbounded<u64> = flat(3, 3, Routing::Nearest);
+        let q: ShardedUnbounded<u64> = ShardedUnbounded::new(3, 3, Routing::Nearest);
         let mut handles = q.handles();
         for (i, h) in handles.iter_mut().enumerate() {
             h.enqueue(i as u64);
@@ -913,7 +834,7 @@ mod tests {
 
     #[test]
     fn nearest_prefers_home_shard_first() {
-        let q: ShardedUnbounded<u64> = flat(2, 2, Routing::Nearest);
+        let q: ShardedUnbounded<u64> = ShardedUnbounded::new(2, 2, Routing::Nearest);
         let mut handles = q.handles();
         let (a, b) = handles.split_at_mut(1);
         let (h0, h1) = (&mut a[0], &mut b[0]);
@@ -927,7 +848,7 @@ mod tests {
 
     #[test]
     fn batches_route_whole_batches_to_one_shard() {
-        let q: ShardedUnbounded<u64> = flat(2, 2, Routing::Nearest);
+        let q: ShardedUnbounded<u64> = ShardedUnbounded::new(2, 2, Routing::Nearest);
         let mut handles = q.handles();
         handles[0].enqueue_batch(vec![1, 2, 3]); // home shard 0
         handles[1].enqueue_batch(vec![4, 5]); // home shard 1
@@ -945,7 +866,7 @@ mod tests {
 
     #[test]
     fn nearest_batches_round_trip() {
-        let q: ShardedUnbounded<u64> = flat(2, 2, Routing::Nearest);
+        let q: ShardedUnbounded<u64> = ShardedUnbounded::new(2, 2, Routing::Nearest);
         let mut handles = q.handles();
         handles[0].enqueue_batch(vec![1, 2]); // home shard 0
         handles[1].enqueue_batch(vec![3, 4]); // home shard 1
@@ -958,10 +879,9 @@ mod tests {
 
     #[test]
     fn reclaiming_shards_truncate_independently() {
-        let q: ShardedUnbounded<u64> =
-            ShardedQueue::build(2, 2, Routing::PerProducer, PlacementConfig::Flat, |cap| {
-                unbounded::Queue::with_reclaim(cap, ReclaimPolicy::EveryKRootBlocks(8))
-            });
+        let q: ShardedUnbounded<u64> = ShardedQueue::build(2, 2, Routing::PerProducer, |cap| {
+            unbounded::Queue::with_reclaim(cap, ReclaimPolicy::EveryKRootBlocks(8))
+        });
         let mut handles = q.handles();
         for round in 0..500u64 {
             for h in &mut handles {
@@ -995,13 +915,13 @@ mod tests {
         // 2 handles scanning over shards of capacity 1: rejected at
         // construction, not at first lazy registration.
         let shards = vec![unbounded::Queue::<u64>::new(1), unbounded::Queue::new(1)];
-        let _ = ShardedQueue::with_shards(shards, 2, Routing::Nearest, PlacementConfig::Flat);
+        let _ = ShardedQueue::with_shards(shards, 2, Routing::Nearest);
     }
 
     #[test]
     fn with_shards_accepts_exactly_sized_pinned_shards() {
         let shards = vec![unbounded::Queue::<u64>::new(2), unbounded::Queue::new(1)];
-        let q = ShardedQueue::with_shards(shards, 3, Routing::PerProducer, PlacementConfig::Flat);
+        let q = ShardedQueue::with_shards(shards, 3, Routing::PerProducer);
         let mut handles = q.handles();
         assert_eq!(handles.len(), 3);
         for h in &mut handles {
@@ -1045,5 +965,77 @@ mod tests {
         let _ = h.dequeue();
         let _ = h.dequeue();
         assert_eq!(format!("{:?}", q.hints()), hints_before);
+    }
+}
+
+/// End-to-end checks of placement as it stands without a hardware layer:
+/// handle `i` is homed on shard `i % S`, and a `Nearest` handle drains the
+/// shards in cyclic order from its home. `policy`'s scan test checks the
+/// planner itself for every shard count and hint set; these drive the same
+/// rules through the public constructors and handles.
+#[cfg(test)]
+mod placement {
+    mod tests {
+        use crate::{
+            bounded, unbounded, Routing, Shard, ShardedBounded, ShardedQueue, ShardedUnbounded,
+        };
+
+        /// Has the first `S` handles each enqueue their own home shard's
+        /// index, then drains everything through handle `consumer`.
+        fn drain_order<Q: Shard<Item = u64>>(q: &ShardedQueue<Q>, consumer: usize) -> Vec<u64> {
+            let mut handles = q.handles();
+            for (i, h) in handles.iter_mut().take(q.num_shards()).enumerate() {
+                assert_eq!(h.home_shard(), i);
+                h.enqueue(i as u64);
+            }
+            handles[consumer].drain().collect()
+        }
+
+        #[test]
+        fn flat_scan_order_is_cyclic() {
+            // Handle `home + 4` shares shard `home` with handle `home`.
+            for home in 0..4 {
+                let q: ShardedUnbounded<u64> = ShardedUnbounded::new(4, 8, Routing::Nearest);
+                let cyclic: Vec<u64> = (0..4).map(|k| (home + k) % 4).collect();
+                assert_eq!(drain_order(&q, home as usize + 4), cyclic, "home={home}");
+            }
+        }
+
+        #[test]
+        fn config_resolution() {
+            // With no placement to configure, every constructor gives the
+            // same home-first cyclic scan: from home 1 over 3 shards,
+            // shards 1, 2, 0.
+            let expected = vec![1, 2, 0];
+            let q: ShardedUnbounded<u64> = ShardedUnbounded::new(3, 3, Routing::Nearest);
+            assert_eq!(drain_order(&q, 1), expected, "ShardedUnbounded::new");
+            let q: ShardedBounded<u64> = ShardedBounded::new(3, 3, Routing::Nearest);
+            assert_eq!(drain_order(&q, 1), expected, "ShardedBounded::new");
+            let q = ShardedQueue::build(3, 3, Routing::Nearest, |cap| {
+                bounded::Queue::<u64>::with_gc_period(cap, 4)
+            });
+            assert_eq!(drain_order(&q, 1), expected, "build");
+            let shards = (0..3).map(|_| unbounded::Queue::<u64>::new(3)).collect();
+            let q = ShardedQueue::with_shards(shards, 3, Routing::Nearest);
+            assert_eq!(drain_order(&q, 1), expected, "with_shards");
+        }
+
+        #[test]
+        fn home_for_matches_legacy_pin() {
+            for routing in [Routing::PerProducer, Routing::Nearest] {
+                let q: ShardedUnbounded<u64> = ShardedUnbounded::new(3, 9, routing);
+                let mut handles = q.handles();
+                for (i, h) in handles.iter_mut().enumerate() {
+                    assert_eq!(h.home_shard(), i % 3, "{routing:?}");
+                    let before = q.shards()[i % 3].approx_len();
+                    h.enqueue(i as u64);
+                    assert_eq!(
+                        q.shards()[i % 3].approx_len(),
+                        before + 1,
+                        "{routing:?} i={i}"
+                    );
+                }
+            }
+        }
     }
 }

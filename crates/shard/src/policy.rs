@@ -3,19 +3,17 @@
 //! in.
 //!
 //! Under [`Routing::Nearest`](crate::Routing::Nearest) a dequeue probes
-//! *hinted-nonempty shards nearest first* using the
-//! [`crate::placement::Placement`] scan order and per-shard emptiness hints
+//! *hinted-nonempty shards* in cyclic order from the handle's home shard
+//! (`home, home+1, …, home−1 mod S`), guided by per-shard emptiness hints
 //! ([`ShardHints`]), with an unconditional second pass over the un-hinted
-//! shards so a `None` still witnesses a full sweep. There is no shared
-//! read-modify-write anywhere in the scan: the only shared traffic it adds
-//! is `Relaxed` loads of advisory hint flags.
+//! shards in the same order so a `None` still witnesses a full sweep.
+//! There is no shared read-modify-write anywhere in the scan: the only
+//! shared traffic it adds is `Relaxed` loads of advisory hint flags.
 
 use std::fmt;
 
 use crossbeam_utils::CachePadded;
 use wfqueue_sync::atomic::{AtomicBool, Ordering};
-
-use crate::placement::Placement;
 
 // ---------------------------------------------------------------------------
 // Shared advisory state
@@ -119,8 +117,8 @@ impl fmt::Debug for ShardHints {
 // ---------------------------------------------------------------------------
 
 /// Handle-local routing state: the handle's identity, its home shard, the
-/// reusable scan buffer and the hint scratch the `Nearest` scan samples
-/// into.
+/// reusable scan buffer and the scratch list the `Nearest` scan demotes
+/// hinted-empty shards into.
 ///
 /// All of it is thread-local to the owning handle — nothing in here is
 /// shared memory, so routing bookkeeping adds zero steps to the paper's
@@ -130,7 +128,7 @@ pub(crate) struct RouterState {
     handle_index: usize,
     home: usize,
     scan: Vec<usize>,
-    hint_scratch: Vec<bool>,
+    demoted: Vec<usize>,
 }
 
 impl RouterState {
@@ -139,7 +137,7 @@ impl RouterState {
             handle_index,
             home: handle_index % num_shards,
             scan: Vec::with_capacity(num_shards),
-            hint_scratch: Vec::with_capacity(num_shards),
+            demoted: Vec::with_capacity(num_shards),
         }
     }
 
@@ -165,35 +163,28 @@ impl RouterState {
         self.scan.push(self.home);
     }
 
-    /// Plans the `Nearest` scan: hinted-nonempty shards nearest-first from
-    /// home, then the remaining (hinted-empty) shards in the same
-    /// nearest-first order as a coverage fallback. Reads each hint exactly
-    /// once per scan.
-    pub(crate) fn plan_nearest_scan(&mut self, placement: &Placement, hints: &ShardHints) {
-        let order = placement.scan_order(self.home);
-        self.hint_scratch.clear();
-        self.hint_scratch
-            .extend(order.iter().map(|&s| hints.maybe_nonempty(s)));
+    /// Plans the `Nearest` scan: hinted-nonempty shards in cyclic order
+    /// from home (`home, home+1, …, home−1 mod S`), then the remaining
+    /// (hinted-empty) shards in the same cyclic order as a coverage
+    /// fallback — hints are advisory, coverage is not. Reads each hint
+    /// exactly once per scan.
+    pub(crate) fn plan_nearest_scan(&mut self, hints: &ShardHints) {
         self.scan.clear();
-        // Pass 1: shards believed nonempty, nearest first.
-        for (&s, &hinted) in order.iter().zip(&self.hint_scratch) {
-            if hinted {
+        self.demoted.clear();
+        for s in (self.home..hints.len()).chain(0..self.home) {
+            if hints.maybe_nonempty(s) {
                 self.scan.push(s);
+            } else {
+                self.demoted.push(s);
             }
         }
-        // Pass 2: the rest — hints are advisory, coverage is not.
-        for (&s, &hinted) in order.iter().zip(&self.hint_scratch) {
-            if !hinted {
-                self.scan.push(s);
-            }
-        }
+        self.scan.extend_from_slice(&self.demoted);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::placement::PlacementConfig;
 
     #[test]
     fn hints_start_raised_and_toggle() {
@@ -223,33 +214,62 @@ mod tests {
 
     #[test]
     fn nearest_scan_puts_hinted_empty_shards_last() {
-        let placement = PlacementConfig::Flat.resolve(4);
         let hints = ShardHints::new(4);
         let mut state = RouterState::new(0, 4);
         hints.mark_empty(1);
         hints.mark_empty(2);
-        state.plan_nearest_scan(&placement, &hints);
+        state.plan_nearest_scan(&hints);
         assert_eq!(
             state.scan(),
             &[0, 3, 1, 2],
             "hinted-empty demoted, all covered"
         );
-        let mut all = state.scan().to_vec();
-        all.sort_unstable();
-        assert_eq!(all, vec![0, 1, 2, 3]);
-    }
 
-    #[test]
-    fn nearest_scan_respects_domain_order() {
-        let placement = PlacementConfig::Uniform {
-            cpus: 8,
-            domains: 2,
+        // Every shard count and home: with every hint raised the scan is
+        // the cyclic order from home; lowering a hint set moves those
+        // shards to the tail, still in cyclic order, and the scan stays a
+        // permutation. Handle `i` is homed on `i mod S`, so the handle
+        // indices `home + k·S` all plan the same scan.
+        for num_shards in 1..=8usize {
+            let hints = ShardHints::new(num_shards);
+            for home in 0..num_shards {
+                let cyclic: Vec<usize> = (0..num_shards).map(|k| (home + k) % num_shards).collect();
+                for index in [home, home + num_shards, home + 2 * num_shards] {
+                    let mut state = RouterState::new(index, num_shards);
+                    assert_eq!(state.home(), home);
+                    state.plan_nearest_scan(&hints);
+                    assert_eq!(state.scan(), cyclic, "S={num_shards} home={home}");
+                }
+                // Lower every hint in each bitmask of the shard set.
+                for mask in 0u32..(1 << num_shards) {
+                    let lowered = |s: usize| mask & (1 << s) != 0;
+                    for s in 0..num_shards {
+                        if lowered(s) {
+                            hints.mark_empty(s);
+                        }
+                    }
+                    let mut state = RouterState::new(home, num_shards);
+                    state.plan_nearest_scan(&hints);
+                    let expected: Vec<usize> = cyclic
+                        .iter()
+                        .copied()
+                        .filter(|&s| !lowered(s))
+                        .chain(cyclic.iter().copied().filter(|&s| lowered(s)))
+                        .collect();
+                    assert_eq!(
+                        state.scan(),
+                        expected,
+                        "S={num_shards} home={home} mask={mask:b}"
+                    );
+                    let mut all = state.scan().to_vec();
+                    all.sort_unstable();
+                    assert_eq!(all, (0..num_shards).collect::<Vec<_>>(), "a permutation");
+                    for s in 0..num_shards {
+                        hints.mark_nonempty(s);
+                    }
+                }
+            }
         }
-        .resolve(4);
-        let hints = ShardHints::new(4);
-        let mut state = RouterState::new(0, 4);
-        state.plan_nearest_scan(&placement, &hints);
-        assert_eq!(state.scan(), placement.scan_order(0));
     }
 
     #[test]

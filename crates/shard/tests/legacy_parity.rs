@@ -14,7 +14,7 @@
 
 use wfqueue::unbounded;
 use wfqueue_metrics::StepSnapshot;
-use wfqueue_shard::{PlacementConfig, Routing, ShardedQueue, ShardedUnbounded};
+use wfqueue_shard::{Routing, ShardedQueue, ShardedUnbounded};
 
 // ---------------------------------------------------------------------------
 // Frozen reference (PerProducer)
@@ -177,13 +177,12 @@ fn run_frozen(
 /// Drives `script` through `ShardedUnbounded` with `routing`.
 fn run_sharded(
     routing: Routing,
-    placement: PlacementConfig,
     shards: usize,
     handles: usize,
     ops: &[(usize, ScriptOp)],
 ) -> (StepSnapshot, Vec<Option<u64>>) {
     let q: ShardedUnbounded<u64> =
-        ShardedQueue::build(shards, handles, routing, placement, unbounded::Queue::new);
+        ShardedQueue::build(shards, handles, routing, unbounded::Queue::new);
     let mut hs = q.handles();
     assert_eq!(hs.len(), handles);
     let mut responses = Vec::new();
@@ -223,13 +222,8 @@ fn legacy_policies_match_pre_refactor_steps_exactly() {
             for seed in [1u64, 0xDEAD_BEEF, 0x5EED_5EED] {
                 let ops = script(seed ^ (shards as u64) << 8, 600, handles);
                 let (frozen_steps, frozen_resp) = run_frozen(shards, handles, &ops);
-                let (new_steps, new_resp) = run_sharded(
-                    Routing::PerProducer,
-                    PlacementConfig::Detect,
-                    shards,
-                    handles,
-                    &ops,
-                );
+                let (new_steps, new_resp) =
+                    run_sharded(Routing::PerProducer, shards, handles, &ops);
                 // Identical responses ⇒ the same shard served every
                 // operation (values are unique, so a single divergent
                 // placement changes some response).
@@ -321,13 +315,7 @@ const NEAREST_GOLDEN: [Golden; 6] = [
 fn nearest_matches_recorded_steps_exactly() {
     for (shards, handles, golden_steps, len, golden_digest) in NEAREST_GOLDEN {
         let ops = script(0x5EED_5EED ^ (shards as u64) << 8, 600, handles);
-        let (got_steps, responses) = run_sharded(
-            Routing::Nearest,
-            PlacementConfig::Flat,
-            shards,
-            handles,
-            &ops,
-        );
+        let (got_steps, responses) = run_sharded(Routing::Nearest, shards, handles, &ops);
         assert_eq!(
             (responses.len(), digest(&responses)),
             (len, golden_digest),

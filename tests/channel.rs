@@ -9,8 +9,8 @@
 use proptest::prelude::*;
 
 use wfqueue_channel::{
-    bounded, unbounded, Backend, Channel, Endpoints, PlacementConfig, Receiver, ReclaimPolicy,
-    Sender, TryRecvError, TrySendError,
+    bounded, unbounded, Backend, Channel, Endpoints, Receiver, ReclaimPolicy, Sender, TryRecvError,
+    TrySendError,
 };
 use wfqueue_harness::channel_api::{ChannelMode, WfChannel};
 use wfqueue_harness::lincheck;
@@ -131,7 +131,6 @@ fn try_path_parity_sharded() {
     let (mut tx, mut rx) = Channel::builder::<u64>()
         .backend(Backend::Sharded { shards: 2 })
         .endpoints(ONE_EACH)
-        .placement(PlacementConfig::Flat)
         .reclaim(ReclaimPolicy::Off)
         .build()
         .unwrap();
@@ -139,7 +138,6 @@ fn try_path_parity_sharded() {
         2,
         2,
         wfqueue_shard::Routing::Nearest,
-        PlacementConfig::Flat,
         wfqueue::unbounded::Queue::<u64>::new,
     );
     let mut raw_enq = raw.try_handle().unwrap();
@@ -502,7 +500,6 @@ proptest! {
             Channel::builder()
                 .backend(Backend::Sharded { shards: 2 })
                 .endpoints(THREE_EACH)
-                .placement(PlacementConfig::Flat)
                 .reclaim(ReclaimPolicy::Off)
                 .build()
                 .unwrap()

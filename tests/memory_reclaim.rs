@@ -23,7 +23,7 @@ use wfqueue::unbounded;
 use wfqueue::unbounded::introspect as uintro;
 use wfqueue::unbounded::ReclaimPolicy;
 use wfqueue_harness::lincheck::check_rounds;
-use wfqueue_harness::queue_api::{PlacementConfig, Routing};
+use wfqueue_harness::queue_api::Routing;
 use wfqueue_harness::workload::{run_workload, WorkloadSpec};
 use wfqueue_shard::{ShardedQueue, ShardedUnbounded};
 
@@ -163,13 +163,9 @@ fn unbounded_with_reclamation_bytes_plateau() {
 
 /// Two per-producer shards, each truncating every 16 root blocks.
 fn reclaiming_shards() -> ShardedUnbounded<u64> {
-    ShardedQueue::build(
-        2,
-        2,
-        Routing::PerProducer,
-        PlacementConfig::default(),
-        |cap| unbounded::Queue::with_reclaim(cap, ReclaimPolicy::EveryKRootBlocks(16)),
-    )
+    ShardedQueue::build(2, 2, Routing::PerProducer, |cap| {
+        unbounded::Queue::with_reclaim(cap, ReclaimPolicy::EveryKRootBlocks(16))
+    })
 }
 
 #[test]

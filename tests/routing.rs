@@ -16,19 +16,12 @@
 use proptest::prelude::*;
 
 use wfqueue_harness::lincheck::{self, Event, Op};
-use wfqueue_harness::queue_api::{PlacementConfig, Routing};
-use wfqueue_shard::{ShardedQueue, ShardedUnbounded};
+use wfqueue_harness::queue_api::Routing;
+use wfqueue_shard::ShardedUnbounded;
 
-/// `shards` unbounded shards under the nearest-first scan over a pinned
-/// flat placement.
-fn nearest_flat<T: Clone + Send + Sync>(shards: usize, handles: usize) -> ShardedUnbounded<T> {
-    ShardedQueue::build(
-        shards,
-        handles,
-        Routing::Nearest,
-        PlacementConfig::Flat,
-        wfqueue::unbounded::Queue::new,
-    )
+/// `shards` unbounded shards under the nearest-first scan.
+fn nearest<T: Clone + Send + Sync>(shards: usize, handles: usize) -> ShardedUnbounded<T> {
+    ShardedUnbounded::new(shards, handles, Routing::Nearest)
 }
 
 // ---------------------------------------------------------------------------
@@ -41,7 +34,7 @@ type Step = (u8, u8, u8);
 
 fn check_fifo(script: &[Step], shards: usize) -> Result<(), TestCaseError> {
     const HANDLES: usize = 3;
-    let q: ShardedUnbounded<u64> = nearest_flat(shards, HANDLES);
+    let q: ShardedUnbounded<u64> = nearest(shards, HANDLES);
     let mut handles = q.handles();
     // Values are tagged (producer, seq): FIFO per producer means each
     // producer's consumed seqs are strictly increasing, no matter which
@@ -132,7 +125,7 @@ fn wing_gong_nearest_composite_s1() {
     // At S = 1 the nearest scan degenerates to "probe the one shard":
     // the composite must be one linearizable FIFO.
     for round in 0..10u64 {
-        let q = nearest_flat(1, 3);
+        let q = nearest(1, 3);
         let h = lincheck::record_history(&q, 3, 4, 500, round * 17 + 3);
         assert_eq!(h.len(), 12);
         lincheck::check_linearizable(&h).unwrap_or_else(|e| panic!("round {round}: {e}"));
@@ -147,7 +140,7 @@ fn wing_gong_nearest_per_shard_sub_histories() {
     // shard's history is exactly a history of that wait-free queue.
     for shards in [2usize, 3] {
         for round in 0..12u64 {
-            let q = nearest_flat(shards, 4);
+            let q = nearest(shards, 4);
             let history = lincheck::record_history(&q, 4, 4, 500, round * 31 + 7);
             for s in 0..shards {
                 let sub: Vec<Event> = history
@@ -175,7 +168,7 @@ fn nearest_scan_finds_values_other_policies_leave_stranded() {
     // a far shard while the consumer's own shard stays empty. PerProducer
     // never finds them; Nearest always does (fallback pass covers
     // hinted-empty shards too).
-    let q: ShardedUnbounded<u64> = nearest_flat(4, 4);
+    let q: ShardedUnbounded<u64> = nearest(4, 4);
     let mut handles = q.handles();
     handles[3].enqueue(42);
     // Consumer 0's home (shard 0) is empty; hints say only shard 3 may

@@ -11,7 +11,7 @@ use wfqueue_harness::lincheck::{self, Event, Op};
 use wfqueue_harness::queue_api::Routing;
 use wfqueue_harness::workload::{run_workload, WorkloadSpec};
 use wfqueue_harness::QueueHandle;
-use wfqueue_shard::{PlacementConfig, ShardedBounded, ShardedQueue, ShardedUnbounded};
+use wfqueue_shard::{ShardedBounded, ShardedQueue, ShardedUnbounded};
 
 /// Both routing policies. Each preserves per-producer FIFO on the
 /// composite and keeps handle `i`'s enqueues on shard `i % S`, so a
@@ -26,13 +26,9 @@ fn bounded_shards(
     gc_period: usize,
     routing: Routing,
 ) -> ShardedBounded<u64> {
-    ShardedQueue::build(
-        shards,
-        handles,
-        routing,
-        PlacementConfig::default(),
-        |cap| wfqueue::bounded::Queue::with_gc_period(cap, gc_period),
-    )
+    ShardedQueue::build(shards, handles, routing, |cap| {
+        wfqueue::bounded::Queue::with_gc_period(cap, gc_period)
+    })
 }
 
 // ---------------------------------------------------------------------------
