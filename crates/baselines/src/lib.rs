@@ -11,19 +11,17 @@
 //!   §1/§2 foil), built on epoch-based reclamation;
 //! * [`TwoLockQueue`] — Michael & Scott's two-lock queue (blocking, but a
 //!   useful low-overhead reference);
-//! * [`MutexQueue`] — a coarse `Mutex<VecDeque>`;
-//! * [`SegQueueAdapter`] — `crossbeam`'s industrial segmented queue, as an
-//!   ecosystem reference point (not step-instrumented internally; only its
-//!   operations are counted).
+//! * [`MutexQueue`] — a coarse `Mutex<VecDeque>`.
+//!
+//! No third-party queue is compared: none has its source in the
+//! repository (see `vendor/README.md`).
 
 #![warn(missing_docs)]
 
 mod ms_queue;
 mod mutex_queue;
-mod seg_queue;
 mod two_lock;
 
 pub use ms_queue::MsQueue;
 pub use mutex_queue::MutexQueue;
-pub use seg_queue::SegQueueAdapter;
 pub use two_lock::TwoLockQueue;

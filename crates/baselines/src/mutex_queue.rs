@@ -3,8 +3,8 @@
 //! checkers.
 
 use std::collections::VecDeque;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
 use wfqueue_metrics as metrics;
 
 /// A queue protected by a single mutex.
@@ -34,25 +34,30 @@ impl<T> MutexQueue<T> {
     /// Appends `value` to the back of the queue.
     pub fn enqueue(&self, value: T) {
         metrics::record_shared_store(); // lock acquisition (shared access)
-        self.inner.lock().push_back(value);
+        self.lock().push_back(value);
     }
 
     /// Removes and returns the front value, or `None` if empty.
     pub fn dequeue(&self) -> Option<T> {
         metrics::record_shared_store(); // lock acquisition (shared access)
-        self.inner.lock().pop_front()
+        self.lock().pop_front()
     }
 
     /// Number of queued values at this instant.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        self.lock().len()
     }
 
     /// Whether the queue is empty at this instant.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
+        self.lock().is_empty()
+    }
+
+    /// A panicked holder leaves the deque intact, so poisoning is ignored.
+    fn lock(&self) -> MutexGuard<'_, VecDeque<T>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

@@ -6,7 +6,8 @@
 //! other. Blocking, so no wait-freedom — included as the "simple and fast
 //! when uncontended" reference point.
 
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
+
 use wfqueue_metrics as metrics;
 
 struct Node<T> {
@@ -63,7 +64,7 @@ impl<T: Send> TwoLockQueue<T> {
         });
         let new_tail: *mut Node<T> = &mut *node;
         metrics::record_shared_store(); // lock acquisition (shared access)
-        let mut tail = self.tail.lock();
+        let mut tail = self.tail.lock().unwrap_or_else(PoisonError::into_inner);
         // SAFETY: under the tail lock, `tail.tail` points to the live tail
         // node of the chain owned by `head` (sentinel discipline).
         unsafe {
@@ -75,7 +76,7 @@ impl<T: Send> TwoLockQueue<T> {
     /// Removes and returns the front value, or `None` if the queue is empty.
     pub fn dequeue(&self) -> Option<T> {
         metrics::record_shared_store(); // lock acquisition (shared access)
-        let mut head = self.head.lock();
+        let mut head = self.head.lock().unwrap_or_else(PoisonError::into_inner);
         // Read before taking: on an empty queue the sentinel is also the
         // tail node, so an enqueuer holding only the tail lock may be
         // linking a node into its `next` right now. `take()` on a `None`
@@ -92,7 +93,8 @@ impl<T: Send> TwoLockQueue<T> {
     /// Whether the queue appears empty at this instant.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.head.lock().next.is_none()
+        let head = self.head.lock().unwrap_or_else(PoisonError::into_inner);
+        head.next.is_none()
     }
 }
 

@@ -16,7 +16,7 @@
 //! and counts that thread's allocations with a counting global allocator.
 //!
 //! `--json` prints both sweeps as JSON with the core count (used by
-//! `scripts/bench_a1.sh` to record `BENCH_a1.json`).
+//! `scripts/bench.sh a1_gc_period` to record `BENCH_a1.json`).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

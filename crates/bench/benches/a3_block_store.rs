@@ -8,8 +8,8 @@
 //! per block (blocks live inline in the treap's nodes), so a change to the
 //! store has a figure to beat.
 //!
-//! `--json` prints the rows as JSON (used by `scripts/bench_a3.sh` to
-//! record `BENCH_a3.json`).
+//! `--json` prints the rows as JSON (used by
+//! `scripts/bench.sh a3_block_store` to record `BENCH_a3.json`).
 
 use wfqueue::bounded;
 use wfqueue::bounded::introspect as bintro;

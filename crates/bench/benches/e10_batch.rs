@@ -15,7 +15,7 @@
 //!   path is the per-op path when `k = 1`.
 //!
 //! `--json` prints a machine-readable summary (used by
-//! `scripts/bench_e10.sh` to record `BENCH_e10.json`).
+//! `scripts/bench.sh e10_batch` to record `BENCH_e10.json`).
 
 use wfqueue::{bounded, unbounded};
 use wfqueue_harness::queue_api::ConcurrentQueue;

@@ -23,7 +23,7 @@
 //!   its `S = 4` throughput (E11b).
 //!
 //! `--json` prints a machine-readable summary (used by
-//! `scripts/bench_e11.sh` to record `BENCH_e11.json`).
+//! `scripts/bench.sh e11_shard` to record `BENCH_e11.json`).
 
 use wfqueue_harness::queue_api::{ConcurrentQueue, Routing};
 use wfqueue_harness::table::{f1, f2, Table};

@@ -35,7 +35,7 @@
 //! root blocks have piled up since the every-64 trigger last fired.
 //!
 //! `--json` prints a machine-readable summary (used by
-//! `scripts/bench_e12.sh` to record `BENCH_e12.json`).
+//! `scripts/bench.sh e12_memory` to record `BENCH_e12.json`).
 
 use std::sync::Barrier;
 

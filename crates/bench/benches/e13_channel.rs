@@ -28,7 +28,7 @@
 //!    needs.
 //!
 //! `--json` prints a machine-readable summary (used by
-//! `scripts/bench_e13.sh` to record `BENCH_e13.json`).
+//! `scripts/bench.sh e13_channel` to record `BENCH_e13.json`).
 
 use std::time::{Duration, Instant};
 

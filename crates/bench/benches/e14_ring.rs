@@ -26,7 +26,7 @@
 //! ≥ 10× the §6 bounded tree at batch 1, p = 4.
 //!
 //! `--json` prints a machine-readable summary (used by
-//! `scripts/bench_e14.sh` to record `BENCH_e14.json`).
+//! `scripts/bench.sh e14_ring` to record `BENCH_e14.json`).
 
 use wfqueue_harness::channel_api::{ChannelMode, WfChannel};
 use wfqueue_harness::table::{f1, f2, Table};

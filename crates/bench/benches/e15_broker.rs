@@ -33,7 +33,7 @@
 //! and asserted flat by E12 and `tests/memory_reclaim.rs`).
 //!
 //! `--json` prints a machine-readable summary (used by
-//! `scripts/bench_e15.sh` to record `BENCH_e15.json`).
+//! `scripts/bench.sh e15_broker` to record `BENCH_e15.json`).
 
 use std::sync::Barrier;
 use std::time::Instant;

@@ -26,7 +26,7 @@
 //! batch at 2 workers.
 //!
 //! `--json` prints a machine-readable summary (used by
-//! `scripts/bench_e16.sh` to record `BENCH_e16.json`).
+//! `scripts/bench.sh e16_executor` to record `BENCH_e16.json`).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};

@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use wfqueue::{bounded, unbounded};
-use wfqueue_harness::queue_api::{CoarseMutex, ConcurrentQueue, Ms, Seg, TwoLock};
+use wfqueue_harness::queue_api::{CoarseMutex, ConcurrentQueue, Ms, TwoLock};
 use wfqueue_harness::workload::{run_workload, WorkloadSpec};
 
 fn spec(p: usize, total_ops: u64) -> WorkloadSpec {
@@ -54,7 +54,6 @@ fn benches(c: &mut Criterion) {
     bench_queue(c, |_| Ms::new(), "ms-queue");
     bench_queue(c, |_| TwoLock::new(), "two-lock");
     bench_queue(c, |_| CoarseMutex::new(), "mutex");
-    bench_queue(c, |_| Seg::new(), "crossbeam-seg");
 }
 
 criterion_group!(e9, benches);

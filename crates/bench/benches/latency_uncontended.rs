@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use wfqueue::{bounded, unbounded};
-use wfqueue_harness::queue_api::{CoarseMutex, ConcurrentQueue, Ms, QueueHandle, Seg, TwoLock};
+use wfqueue_harness::queue_api::{CoarseMutex, ConcurrentQueue, Ms, QueueHandle, TwoLock};
 
 fn bench_pair<Q, F>(c: &mut Criterion, make: F, name: &str)
 where
@@ -35,7 +35,6 @@ fn benches(c: &mut Criterion) {
     bench_pair(c, Ms::new, "ms-queue");
     bench_pair(c, TwoLock::new, "two-lock");
     bench_pair(c, CoarseMutex::new, "mutex");
-    bench_pair(c, Seg::new, "crossbeam-seg");
 }
 
 criterion_group!(latency, benches);

@@ -318,8 +318,8 @@ impl<T: Clone + Send + Sync + 'static> Sender<T> {
     /// channels).
     ///
     /// On a capacity-bounded channel the batch is split into chunks of at
-    /// most `capacity` values; each chunk is reserved in full (blocking
-    /// while the channel is too full) and appended atomically.
+    /// most `capacity` values. Each chunk is one [`Sender::try_send_all`],
+    /// retried while the channel is too full, so it is appended atomically.
     ///
     /// # Errors
     ///
@@ -339,57 +339,31 @@ impl<T: Clone + Send + Sync + 'static> Sender<T> {
     ) -> Result<(), SendError<Vec<T>>> {
         let mut rest: Vec<T> = values.into_iter().collect();
         while !rest.is_empty() {
-            wfqueue_metrics::record_shared_load();
-            // ORDERING: SC disconnect check, as in `try_send`.
-            if self.shared.receivers.load(Ordering::SeqCst) == 0 {
-                return Err(SendError(rest));
-            }
             let take = match self.shared.capacity_limit() {
                 None => rest.len(),
                 Some(cap) => cap.min(rest.len()),
             };
-            // Blocking whole-chunk reservation (no-op on unbounded and on
-            // the ring, which admits the chunk natively below).
-            if !self.shared.try_reserve(take) {
-                let reserved = self.shared.not_full.wait_until(None, || {
-                    if self.shared.try_reserve(take) {
-                        return Some(true);
-                    }
-                    wfqueue_metrics::record_shared_load();
-                    // ORDERING: the re-check of the Signal protocol; SC so
-                    // the parked sender cannot miss the last receiver's
-                    // departure (no lost disconnect wakeup).
-                    (self.shared.receivers.load(Ordering::SeqCst) == 0).then_some(false)
-                });
-                if !reserved.expect(NO_DEADLINE) {
-                    return Err(SendError(rest));
-                }
-            }
-            let chunk: Vec<T> = rest.drain(..take).collect();
-            // Gated/unbounded backends accept on the first try (their
-            // space was reserved above); the ring may be full right now,
-            // in which case park until dequeues notify `not_full`.
-            if let Err(back) = self.raw.try_enqueue_batch(chunk) {
-                let mut chunk = Some(back);
-                let refused = self.shared.not_full.wait_until(None, || {
-                    let back = match self.raw.try_enqueue_batch(chunk.take().expect(HELD)) {
-                        Ok(()) => return Some(None),
-                        Err(back) => back,
-                    };
-                    wfqueue_metrics::record_shared_load();
-                    // ORDERING: disconnect re-check, as above.
-                    if self.shared.receivers.load(Ordering::SeqCst) == 0 {
-                        return Some(Some(back));
-                    }
+            let mut chunk = Some(rest.drain(..take).collect::<Vec<T>>());
+            let mut attempt = |tx: &mut Self| match tx.try_send_all(chunk.take().expect(HELD)) {
+                Ok(()) => Some(Ok(())),
+                Err(TrySendError::Disconnected(unsent)) => Some(Err(unsent)),
+                Err(TrySendError::Full(back)) => {
                     chunk = Some(back);
                     None
-                });
-                if let Some(mut back) = refused.expect(NO_DEADLINE) {
-                    back.extend(rest);
-                    return Err(SendError(back));
                 }
+            };
+            let sent = match attempt(self) {
+                Some(sent) => sent,
+                None => {
+                    let shared = Arc::clone(&self.shared);
+                    let sent = shared.not_full.wait_until(None, || attempt(self));
+                    sent.expect(NO_DEADLINE)
+                }
+            };
+            if let Err(mut unsent) = sent {
+                unsent.extend(rest);
+                return Err(SendError(unsent));
             }
-            self.shared.not_empty.notify();
         }
         Ok(())
     }

@@ -1,6 +1,7 @@
 //! Navigation through the ordering tree: `IndexDequeue`, `FindResponse`
 //! and `GetEnqueue` (Figure 4 lines 65–118 of the paper).
 
+use super::block::Block;
 use super::queue::Queue;
 
 impl<T: Clone + Send + Sync> Queue<T> {
@@ -12,6 +13,27 @@ impl<T: Clone + Send + Sync> Queue<T> {
     /// Precondition (paper lines 67–68): `v.blocks[b]` is installed, has
     /// been propagated to the root, and contains at least `i` dequeues.
     pub(crate) fn index_dequeue(&self, v: usize, b: usize, i: usize) -> (usize, usize) {
+        self.index_walk(v, b, i, |blk| blk.sumdeq)
+    }
+
+    /// Mirror of [`Queue::index_dequeue`] for enqueues, used by the
+    /// wait-free vector extension (§7 of the paper): returns `(b', i')` such
+    /// that the `i`-th enqueue of `E(v.blocks[b])` is the `i'`-th enqueue of
+    /// `E(root.blocks[b'])`.
+    pub(crate) fn index_enqueue(&self, v: usize, b: usize, i: usize) -> (usize, usize) {
+        self.index_walk(v, b, i, |blk| blk.sumenq)
+    }
+
+    /// The walk behind both of the above, up from `v` to the root. `sum`
+    /// picks the prefix sum that counts the operation kind being traced
+    /// (`sumdeq` for `IndexDequeue`, `sumenq` for its enqueue mirror).
+    fn index_walk(
+        &self,
+        v: usize,
+        b: usize,
+        i: usize,
+        sum: impl Fn(&Block<T>) -> usize,
+    ) -> (usize, usize) {
         let topo = self.topology();
         let (mut v, mut b, mut i) = (v, b, i);
         while v != topo.root() {
@@ -19,7 +41,7 @@ impl<T: Clone + Send + Sync> Queue<T> {
             let is_left = topo.is_left_child(v);
             let blk = self
                 .node(v)
-                .block_installed(b, "IndexDequeue precondition: blocks[b] is installed");
+                .block_installed(b, "index walk precondition: blocks[b] is installed");
             // super is set before head passes b (Invariant 3), and b < head
             // because the block was propagated.
             let mut sup = blk
@@ -33,22 +55,20 @@ impl<T: Clone + Send + Sync> Queue<T> {
             if b > at_sup.end(is_left) {
                 sup += 1;
             }
-            // Lines 76–79: position of the dequeue inside the superblock's
-            // dequeue sequence D(B_sup) = D(left subblocks) · D(right
-            // subblocks), where our node's contribution starts right after
-            // the previous superblock's end in our direction.
+            // Lines 76–79: position of the operation inside the superblock's
+            // sequence D(B_sup) = D(left subblocks) · D(right subblocks)
+            // (E for enqueues), where our node's contribution starts right
+            // after the previous superblock's end in our direction.
             let sup_prev = self
                 .node(parent)
                 .block_installed(sup - 1, "Invariant 3: predecessor of the superblock");
             let my_start = sup_prev.end(is_left);
-            let before_mine = self
+            let before_mine = sum(self
                 .node(v)
-                .block_installed(b - 1, "Invariant 3: prefix below b is installed")
-                .sumdeq;
-            let at_start = self
+                .block_installed(b - 1, "Invariant 3: prefix below b is installed"));
+            let at_start = sum(self
                 .node(v)
-                .block_installed(my_start, "subblock interval ends are installed")
-                .sumdeq;
+                .block_installed(my_start, "subblock interval ends are installed"));
             i += before_mine - at_start;
             if !is_left {
                 // Line 78. NOTE (paper erratum): the pseudocode indexes
@@ -60,71 +80,12 @@ impl<T: Clone + Send + Sync> Queue<T> {
                 let sup_cur = self
                     .node(parent)
                     .block_installed(sup, "superblock is installed");
-                let sib_end = self
+                let sib_end = sum(self
                     .node(sibling)
-                    .block_installed(sup_cur.endleft, "subblock interval ends are installed")
-                    .sumdeq;
-                let sib_start = self
+                    .block_installed(sup_cur.endleft, "subblock interval ends are installed"));
+                let sib_start = sum(self
                     .node(sibling)
-                    .block_installed(sup_prev.endleft, "subblock interval ends are installed")
-                    .sumdeq;
-                i += sib_end - sib_start;
-            }
-            v = parent;
-            b = sup;
-        }
-        (b, i)
-    }
-
-    /// Mirror of [`Queue::index_dequeue`] for enqueues, used by the
-    /// wait-free vector extension (§7 of the paper): returns `(b', i')` such
-    /// that the `i`-th enqueue of `E(v.blocks[b])` is the `i'`-th enqueue of
-    /// `E(root.blocks[b'])`. The walk is identical, with `sumenq` in place
-    /// of `sumdeq`.
-    pub(crate) fn index_enqueue(&self, v: usize, b: usize, i: usize) -> (usize, usize) {
-        let topo = self.topology();
-        let (mut v, mut b, mut i) = (v, b, i);
-        while v != topo.root() {
-            let parent = topo.parent(v);
-            let is_left = topo.is_left_child(v);
-            let blk = self
-                .node(v)
-                .block_installed(b, "IndexEnqueue precondition: blocks[b] is installed");
-            let mut sup = blk
-                .sup()
-                .expect("Invariant 3: super is set for every block below head");
-            let at_sup = self
-                .node(parent)
-                .block_installed(sup, "Lemma 12: super or super+1 is the superblock index");
-            if b > at_sup.end(is_left) {
-                sup += 1;
-            }
-            let sup_prev = self
-                .node(parent)
-                .block_installed(sup - 1, "Invariant 3: predecessor of the superblock");
-            let my_start = sup_prev.end(is_left);
-            let before_mine = self
-                .node(v)
-                .block_installed(b - 1, "Invariant 3: prefix below b is installed")
-                .sumenq;
-            let at_start = self
-                .node(v)
-                .block_installed(my_start, "subblock interval ends are installed")
-                .sumenq;
-            i += before_mine - at_start;
-            if !is_left {
-                let sibling = topo.sibling(v);
-                let sup_cur = self
-                    .node(parent)
-                    .block_installed(sup, "superblock is installed");
-                let sib_end = self
-                    .node(sibling)
-                    .block_installed(sup_cur.endleft, "subblock interval ends are installed")
-                    .sumenq;
-                let sib_start = self
-                    .node(sibling)
-                    .block_installed(sup_prev.endleft, "subblock interval ends are installed")
-                    .sumenq;
+                    .block_installed(sup_prev.endleft, "subblock interval ends are installed"));
                 i += sib_end - sib_start;
             }
             v = parent;

@@ -9,7 +9,9 @@
 //!   per worker (wCQ-style, capacity ≤ 2¹⁵), plain FIFO with no LIFO
 //!   slot: a worker pops its own ring in submission order, so the local
 //!   queue inherits the ring's per-producer FIFO and starvation story
-//!   instead of inventing a deque.
+//!   instead of inventing a deque. Each worker owns its ring handle, its
+//!   steal handles and an injection handle in a thread-local, as each
+//!   process of the paper owns its handle: no lock guards them.
 //! - **Global injection queue** — a [`wfqueue_shard::ShardedUnbounded`]
 //!   (§3 wait-free queue per shard, reclamation on) with
 //!   [`wfqueue_shard::Routing::Nearest`]: every spawner handle enqueues
@@ -30,14 +32,12 @@
 //!
 //! # What is and is not wait-free
 //!
-//! Not every queue hop is wait-free today. Four hops block or only make
+//! Not every queue hop is wait-free today. Three hops block or only make
 //! lock-free progress:
 //!
-//! - every local push and pop takes worker `w`'s `Mutex<RingHandle>`
-//!   (`Inner::locals`; ROADMAP item 6);
-//! - every [`Executor::spawn`] from a thread that is not a worker of the
-//!   pool, and every spawn whose local ring is full, takes the `fallback`
-//!   `Mutex` around a shared injection handle (ROADMAP item 6);
+//! - an [`Executor::spawn`] from a thread outside the pool takes the
+//!   `fallback` `Mutex` around a shared injection handle; a [`Spawner`]
+//!   avoids it (ROADMAP item 6);
 //! - ring ticket claims (local push/pop and steal) are lock-free, not
 //!   wait-free — see the `wfqueue_ring` crate docs;
 //! - the reclaiming injection queue pins the vendored epoch shim, which
@@ -77,7 +77,7 @@ mod timer;
 
 pub use task::{JoinError, JoinHandle};
 
-use std::cell::Cell;
+use std::cell::RefCell;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -101,13 +101,15 @@ const INJECTION_RECLAIM_PERIOD: usize = 64;
 /// Cap on tasks claimed by one steal (before the half-of-victim rule).
 const STEAL_MAX: usize = 16;
 
-/// Process-wide pool id mint, so nested/multiple pools keep their
-/// worker-context thread-locals apart.
+/// Process-wide pool id mint, so thread names and `Debug` output tell
+/// pools apart.
 static POOL_IDS: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
-    /// `(pool_id, worker_index)` when the current thread is a pool worker.
-    static CURRENT: Cell<Option<(u64, usize)>> = const { Cell::new(None) };
+    /// The current thread's handles when it is a pool worker. Borrowed
+    /// only across operations on those handles, never while a task runs
+    /// or a `TaskRef` drops, so user code never meets the borrow.
+    static WORKER: RefCell<Option<Worker>> = const { RefCell::new(None) };
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -239,20 +241,12 @@ enum Source {
 /// Pool state shared between the [`Executor`], its [`Spawner`]s and the
 /// worker threads.
 ///
-/// Field order is load-bearing: the `'static`-extended queue handles
-/// (`fallback`, `locals`) are declared *before* the owning `injection` /
-/// `rings` storage so they drop first — the same idiom, with the same
-/// safety argument, as the channel crate's ring backend.
+/// It holds no handles. Every `'static`-extended handle into `injection`
+/// or `rings` sits in a struct (`Spawner`, `Worker`) whose last field
+/// holds the `Arc<Inner>` that owns them, so the handle drops first.
 struct Inner {
-    /// Injection-queue enqueue handle for spawns arriving from threads
-    /// without their own [`Spawner`] (shared, hence the mutex).
-    fallback: Mutex<ShardedHandle<'static, unbounded::Queue<TaskRef>>>,
-    /// Per-worker local-ring handles, shared between worker `w`'s pops
-    /// and same-worker spawns (tasks spawning tasks).
-    locals: Vec<Mutex<RingHandle<'static, TaskRef>>>,
-    /// Owning storage for the handles above — see the struct docs.
-    injection: Arc<ShardedUnbounded<TaskRef>>,
-    rings: Vec<Arc<Ring<TaskRef>>>,
+    injection: ShardedUnbounded<TaskRef>,
+    rings: Vec<Ring<TaskRef>>,
     wheel: TimerWheel,
     /// Idle-worker parking lot (the lost-wakeup-free event count).
     signal: Signal,
@@ -309,25 +303,6 @@ impl Inner {
         if self.seal.is_sealed() {
             self.signal.notify();
         }
-    }
-
-    /// Routes a plain [`Executor::spawn`]: same-pool workers push their
-    /// own local ring (falling back to injection when full), everyone
-    /// else goes through the shared injection handle.
-    fn route_spawn(&self, task: TaskRef) {
-        let here = CURRENT.with(Cell::get);
-        if let Some((pool, w)) = here {
-            if pool == self.pool_id {
-                match lock(&self.locals[w]).try_enqueue(task) {
-                    Ok(()) => return,
-                    Err(task) => {
-                        lock(&self.fallback).enqueue(task);
-                        return;
-                    }
-                }
-            }
-        }
-        lock(&self.fallback).enqueue(task);
     }
 
     fn stats(&self) -> ExecutorStats {
@@ -406,6 +381,20 @@ impl std::fmt::Debug for Spawner {
 }
 
 impl Spawner {
+    /// Mints a spawner on the pool's injection queue, or `None` once its
+    /// handle budget is spent.
+    fn new(inner: &Arc<Inner>) -> Option<Spawner> {
+        // SAFETY: the handle borrows the queue owned by the `Arc` cloned
+        // into the same `Spawner`; the handle field is declared first, so
+        // it drops before the Arc (struct-docs idiom).
+        let inj: &'static ShardedUnbounded<TaskRef> =
+            unsafe { &*std::ptr::from_ref(&inner.injection) };
+        Some(Spawner {
+            handle: inj.try_handle()?,
+            inner: Arc::clone(inner),
+        })
+    }
+
     /// Spawns `f` through this handle's home injection shard.
     ///
     /// # Errors
@@ -429,6 +418,9 @@ impl Spawner {
 /// The work-stealing thread pool. See the crate docs for the design.
 pub struct Executor {
     inner: Arc<Inner>,
+    /// Injection handle for spawns from threads that are not workers of
+    /// this pool (shared, hence the mutex).
+    fallback: Mutex<Spawner>,
     threads: Mutex<Vec<thread::JoinHandle<()>>>,
 }
 
@@ -456,10 +448,7 @@ impl Executor {
         let capacity = config
             .local_queue_capacity
             .clamp(2, wfqueue_ring::MAX_CAPACITY);
-        let rings: Vec<Arc<Ring<TaskRef>>> = (0..workers)
-            .map(|_| Arc::new(Ring::new(capacity, workers)))
-            .collect();
-        let injection: Arc<ShardedUnbounded<TaskRef>> = Arc::new(ShardedQueue::build(
+        let injection = ShardedQueue::build(
             workers,
             workers + config.max_spawners + 2,
             Routing::Nearest,
@@ -469,27 +458,10 @@ impl Executor {
                     ReclaimPolicy::EveryKRootBlocks(INJECTION_RECLAIM_PERIOD),
                 )
             },
-        ));
-        let locals = rings
-            .iter()
-            .map(|ring| {
-                // SAFETY: the handle borrows the `Ring` owned by the
-                // `Arc` stored in the same `Inner`; `locals` is declared
-                // before `rings`, so the handle drops first and never
-                // outlives the ring (struct-docs drop-order idiom).
-                let ring: &'static Ring<TaskRef> = unsafe { &*std::ptr::from_ref(&**ring) };
-                Mutex::new(ring.register().expect("ring sized for its owner"))
-            })
-            .collect();
-        // SAFETY: as above — `fallback` borrows the queue owned by the
-        // `injection` Arc in the same `Inner` and is declared before it.
-        let inj: &'static ShardedUnbounded<TaskRef> = unsafe { &*std::ptr::from_ref(&*injection) };
-        let fallback = Mutex::new(inj.try_handle().expect("injection sized for the pool"));
+        );
         let inner = Arc::new(Inner {
-            fallback,
-            locals,
             injection,
-            rings,
+            rings: (0..workers).map(|_| Ring::new(capacity, workers)).collect(),
             wheel: TimerWheel::new(),
             signal: Signal::default(),
             seal: Seal::default(),
@@ -497,6 +469,7 @@ impl Executor {
             pool_id: POOL_IDS.fetch_add(1, Ordering::Relaxed),
             workers,
         });
+        let fallback = Spawner::new(&inner).expect("injection sized for the pool");
         let mut threads = Vec::with_capacity(workers + 1);
         for w in 0..workers {
             let inner = Arc::clone(&inner);
@@ -518,6 +491,7 @@ impl Executor {
         }
         Executor {
             inner,
+            fallback: Mutex::new(fallback),
             threads: Mutex::new(threads),
         }
     }
@@ -534,9 +508,10 @@ impl Executor {
     /// Spawns `f` onto the pool and returns its [`JoinHandle`].
     ///
     /// Called from a pool worker, the task goes straight into the
-    /// worker's local ring (injection fallback when full); otherwise it
-    /// takes the shared injection handle. An `Ok` return means the task
-    /// *will* run, even if shutdown starts immediately afterwards.
+    /// worker's local ring (its own injection handle when full); any
+    /// other thread takes the shared `fallback` handle. An `Ok` return
+    /// means the task *will* run, even if shutdown starts immediately
+    /// afterwards.
     ///
     /// # Errors
     ///
@@ -550,7 +525,16 @@ impl Executor {
             return Err(self.inner.reject(f));
         };
         let (task, handle, _cancel) = Task::package(f);
-        self.inner.route_spawn(task);
+        let foreign = WORKER.with_borrow_mut(|worker| match worker {
+            Some(worker) if worker.serves(&self.inner) => {
+                worker.push(task);
+                None
+            }
+            _ => Some(task),
+        });
+        if let Some(task) = foreign {
+            lock(&self.fallback).handle.enqueue(task);
+        }
         self.inner.spawned(entry);
         Ok(handle)
     }
@@ -559,16 +543,7 @@ impl Executor {
     /// `None` once `max_spawners` are outstanding.
     #[must_use]
     pub fn try_spawner(&self) -> Option<Spawner> {
-        // SAFETY: the spawner's handle borrows the queue owned by the
-        // `Arc` cloned into the same `Spawner`; the handle field is
-        // declared first, so it drops before the Arc (struct-docs idiom).
-        let inj: &'static ShardedUnbounded<TaskRef> =
-            unsafe { &*std::ptr::from_ref(&*self.inner.injection) };
-        let handle = inj.try_handle()?;
-        Some(Spawner {
-            handle,
-            inner: Arc::clone(&self.inner),
-        })
+        Spawner::new(&self.inner)
     }
 
     /// Schedules `f` to be spawned after `delay`. The [`TimerKey`] can
@@ -647,9 +622,8 @@ impl Executor {
     /// worker would join itself), or if the drain certificate
     /// `spawned == completed` fails — that is a scheduler bug.
     pub fn shutdown(&self) -> ExecutorStats {
-        let here = CURRENT.with(Cell::get);
         assert!(
-            !matches!(here, Some((pool, _)) if pool == self.inner.pool_id),
+            !self.on_own_worker(),
             "shutdown() called from inside one of the pool's own tasks"
         );
         self.inner.seal.seal();
@@ -668,12 +642,16 @@ impl Executor {
         );
         stats
     }
+
+    /// Whether the calling thread is one of this pool's workers.
+    fn on_own_worker(&self) -> bool {
+        WORKER.with_borrow(|w| w.as_ref().is_some_and(|w| w.serves(&self.inner)))
+    }
 }
 
 impl Drop for Executor {
     fn drop(&mut self) {
-        let here = CURRENT.with(Cell::get);
-        if matches!(here, Some((pool, _)) if pool == self.inner.pool_id) {
+        if self.on_own_worker() {
             // Dropped inside one of our own tasks: joining would
             // deadlock. Seal and detach; workers drain and exit on their
             // own.
@@ -689,27 +667,124 @@ impl Drop for Executor {
     }
 }
 
+/// One worker's queue handles, owned by its thread (see `WORKER`).
+///
+/// Field order is load-bearing: the `'static`-extended ring handles come
+/// first and `spawner`, whose `Arc<Inner>` owns the rings, comes last, so
+/// the handles drop before the storage they borrow (the `Spawner` idiom).
+struct Worker {
+    /// This worker's own ring: its pops and its same-worker spawns.
+    local: RingHandle<'static, TaskRef>,
+    /// Steal handles into every other worker's ring, by victim index.
+    steals: Vec<(usize, RingHandle<'static, TaskRef>)>,
+    /// Where the next steal sweep starts.
+    rotation: usize,
+    /// This worker's injection handle: batch refills and ring overflow.
+    spawner: Spawner,
+}
+
+impl Worker {
+    fn new(inner: &Arc<Inner>, w: usize) -> Worker {
+        // SAFETY: the handles borrow rings owned by `inner`; the worker
+        // keeps a clone of that Arc in its last field, so they drop first
+        // (struct-docs drop-order idiom).
+        let rings: &'static [Ring<TaskRef>] = unsafe { &*std::ptr::from_ref(&inner.rings[..]) };
+        // Rings are sized for owner + `workers - 1` stealers.
+        let steals = rings
+            .iter()
+            .enumerate()
+            .filter(|&(v, _)| v != w)
+            .map(|(v, ring)| (v, ring.register().expect("ring sized for stealers")))
+            .collect();
+        Worker {
+            local: rings[w].register().expect("ring sized for its owner"),
+            steals,
+            rotation: w, // start victims offset per worker
+            spawner: Spawner::new(inner).expect("injection sized for the pool"),
+        }
+    }
+
+    /// Whether this worker belongs to the pool `inner`.
+    fn serves(&self, inner: &Arc<Inner>) -> bool {
+        Arc::ptr_eq(&self.spawner.inner, inner)
+    }
+
+    /// Pushes a task onto the local ring, overflowing into this worker's
+    /// own injection handle.
+    fn push(&mut self, task: TaskRef) {
+        if let Err(task) = self.local.try_enqueue(task) {
+            self.spawner.handle.enqueue(task);
+        }
+    }
+
+    /// One dequeue attempt across the three tiers, in cheapness order.
+    fn find_task(&mut self) -> Option<(TaskRef, Source)> {
+        wfqueue_metrics::adversary_yield();
+        // Tier 1: own local ring.
+        if let Some(task) = self.local.dequeue() {
+            return Some((task, Source::Local));
+        }
+        // Tier 2: sweep the injection queue; run the first task now and
+        // move the rest of the batch into our local ring.
+        let batch = self.spawner.handle.dequeue_batch(INJECTION_BATCH);
+        let mut tasks = batch.into_iter().flatten();
+        if let Some(first) = tasks.next() {
+            self.push_local(tasks.collect());
+            return Some((first, Source::Injection));
+        }
+        // Tier 3: steal half a victim's ring, rotating the starting victim.
+        let n = self.steals.len();
+        for i in 0..n {
+            let (victim, handle) = &mut self.steals[(self.rotation + i) % n];
+            let avail = self.spawner.inner.rings[*victim].approx_len();
+            if avail == 0 {
+                continue;
+            }
+            let want = avail.div_ceil(2).min(STEAL_MAX);
+            let stolen: Vec<TaskRef> = handle.dequeue_batch(want).into_iter().flatten().collect();
+            if stolen.is_empty() {
+                continue;
+            }
+            self.rotation = (self.rotation + i + 1) % n;
+            let counters = &self.spawner.inner.counters;
+            counters.steal_batches.fetch_add(1, Ordering::Relaxed);
+            counters
+                .stolen_tasks
+                .fetch_add(stolen.len() as u64, Ordering::Relaxed);
+            let mut stolen = stolen.into_iter();
+            let first = stolen.next().expect("non-empty batch");
+            self.push_local(stolen.collect());
+            return Some((first, Source::Steal));
+        }
+        None
+    }
+
+    /// Moves a claimed batch remainder into the local ring — the ring's
+    /// all-or-nothing batch first, then singles with injection overflow
+    /// (counters unchanged: these tasks are already `spawned`).
+    fn push_local(&mut self, rest: Vec<TaskRef>) {
+        if rest.is_empty() {
+            return;
+        }
+        if let Err(rest) = self.local.try_enqueue_batch(rest) {
+            for task in rest {
+                self.push(task);
+            }
+        }
+        // The batch may exceed what this worker drains promptly; let a
+        // peer know there is work to steal.
+        self.spawner.inner.signal.notify();
+    }
+}
+
 /// One worker thread: drain local → injection → steal, then park.
 fn worker_loop(inner: &Arc<Inner>, w: usize) {
-    CURRENT.with(|c| c.set(Some((inner.pool_id, w))));
-    let mut inj = inner
-        .injection
-        .try_handle()
-        .expect("injection sized for the pool");
-    // Steal handles into every other worker's ring (rings are sized for
-    // owner + `workers - 1` stealers).
-    let mut steals: Vec<(usize, RingHandle<'_, TaskRef>)> = inner
-        .rings
-        .iter()
-        .enumerate()
-        .filter(|&(v, _)| v != w)
-        .map(|(v, ring)| (v, ring.register().expect("ring sized for stealers")))
-        .collect();
-    let mut rotation = w; // start victims offset per worker
-
+    WORKER.set(Some(Worker::new(inner, w)));
+    // The borrow ends inside each attempt: the task runs without it.
+    let find = || WORKER.with_borrow_mut(|me| me.as_mut().expect("worker context").find_task());
     // `Some(None)` is the exit: the post-listen re-check must cover it
     // too, or the last completion's notify could be slept through.
-    let mut attempt = || match find_task(inner, w, &mut inj, &mut steals, &mut rotation) {
+    let attempt = || match find() {
         Some(found) => Some(Some(found)),
         None => inner.exit_ready().then_some(None),
     };
@@ -733,85 +808,7 @@ fn worker_loop(inner: &Arc<Inner>, w: usize) {
     // Cascade the exit wakeup so sibling workers parked before the final
     // notify also re-evaluate `exit_ready`.
     inner.signal.notify();
-    CURRENT.with(|c| c.set(None));
-}
-
-/// One dequeue attempt across the three tiers, in cheapness order.
-fn find_task(
-    inner: &Inner,
-    w: usize,
-    inj: &mut ShardedHandle<'_, unbounded::Queue<TaskRef>>,
-    steals: &mut [(usize, RingHandle<'_, TaskRef>)],
-    rotation: &mut usize,
-) -> Option<(TaskRef, Source)> {
-    wfqueue_metrics::adversary_yield();
-    // Tier 1: own local ring.
-    if let Some(task) = lock(&inner.locals[w]).dequeue() {
-        return Some((task, Source::Local));
-    }
-    // Tier 2: sweep the injection queue; run the first task now and move
-    // the rest of the batch into our local ring.
-    let batch = inj.dequeue_batch(INJECTION_BATCH);
-    let mut tasks = batch.into_iter().flatten();
-    if let Some(first) = tasks.next() {
-        push_local(inner, w, inj, tasks.collect());
-        return Some((first, Source::Injection));
-    }
-    // Tier 3: steal half a victim's ring, rotating the starting victim.
-    let n = steals.len();
-    for i in 0..n {
-        let (victim, handle) = &mut steals[(*rotation + i) % n];
-        let avail = inner.rings[*victim].approx_len();
-        if avail == 0 {
-            continue;
-        }
-        let want = avail.div_ceil(2).min(STEAL_MAX);
-        let stolen: Vec<TaskRef> = handle.dequeue_batch(want).into_iter().flatten().collect();
-        if stolen.is_empty() {
-            continue;
-        }
-        *rotation = (*rotation + i + 1) % n;
-        inner.counters.steal_batches.fetch_add(1, Ordering::Relaxed);
-        inner
-            .counters
-            .stolen_tasks
-            .fetch_add(stolen.len() as u64, Ordering::Relaxed);
-        let mut stolen = stolen.into_iter();
-        let first = stolen.next().expect("non-empty batch");
-        push_local(inner, w, inj, stolen.collect());
-        return Some((first, Source::Steal));
-    }
-    None
-}
-
-/// Moves a claimed batch remainder into worker `w`'s local ring — the
-/// ring's all-or-nothing batch first, then singles, then the injection
-/// queue as overflow of last resort (counters unchanged: these tasks are
-/// already `spawned`).
-fn push_local(
-    inner: &Inner,
-    w: usize,
-    inj: &mut ShardedHandle<'_, unbounded::Queue<TaskRef>>,
-    rest: Vec<TaskRef>,
-) {
-    if rest.is_empty() {
-        return;
-    }
-    let mut local = lock(&inner.locals[w]);
-    match local.try_enqueue_batch(rest) {
-        Ok(()) => {}
-        Err(rest) => {
-            for task in rest {
-                if let Err(task) = local.try_enqueue(task) {
-                    inj.enqueue(task);
-                }
-            }
-        }
-    }
-    drop(local);
-    // The batch may exceed what this worker drains promptly; let a peer
-    // know there is work to steal.
-    inner.signal.notify();
+    drop(WORKER.take());
 }
 
 /// The timeout worker: fires due timer entries into the injection queue

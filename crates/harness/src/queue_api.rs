@@ -7,7 +7,7 @@
 //! queues themselves. Only the baselines, whose operations take `&self`,
 //! need an adapter ([`RefHandle`]).
 
-use wfqueue_baselines::{MsQueue, MutexQueue, SegQueueAdapter, TwoLockQueue};
+use wfqueue_baselines::{MsQueue, MutexQueue, TwoLockQueue};
 use wfqueue_ring::Ring;
 use wfqueue_shard::{ShardHandle, ShardedHandle, ShardedQueue};
 
@@ -270,7 +270,6 @@ macro_rules! baseline_adapter {
 baseline_adapter!(Ms, MsQueue<T>, "ms-queue", Send);
 baseline_adapter!(TwoLock, TwoLockQueue<T>, "two-lock", Send);
 baseline_adapter!(CoarseMutex, MutexQueue<T>, "mutex", Send);
-baseline_adapter!(Seg, SegQueueAdapter<T>, "crossbeam-seg", Send);
 
 #[cfg(test)]
 mod tests {
@@ -312,7 +311,6 @@ mod tests {
         round_trip(&Ms::new());
         round_trip(&TwoLock::new());
         round_trip(&CoarseMutex::new());
-        round_trip(&Seg::new());
     }
 
     #[test]
@@ -390,6 +388,5 @@ mod tests {
         batch_round_trip(&Ms::new());
         batch_round_trip(&TwoLock::new());
         batch_round_trip(&CoarseMutex::new());
-        batch_round_trip(&Seg::new());
     }
 }

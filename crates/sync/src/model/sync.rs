@@ -1,11 +1,10 @@
 //! Modeled blocking primitives for use *inside* a model run.
 //!
-//! These deliberately mirror the `parking_lot` subset the workspace uses
-//! (`lock` without poisoning, `Condvar::wait` taking the guard). Outside
-//! an [`super::explore`] closure they panic — production code keeps using
-//! the real `parking_lot`; these exist so protocol *replicas* can model
-//! their blocking halves and have lost wakeups surface as detected
-//! deadlocks.
+//! These mirror the `std::sync` subset the workspace uses (`lock`
+//! ignoring poisoning, `Condvar::wait` taking the guard). Outside an
+//! [`super::explore`] closure they panic — production code keeps using
+//! `std::sync`; these exist so protocol *replicas* can model their
+//! blocking halves and have lost wakeups surface as detected deadlocks.
 
 use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};

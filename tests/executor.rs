@@ -3,8 +3,10 @@
 //! audit, adversarial park/unpark ping-pong hunting lost wakeups,
 //! timer-wheel ordering and cancellation, a drop-interleaving proptest
 //! (spawns racing shutdown are either run or reported rejected — never
-//! lost), shutdown-drains-then-closes on every spawn path, and a
-//! `SOAK_SECS`-gated churn soak for the weekly stress job.
+//! lost), shutdown-drains-then-closes on every spawn path, the worker
+//! context (ring overflow from a task, cross-pool spawns, `shutdown`
+//! from a pool's own task), and a `SOAK_SECS`-gated churn soak for the
+//! weekly stress job.
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -455,8 +457,6 @@ fn executor_churn_soak() {
     assert!(stats.sources_partition_completed(), "{stats:?}");
 }
 
-/// A `JoinError::Cancelled` vs value outcome is the whole reporting
-/// surface; make sure the error type's helpers behave.
 /// A timed join on a task that is still running hands the handle back
 /// after the deadline, and a later `join` still returns the value.
 #[test]
@@ -483,6 +483,8 @@ fn timed_join_on_a_running_task_hands_the_handle_back() {
     assert!(pool.shutdown().quiescent());
 }
 
+/// A `JoinError::Cancelled` vs value outcome is the whole reporting
+/// surface; make sure the error type's helpers behave.
 #[test]
 fn join_error_helpers() {
     assert!(JoinError::Cancelled.is_cancelled());
@@ -490,4 +492,72 @@ fn join_error_helpers() {
         JoinError::Cancelled.to_string(),
         "task cancelled before it ran"
     );
+}
+
+/// A task that spawns more children than its local ring holds overflows
+/// into its worker's own injection handle; every child still runs. One
+/// worker keeps the count exact: the root's own sweep is one injection
+/// run, so a second one can only come from the overflow.
+#[test]
+fn ring_overflow_from_inside_a_task_goes_through_injection() {
+    let pool = Arc::new(Executor::new(ExecutorConfig {
+        workers: 1,
+        local_queue_capacity: 2,
+        ..ExecutorConfig::default()
+    }));
+    let p2 = Arc::clone(&pool);
+    let children = pool
+        .spawn(move || {
+            (0..200u64)
+                .map(|i| p2.spawn(move || i).expect("pool is open"))
+                .collect::<Vec<_>>()
+        })
+        .expect("pool is open")
+        .join()
+        .expect("root ran");
+    for (i, h) in children.into_iter().enumerate() {
+        assert_eq!(h.join().expect("child ran"), i as u64);
+    }
+    let stats = pool.shutdown();
+    assert_eq!(stats.spawned, 201, "{stats:?}");
+    assert!(stats.from_injection >= 2, "{stats:?}");
+    assert!(stats.quiescent(), "{stats:?}");
+    assert!(stats.sources_partition_completed(), "{stats:?}");
+}
+
+/// A task of pool A spawning onto pool B is a foreign spawn for B: it
+/// takes B's shared injection handle, never A's worker ring.
+#[test]
+fn cross_pool_spawn_takes_the_foreign_path() {
+    let a = Executor::with_workers(1);
+    let b = Arc::new(Executor::with_workers(1));
+    let b2 = Arc::clone(&b);
+    let got = a
+        .spawn(move || b2.spawn(|| 7u64).expect("b is open").join())
+        .expect("a is open")
+        .join()
+        .expect("a's task ran");
+    assert_eq!(got.expect("b's task ran"), 7);
+    let (a, b) = (a.shutdown(), b.shutdown());
+    assert_eq!((a.completed, b.completed), (1, 1), "{a:?} {b:?}");
+    assert_eq!(b.from_injection, 1, "{b:?}");
+    assert!(a.quiescent() && b.quiescent(), "{a:?} {b:?}");
+}
+
+/// `shutdown()` inside one of the pool's own tasks would join its own
+/// worker: it panics, the task reports the panic, and the pool still
+/// shuts down cleanly from outside.
+#[test]
+fn shutdown_from_the_pools_own_task_is_refused() {
+    let pool = Arc::new(Executor::with_workers(2));
+    let p2 = Arc::clone(&pool);
+    let err = pool
+        .spawn(move || p2.shutdown())
+        .expect("pool is open")
+        .join()
+        .expect_err("shutdown from a task must panic");
+    assert!(matches!(err, JoinError::Panicked(_)));
+    let stats = pool.shutdown();
+    assert_eq!(stats.completed, 1, "{stats:?}");
+    assert!(stats.quiescent(), "{stats:?}");
 }

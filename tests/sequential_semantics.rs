@@ -6,7 +6,7 @@ use std::collections::VecDeque;
 
 use proptest::prelude::*;
 use wfqueue::{bounded, unbounded};
-use wfqueue_harness::queue_api::{CoarseMutex, ConcurrentQueue, Ms, QueueHandle, Seg, TwoLock};
+use wfqueue_harness::queue_api::{CoarseMutex, ConcurrentQueue, Ms, QueueHandle, TwoLock};
 use wfqueue_ring::Ring;
 
 #[derive(Debug, Clone)]
@@ -62,7 +62,6 @@ proptest! {
         check_against_model(&Ms::new(), &ops);
         check_against_model(&TwoLock::new(), &ops);
         check_against_model(&CoarseMutex::new(), &ops);
-        check_against_model(&Seg::new(), &ops);
     }
 
     #[test]
