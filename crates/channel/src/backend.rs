@@ -71,7 +71,7 @@ impl MemoryStats {
 pub(crate) enum Backend<T: Clone + Send + Sync + 'static> {
     /// The paper's §3 queue (optionally with epoch-based tree truncation).
     Unbounded(unbounded::Queue<T>),
-    /// The paper's §6 bounded-*space* queue (treap-backed).
+    /// The paper's §6 bounded-*space* queue.
     SpaceBounded(bounded::Queue<T>),
     /// The PR 3 sharded frontend over unbounded shards.
     Sharded(ShardedUnbounded<T>),

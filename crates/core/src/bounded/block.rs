@@ -40,10 +40,10 @@ impl<T> LeafOp<T> {
 /// complete them. Leaf blocks carry a whole batch of same-kind operations;
 /// the block store is unaffected because keys stay per-block.
 ///
-/// Blocks live inline in the persistent tree's nodes, so path copying
-/// copies them: six words, five counters and one pointer to the leaf
-/// payload (null for internal blocks). The [`LeafOp`] sits behind an
-/// [`Arc`] so that every tree version shares the one write-once
+/// Blocks live inline in the block store, so copying a version's tail or
+/// a trie leaf copies them: six words, five counters and one pointer to
+/// the leaf payload (null for internal blocks). The [`LeafOp`] sits behind
+/// an [`Arc`] so that every store version shares the one write-once
 /// `responses` cell.
 #[derive(Debug)]
 pub(crate) struct Block<T> {
@@ -59,6 +59,32 @@ pub(crate) struct Block<T> {
     pub size: usize,
     /// Leaf payload; `None` for internal and dummy blocks.
     pub op: Option<Arc<LeafOp<T>>>,
+}
+
+/// The fields of a block that the queue's searches test: `sumenq`,
+/// `endleft` and `endright`, each non-decreasing in the block index
+/// (Lemma 4′, Invariant 7). The block store's inner nodes keep one per
+/// child, taken from the child's last block, so a search can choose a
+/// child without entering it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Summary {
+    /// The block's `sumenq`.
+    pub sumenq: usize,
+    /// The block's `endleft`.
+    pub endleft: usize,
+    /// The block's `endright`.
+    pub endright: usize,
+}
+
+impl Summary {
+    /// Interval end towards the given direction.
+    pub fn end(&self, left: bool) -> usize {
+        if left {
+            self.endleft
+        } else {
+            self.endright
+        }
+    }
 }
 
 /// A plain copy for internal blocks; a leaf block's copy shares its
@@ -142,10 +168,15 @@ impl<T> Block<T> {
 
     /// Interval end towards the given direction.
     pub fn end(&self, left: bool) -> usize {
-        if left {
-            self.endleft
-        } else {
-            self.endright
+        self.summary().end(left)
+    }
+
+    /// The fields the block store's searches read.
+    pub fn summary(&self) -> Summary {
+        Summary {
+            sumenq: self.sumenq,
+            endleft: self.endleft,
+            endright: self.endright,
         }
     }
 

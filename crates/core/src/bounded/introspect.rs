@@ -7,7 +7,6 @@
 
 use crossbeam_epoch as epoch;
 
-use super::node::BlockTree;
 use super::queue::Queue;
 
 /// Snapshot of one block (bounded variant).
@@ -121,10 +120,11 @@ where
 }
 
 /// Heap bytes held by the queue's block stores (the byte side of Theorem
-/// 31): for every node, its published version header, the persistent
-/// tree's nodes with their inline blocks, and the leaf payloads with their
-/// elements and written responses. Superseded versions still waiting for
-/// epoch reclamation are not counted.
+/// 31): for every node, its published version header with its inline
+/// tail, the trie nodes that version reaches, and the live leaf payloads
+/// with their elements and written responses. Superseded versions still
+/// waiting for epoch reclamation, and trie nodes only they reach, are not
+/// counted.
 pub fn live_block_bytes<T>(queue: &Queue<T>) -> usize
 where
     T: Clone + Send + Sync,
@@ -134,7 +134,7 @@ where
     let mut bytes = 0;
     for v in 1..topo.len() {
         let tref = queue.node(v).load(&guard);
-        bytes += std::mem::size_of::<BlockTree<T>>() + tref.tree.node_bytes();
+        bytes += tref.tree.heap_bytes();
         bytes += tref
             .tree
             .iter()

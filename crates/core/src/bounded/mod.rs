@@ -6,16 +6,19 @@
 //! finished blocks, keeping space `O(p·q_max + p³ log p)` (Theorem 31) at
 //! `O(log p · log(p + q_max))` amortized steps per operation (Theorem 32).
 //!
-//! The persistent tree is a treap ([`wfqueue_treap::PTreap`]) where the
-//! paper uses a red–black tree. Its priorities are a fixed hash of the
-//! key, so its depth — the log factor each tree operation contributes to
-//! Theorems 22 and 32 — is O(log n) in expectation, not in the worst case.
+//! Where the paper uses a red–black tree, each node's store is a
+//! persistent vector with implicit keys (`store.rs`): the queue only
+//! appends the next index and drops a prefix, so a fanout-16 trie with an
+//! inline tail of recent blocks serves it. Its depth — the log factor each
+//! store search contributes to Theorems 22 and 32 — is at most
+//! `⌈log₁₆ n⌉ + 1` for `n` live blocks in the worst case.
 
-mod block;
+pub(crate) mod block;
 mod gc;
 mod node;
 mod queue;
 mod search;
+pub(crate) mod store;
 
 pub mod introspect;
 

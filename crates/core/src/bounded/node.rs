@@ -6,23 +6,22 @@
 //! `CAS(v.blocks, T, T′)` (Figure 5 line 265); superseded versions are
 //! reclaimed through epoch-based reclamation, which plays the role of the
 //! paper's assumed garbage collector. The store itself is a persistent
-//! treap ([`PTreap`]).
+//! vector with implicit keys ([`BlockStore`]).
 //!
-//! Blocks are stored inline in the store's tree nodes, keyed by their
-//! index: one allocation per block, copied (with its tree node) when an
-//! update's path passes through it. Only a leaf block's operation payload
-//! is a separate shared allocation (see [`Block`]).
+//! Blocks are stored inline in the store: in its version header's tail,
+//! copied by each append, and in the 16-block leaves of its trie, shared
+//! between versions. Only a leaf block's operation payload is a separate
+//! shared allocation (see [`Block`]).
 
 use wfqueue_sync::atomic::Ordering;
 
+use super::block::Block;
+use super::store::BlockStore;
 use crossbeam_epoch::{self as epoch, Atomic, Guard, Owned, Shared};
 use wfqueue_metrics as metrics;
-use wfqueue_treap::PTreap;
-
-use super::block::Block;
 
 /// The persistent store of blocks of one node, keyed by block index.
-pub(crate) type BlockTree<T> = PTreap<Block<T>>;
+pub(crate) type BlockTree<T> = BlockStore<T>;
 
 /// A loaded store version: the shared pointer (needed for the publishing
 /// CAS) plus a dereferenced view valid for the guard's lifetime.
@@ -39,7 +38,7 @@ pub(crate) struct Node<T: Clone + Send + Sync> {
 impl<T: Clone + Send + Sync> Node<T> {
     /// A fresh node whose store holds only the dummy block (index 0).
     pub fn new() -> Self {
-        let tree = PTreap::new().insert(0, Block::dummy());
+        let tree = BlockStore::new().append(0, Block::dummy());
         Node {
             blocks: Atomic::new(tree),
         }
@@ -126,10 +125,10 @@ mod tests {
         let n: Node<u32> = Node::new();
         let guard = epoch::pin();
         let t0 = n.load(&guard);
-        let t1 = t0.tree.insert(1, Block::internal(1, 0, 1, 1, 0));
+        let t1 = t0.tree.append(1, Block::internal(1, 0, 1, 1, 0));
         assert!(n.try_publish(&t0, t1, &guard));
         // Publishing again from the stale version must fail.
-        let t2 = t0.tree.insert(1, Block::internal(2, 0, 1, 1, 0));
+        let t2 = t0.tree.append(1, Block::internal(2, 0, 1, 1, 0));
         assert!(!n.try_publish(&t0, t2, &guard));
         let now = n.load(&guard);
         assert_eq!(now.tree.len(), 2);

@@ -396,9 +396,9 @@ impl<T: Clone + Send + Sync> Queue<T> {
         Some(Block::internal(sumenq, sumdeq, endleft, endright, size))
     }
 
-    /// `AddBlock(v, T, B)` — Figure 5 lines 222–233: insert `block` at
-    /// `index` into `tree`, running a GC phase first when the index hits
-    /// the period.
+    /// `AddBlock(v, T, B)` — Figure 5 lines 222–233: append `block` at
+    /// `index` to `tree`, running a GC phase first when the index hits
+    /// the period. `index` is the tree's maximum plus one (Lemma 24).
     fn add_block(
         &self,
         pid: usize,
@@ -419,10 +419,10 @@ impl<T: Clone + Send + Sync> Queue<T> {
             // Help every pending, propagated dequeue so blocks before s are
             // finished (line 227).
             self.help(pid);
-            // Split removes blocks with index < s (line 228), then insert.
-            tree.split_ge(s as u64).insert(key, block)
+            // Split removes blocks with index < s (line 228), then append.
+            tree.split_ge(s as u64).append(key, block)
         } else {
-            tree.insert(key, block)
+            tree.append(key, block)
         }
     }
 }

@@ -346,9 +346,8 @@ fn space_stays_bounded() {
     }
     let stats = introspect::space_stats(&q);
     assert!(stats.total_blocks < 400, "{stats:?}");
-    // The treap's depth is only logarithmic in expectation; this run
-    // measures depth 5 (at most 5 blocks per node), and the bound allows
-    // 3 levels of slack.
+    // The block store's depth is at most ⌈log₁₆ n⌉ + 1 levels; this run
+    // measures depth 1 (at most 5 blocks per node), well inside the bound.
     assert!(stats.max_tree_depth <= 8, "{stats:?}");
 }
 

@@ -71,3 +71,8 @@ pub mod bounded;
 pub mod topology;
 pub mod unbounded;
 pub mod vector;
+
+#[cfg(test)]
+mod tests;
+#[cfg(test)]
+mod trait_conformance;

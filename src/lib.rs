@@ -15,4 +15,3 @@ pub use wfqueue_metrics as metrics;
 pub use wfqueue_ring as ring;
 pub use wfqueue_segvec as segvec;
 pub use wfqueue_shard as shard;
-pub use wfqueue_treap as treap;

@@ -1,11 +1,12 @@
 //! Heap cost of the §6 bounded queue's block store, measured by a counting
-//! global allocator: allocations per enqueue, and requested bytes per live
-//! block.
+//! global allocator: allocations per enqueue, requested bytes per live
+//! block, and how closely `introspect::live_block_bytes` matches them.
 //!
-//! Blocks live inline in the persistent tree's nodes (one allocation per
-//! block, plus one shared payload per leaf block), and appending the next
-//! block walks the tree's right spine once. Storing each block behind its
-//! own `Arc`, or copying the spine twice per append, breaks these bounds.
+//! Blocks live inline in the store (16 per trie leaf, plus one shared
+//! payload per leaf block). An append copies only the version header with
+//! its inline tail, one allocation, and every 16th moves the tail into the
+//! trie as one leaf. Copying trie nodes on every append, or storing each
+//! block behind its own `Arc`, breaks these bounds.
 //!
 //! The binary holds a single test, and counts only its own thread's
 //! allocations.
@@ -76,8 +77,8 @@ const PROCESSES: usize = 32;
 #[test]
 fn block_store_heap_cost_per_enqueue_and_per_block() {
     // Allocations per single-threaded enqueue after a 1,024-value prefill,
-    // averaged over 1,024 enqueues: the right spine a treap append copies
-    // varies a lot from one short window to the next.
+    // averaged over 1,024 enqueues, so that every node's tail fills and
+    // moves into its trie many times. Measured: 10.1.
     {
         let q: Queue<u64> = Queue::new(PROCESSES);
         let mut h = q.register().unwrap();
@@ -92,13 +93,13 @@ fn block_store_heap_cost_per_enqueue_and_per_block() {
         let per_enqueue = (allocs() - before) as f64 / ops as f64;
         println!("allocations per enqueue: {per_enqueue:.1}");
         assert!(
-            per_enqueue <= 64.0,
+            per_enqueue <= 12.0,
             "{per_enqueue:.1} allocations per enqueue"
         );
     }
 
     // Requested bytes per live block after two handles churn a queue of
-    // ~1,024 values through several GC phases.
+    // ~1,024 values through several GC phases. Measured: 66.9.
     let base = live_bytes();
     let q: Queue<u64> = Queue::new(PROCESSES);
     let (mut producer, mut consumer) = (q.register().unwrap(), q.register().unwrap());
@@ -115,8 +116,18 @@ fn block_store_heap_cost_per_enqueue_and_per_block() {
     println!("{bytes} live bytes over {blocks} live blocks: {per_block:.1} B/block");
     assert!(blocks > 0);
     assert!(
-        per_block <= 112.0,
+        per_block <= 75.0,
         "{per_block:.1} requested bytes per live block"
+    );
+    // The introspection figure counts the store's real allocations (the
+    // version headers with their tails, the trie nodes, the leaf
+    // payloads), so it matches the allocator. Measured: 0.7% below.
+    let reported = bintro::live_block_bytes(&q);
+    println!("live_block_bytes reports {reported} B");
+    let ratio = reported as f64 / bytes as f64;
+    assert!(
+        (0.9..=1.1).contains(&ratio),
+        "live_block_bytes {reported} B vs {bytes} B allocated"
     );
     bintro::check_invariants(&q).unwrap();
 }

@@ -51,9 +51,9 @@ fn space_scales_with_queue_size_not_history() {
         stats.total_blocks < 2_000,
         "space grew with history: {stats:?}"
     );
-    // Persistent trees stay shallow: within the treap's sliding-window
-    // bound of 7/3·log2(n) + 5 levels plus 3 of slack (see the
-    // `wfqueue_treap` depth test). This run measures depth 12 over at most
+    // Persistent trees stay shallow. The block store's worst case is
+    // ⌈log₁₆ n⌉ + 1 levels (the `depth_is_worst_case_logarithmic` store
+    // test), well inside this bound: the run measures depth 3 over at most
     // 133 blocks per node, against a bound of 24.
     let bound = 7 * stats.max_node_blocks.ilog2() as usize / 3 + 8;
     assert!(stats.max_tree_depth <= bound, "{stats:?}");
