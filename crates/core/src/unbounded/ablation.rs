@@ -33,8 +33,7 @@ where
     T: Clone + Send + Sync,
 {
     let _guard = queue.read_guard();
-    let root = queue.topology().root();
-    let node = queue.node(root);
+    let node = queue.root_node();
     let b = node.head() - 1;
     if b == 0 {
         return None;

@@ -11,6 +11,8 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::fmt::Write as _;
 
+use super::block::{Block, InnerBlock};
+use super::node::{Node, NodeRef};
 use super::queue::Queue;
 
 /// A snapshot of one block (Figure 2/3 fields).
@@ -79,31 +81,50 @@ where
     let topo = *queue.topology();
     (1..topo.len())
         .map(|v| {
+            let is_root = v == topo.root();
             let node = queue.node(v);
             let head = node.head();
             let boundary = node.boundary();
-            let mut blocks = Vec::new();
-            let mut i = boundary;
-            let mut prev_sumdeq = 0;
-            let is_root = v == topo.root();
-            while let Some(b) = node.block(i) {
-                let is_deq = topo.is_leaf(v) && i > boundary && b.is_leaf_dequeue();
-                blocks.push(BlockInfo {
-                    index: i,
-                    summary: b.is_summary(),
-                    sumenq: b.sumenq,
-                    sumdeq: b.sumdeq,
-                    endleft: b.endleft,
-                    endright: b.endright,
-                    // One word holds `size` at the root and `super` below it.
-                    size: if is_root { b.size() } else { 0 },
-                    sup: if is_root { None } else { b.sup() },
-                    elements: b.elements().iter().map(|e| format!("{e:?}")).collect(),
-                    num_dequeues: if is_deq { b.sumdeq - prev_sumdeq } else { 0 },
-                });
-                prev_sumdeq = b.sumdeq;
-                i += 1;
-            }
+            let blocks = match node {
+                NodeRef::Inner(node) => installed(node)
+                    .map(|(i, b)| BlockInfo {
+                        index: i,
+                        summary: b.is_summary(),
+                        sumenq: b.sumenq,
+                        sumdeq: b.sumdeq,
+                        endleft: b.endleft,
+                        endright: b.endright,
+                        // One word holds `size` at the root and `super`
+                        // below it.
+                        size: if is_root { b.size() } else { 0 },
+                        sup: if is_root { None } else { b.sup() },
+                        elements: Vec::new(),
+                        num_dequeues: 0,
+                    })
+                    .collect(),
+                NodeRef::Leaf(node) => {
+                    let mut prev_sumdeq = 0;
+                    installed(node)
+                        .map(|(i, b)| {
+                            let is_deq = i > boundary && b.is_dequeue();
+                            let info = BlockInfo {
+                                index: i,
+                                summary: b.is_summary(),
+                                sumenq: b.sumenq,
+                                sumdeq: b.sumdeq,
+                                endleft: 0,
+                                endright: 0,
+                                size: 0,
+                                sup: b.sup(),
+                                elements: b.elements().iter().map(|e| format!("{e:?}")).collect(),
+                                num_dequeues: if is_deq { b.sumdeq - prev_sumdeq } else { 0 },
+                            };
+                            prev_sumdeq = b.sumdeq;
+                            info
+                        })
+                        .collect()
+                }
+            };
             NodeInfo {
                 position: v,
                 is_leaf: topo.is_leaf(v),
@@ -114,6 +135,12 @@ where
             }
         })
         .collect()
+}
+
+/// The installed blocks of `node` from its truncation boundary on, with
+/// their indices.
+fn installed<B: Block>(node: &Node<B>) -> impl Iterator<Item = (usize, &B)> {
+    (node.boundary()..).map_while(move |i| node.block(i).map(|b| (i, b)))
 }
 
 /// Renders a dump as indented text in the spirit of Figure 2 of the paper.
@@ -182,12 +209,11 @@ where
     T: Clone + Send + Sync,
 {
     let _guard = queue.read_guard();
-    let topo = *queue.topology();
-    let root = topo.root();
+    let root = queue.root_node();
     let mut out = Vec::new();
-    let mut b = queue.node(root).boundary() + 1;
-    while queue.node(root).block(b).is_some() {
-        let (enqs, deqs) = block_ops(queue, root, b);
+    let mut b = root.boundary() + 1;
+    while root.block(b).is_some() {
+        let (enqs, deqs) = block_ops(queue, queue.topology().root(), b);
         out.extend(enqs.into_iter().map(LinOp::Enqueue));
         out.extend(std::iter::repeat_with(|| LinOp::Dequeue).take(deqs));
         b += 1;
@@ -202,14 +228,18 @@ where
     T: Clone + Send + Sync,
 {
     let topo = *queue.topology();
-    let node = queue.node(v);
+    let node = match queue.node(v) {
+        NodeRef::Inner(node) => node,
+        NodeRef::Leaf(node) => {
+            // A leaf block is a whole batch: its enqueues in order, or
+            // `sumdeq - prev.sumdeq` dequeues.
+            let blk = node.block(b).expect("block_ops called on installed block");
+            let prev = node.block(b - 1).expect("dense prefix");
+            return (blk.elements().to_vec(), blk.sumdeq - prev.sumdeq);
+        }
+    };
     let blk = node.block(b).expect("block_ops called on installed block");
     let prev = node.block(b - 1).expect("dense prefix");
-    if topo.is_leaf(v) {
-        // A leaf block is a whole batch: its enqueues in order, or
-        // `sumdeq - prev.sumdeq` dequeues.
-        return (blk.elements().to_vec(), blk.sumdeq - prev.sumdeq);
-    }
     let mut enqs = Vec::new();
     let mut deqs = 0;
     for (child, lo, hi) in [
@@ -276,13 +306,10 @@ where
                 ));
             }
         }
-        if boundary > 0 {
-            let base = node.block(boundary).expect("checked installed above");
-            if !base.is_summary() {
-                return Err(format!(
-                    "node {v}: boundary block {boundary} is not a summary sentinel"
-                ));
-            }
+        if boundary > 0 && !is_summary_at(node, boundary) {
+            return Err(format!(
+                "node {v}: boundary block {boundary} is not a summary sentinel"
+            ));
         }
         for i in head + 1..head + 4 {
             if node.block(i).is_some() {
@@ -297,7 +324,7 @@ where
         for i in boundary + 1..installed {
             let blk = node.block(i).expect("checked installed");
             let prev = node.block(i - 1).expect("checked installed");
-            if blk.is_summary() {
+            if is_summary_at(node, i) {
                 return Err(format!(
                     "node {v}: summary sentinel at {i} above the boundary {boundary}"
                 ));
@@ -317,54 +344,27 @@ where
             if i > 0 && numenq + numdeq == 0 {
                 return Err(format!("node {v}: block {i} is empty (Corollary 8)"));
             }
-            if topo.is_leaf(v) {
-                // Leaf blocks are single-kind batches: `numenq ≥ 1`
-                // enqueues (with exactly one stored element each) or
-                // `numdeq ≥ 1` dequeues — never a mix.
-                if numenq > 0 && numdeq > 0 {
-                    return Err(format!(
-                        "node {v}: leaf block {i} mixes {numenq} enqueues and {numdeq} dequeues"
-                    ));
-                }
-                if numenq != blk.elements().len() {
-                    return Err(format!(
-                        "node {v}: leaf block {i} stores {} elements for {numenq} enqueues",
-                        blk.elements().len()
-                    ));
-                }
-            } else {
-                // Lemma 4: interval ends are monotone.
-                if blk.endleft < prev.endleft || blk.endright < prev.endright {
-                    return Err(format!("node {v}: interval ends decrease at block {i}"));
-                }
-                // Invariant 7: sums match the children's prefix sums at the
-                // interval ends.
-                let left = queue.node(topo.left(v));
-                let right = queue.node(topo.right(v));
-                let (le, re) = (blk.endleft, blk.endright);
-                let (lb, rb) = match (left.block(le), right.block(re)) {
-                    (Some(a), Some(b)) => (a, b),
-                    _ => {
+            match node {
+                NodeRef::Leaf(leaf) => {
+                    // Leaf blocks are single-kind batches: `numenq ≥ 1`
+                    // enqueues (with exactly one stored element each) or
+                    // `numdeq ≥ 1` dequeues — never a mix.
+                    if numenq > 0 && numdeq > 0 {
                         return Err(format!(
-                            "node {v}: block {i} references missing subblocks ({le},{re})"
-                        ))
-                    }
-                };
-                if blk.sumenq != lb.sumenq + rb.sumenq || blk.sumdeq != lb.sumdeq + rb.sumdeq {
-                    return Err(format!("node {v}: Invariant 7 violated at block {i}"));
-                }
-                if v == topo.root() {
-                    // Lemma 16: size recurrence.
-                    let expect = (prev.size() + numenq).saturating_sub(numdeq);
-                    if blk.size() != expect {
-                        return Err(format!(
-                            "root: size {} != max(0,{}+{}-{}) at block {i}",
-                            blk.size(),
-                            prev.size(),
-                            numenq,
-                            numdeq
+                            "node {v}: leaf block {i} mixes {numenq} enqueues and {numdeq} dequeues"
                         ));
                     }
+                    let stored = leaf.block(i).expect("checked installed").elements().len();
+                    if numenq != stored {
+                        return Err(format!(
+                            "node {v}: leaf block {i} stores {stored} elements for {numenq} enqueues"
+                        ));
+                    }
+                }
+                NodeRef::Inner(inner) => {
+                    let blk = inner.block(i).expect("checked installed");
+                    let prev = inner.block(i - 1).expect("checked installed");
+                    check_inner_block(queue, v, i, blk, prev)?;
                 }
             }
         }
@@ -374,7 +374,7 @@ where
         // parent block above it covers only child blocks above this node's
         // own boundary.
         if v != topo.root() {
-            let parent = queue.node(topo.parent(v));
+            let parent = queue.inner_node(topo.parent(v));
             let is_left = topo.is_left_child(v);
             let mut pi = parent.boundary() + 1;
             while let (Some(pb), Some(pprev)) = (parent.block(pi), parent.block(pi - 1)) {
@@ -402,6 +402,62 @@ where
                 }
                 pi += 1;
             }
+        }
+    }
+    Ok(())
+}
+
+/// Whether `blocks[i]` of `node` is installed and a summary sentinel.
+fn is_summary_at<T>(node: NodeRef<'_, T>, i: usize) -> bool {
+    match node {
+        NodeRef::Inner(n) => n.block(i).is_some_and(Block::is_summary),
+        NodeRef::Leaf(n) => n.block(i).is_some_and(Block::is_summary),
+    }
+}
+
+/// The internal-node half of [`check_invariants`] for block `i` of node
+/// `v`: Lemma 4, Invariant 7 and, at the root, Lemma 16.
+fn check_inner_block<T>(
+    queue: &Queue<T>,
+    v: usize,
+    i: usize,
+    blk: &InnerBlock,
+    prev: &InnerBlock,
+) -> Result<(), String>
+where
+    T: Clone + Send + Sync,
+{
+    let topo = queue.topology();
+    // Lemma 4: interval ends are monotone.
+    if blk.endleft < prev.endleft || blk.endright < prev.endright {
+        return Err(format!("node {v}: interval ends decrease at block {i}"));
+    }
+    // Invariant 7: sums match the children's prefix sums at the interval
+    // ends.
+    let left = queue.node(topo.left(v));
+    let right = queue.node(topo.right(v));
+    let (le, re) = (blk.endleft, blk.endright);
+    let (Some(lb), Some(rb)) = (left.block(le), right.block(re)) else {
+        return Err(format!(
+            "node {v}: block {i} references missing subblocks ({le},{re})"
+        ));
+    };
+    if blk.sumenq != lb.sumenq + rb.sumenq || blk.sumdeq != lb.sumdeq + rb.sumdeq {
+        return Err(format!("node {v}: Invariant 7 violated at block {i}"));
+    }
+    if v == topo.root() {
+        // Lemma 16: size recurrence.
+        let numenq = blk.sumenq - prev.sumenq;
+        let numdeq = blk.sumdeq - prev.sumdeq;
+        let expect = (prev.size() + numenq).saturating_sub(numdeq);
+        if blk.size() != expect {
+            return Err(format!(
+                "root: size {} != max(0,{}+{}-{}) at block {i}",
+                blk.size(),
+                prev.size(),
+                numenq,
+                numdeq
+            ));
         }
     }
     Ok(())
@@ -493,15 +549,22 @@ where
 {
     let _guard = queue.read_guard();
     let topo = *queue.topology();
-    let mut bytes = 0;
-    for v in 1..topo.len() {
-        let node = queue.node(v);
-        bytes += node.blocks.heap_bytes();
-        let mut i = node.boundary();
-        while let Some(b) = node.block(i) {
-            bytes += std::mem::size_of_val(b) + std::mem::size_of_val(b.elements());
-            i += 1;
-        }
-    }
-    bytes
+    (1..topo.len())
+        .map(|v| match queue.node(v) {
+            NodeRef::Inner(node) => {
+                node.blocks.heap_bytes()
+                    + installed(node)
+                        .map(|(_, b)| std::mem::size_of_val(b))
+                        .sum::<usize>()
+            }
+            NodeRef::Leaf(node) => {
+                node.blocks.heap_bytes()
+                    + installed(node)
+                        .map(|(_, b)| {
+                            std::mem::size_of_val(b) + std::mem::size_of_val(b.elements())
+                        })
+                        .sum::<usize>()
+            }
+        })
+        .sum()
 }

@@ -5,8 +5,8 @@ use wfqueue_sync::atomic::{AtomicUsize, Ordering};
 
 use wfqueue_metrics as metrics;
 
-use super::block::Block;
-use super::node::Node;
+use super::block::{InnerBlock, LeafBlock};
+use super::node::{Node, NodeRef};
 use super::reclaim::{ReclaimPolicy, ReclaimState, ReclaimStats};
 use crate::topology::Topology;
 
@@ -43,8 +43,12 @@ use crate::topology::Topology;
 /// ```
 pub struct Queue<T> {
     topo: Topology,
-    /// Nodes indexed by tree position (`1..topo.len()`; position 0 unused).
-    nodes: Vec<Node<T>>,
+    /// The root and the other internal nodes, at tree positions
+    /// `1..leaf_slots`: position `v` is at index `v - 1`.
+    inner: Vec<Node<InnerBlock>>,
+    /// The leaves, at tree positions `leaf_slots..2·leaf_slots`: position
+    /// `v` is at index `v - leaf_slots`.
+    leaves: Vec<Node<LeafBlock<T>>>,
     next_pid: AtomicUsize,
     /// Reclamation policy + hazard state (quiescent when the policy is
     /// [`ReclaimPolicy::Off`]).
@@ -73,14 +77,7 @@ impl<T: Clone + Send + Sync> Queue<T> {
     /// ```
     #[must_use]
     pub fn new(num_processes: usize) -> Self {
-        let topo = Topology::new(num_processes);
-        let nodes = (0..topo.len()).map(|_| Node::new()).collect();
-        Queue {
-            topo,
-            nodes,
-            next_pid: AtomicUsize::new(0),
-            reclaim: ReclaimState::new(ReclaimPolicy::Off, num_processes),
-        }
+        Self::build(num_processes, ReclaimPolicy::Off)
     }
 
     /// Creates a queue with an explicit [`ReclaimPolicy`].
@@ -111,11 +108,16 @@ impl<T: Clone + Send + Sync> Queue<T> {
     where
         T: 'static,
     {
+        Self::build(num_processes, policy)
+    }
+
+    fn build(num_processes: usize, policy: ReclaimPolicy) -> Self {
         let topo = Topology::new(num_processes);
-        let nodes = (0..topo.len()).map(|_| Node::new()).collect();
+        let slots = topo.leaf_slots();
         Queue {
             topo,
-            nodes,
+            inner: (1..slots).map(|_| Node::new()).collect(),
+            leaves: (0..slots).map(|_| Node::new()).collect(),
             next_pid: AtomicUsize::new(0),
             reclaim: ReclaimState::new(policy, num_processes),
         }
@@ -187,8 +189,7 @@ impl<T: Clone + Send + Sync> Queue<T> {
         // we hold them (replaced/unlinked blocks are epoch-deferred, and
         // summary replacements are scalar-identical anyway).
         let _guard = self.read_guard();
-        let root = self.topo.root();
-        let node = self.node(root);
+        let node = self.root_node();
         loop {
             // `head` may lag arbitrarily many installs behind by the time
             // we probe (reading `head` and probing `blocks` are two
@@ -267,18 +268,38 @@ impl<T: Clone + Send + Sync> Queue<T> {
         &self.topo
     }
 
-    pub(crate) fn node(&self, v: usize) -> &Node<T> {
-        &self.nodes[v]
+    /// The node at tree position `v`, whichever its kind.
+    pub(crate) fn node(&self, v: usize) -> NodeRef<'_, T> {
+        if self.topo.is_leaf(v) {
+            NodeRef::Leaf(self.leaf_node(v))
+        } else {
+            NodeRef::Inner(self.inner_node(v))
+        }
+    }
+
+    /// The internal node at tree position `v`.
+    pub(crate) fn inner_node(&self, v: usize) -> &Node<InnerBlock> {
+        &self.inner[v - 1]
+    }
+
+    /// The leaf at tree position `v`.
+    pub(crate) fn leaf_node(&self, v: usize) -> &Node<LeafBlock<T>> {
+        &self.leaves[v - self.topo.leaf_slots()]
+    }
+
+    /// The root node.
+    pub(crate) fn root_node(&self) -> &Node<InnerBlock> {
+        self.inner_node(self.topo.root())
     }
 
     /// `Enqueue(e)` — Figure 4 lines 1–4.
     fn enqueue(&self, pid: usize, element: T) {
         let op = self.begin_op(pid);
         let leaf = self.topo.leaf_of(pid);
-        let node = self.node(leaf);
+        let node = self.leaf_node(leaf);
         let h = node.head();
         let prev = node.block_installed(h - 1, "Invariant 3: blocks[head-1] is installed");
-        let block = Block::leaf_enqueue(element, prev.sumenq, prev.sumdeq);
+        let block = LeafBlock::enqueue(element, prev.sumenq, prev.sumdeq);
         self.append(leaf, h, block);
         self.end_op(pid, op);
     }
@@ -288,10 +309,10 @@ impl<T: Clone + Send + Sync> Queue<T> {
         let op = self.begin_op(pid);
         let floor = op.as_ref().map_or(0, super::reclaim::OpGuard::floor);
         let leaf = self.topo.leaf_of(pid);
-        let node = self.node(leaf);
+        let node = self.leaf_node(leaf);
         let h = node.head();
         let prev = node.block_installed(h - 1, "Invariant 3: blocks[head-1] is installed");
-        let block = Block::leaf_dequeue(prev.sumenq, prev.sumdeq);
+        let block = LeafBlock::dequeue(prev.sumenq, prev.sumdeq);
         self.append(leaf, h, block);
         let (b, i) = self.index_dequeue(leaf, h, 1);
         let response = self.find_response(b, i, floor);
@@ -309,10 +330,10 @@ impl<T: Clone + Send + Sync> Queue<T> {
         }
         let op = self.begin_op(pid);
         let leaf = self.topo.leaf_of(pid);
-        let node = self.node(leaf);
+        let node = self.leaf_node(leaf);
         let h = node.head();
         let prev = node.block_installed(h - 1, "Invariant 3: blocks[head-1] is installed");
-        let block = Block::leaf_enqueue_batch(elements, prev.sumenq, prev.sumdeq);
+        let block = LeafBlock::enqueue_batch(elements, prev.sumenq, prev.sumdeq);
         self.append(leaf, h, block);
         self.end_op(pid, op);
     }
@@ -335,10 +356,10 @@ impl<T: Clone + Send + Sync> Queue<T> {
         let op = self.begin_op(pid);
         let floor = op.as_ref().map_or(0, super::reclaim::OpGuard::floor);
         let leaf = self.topo.leaf_of(pid);
-        let node = self.node(leaf);
+        let node = self.leaf_node(leaf);
         let h = node.head();
         let prev = node.block_installed(h - 1, "Invariant 3: blocks[head-1] is installed");
-        let block = Block::leaf_dequeue_batch(count, prev.sumenq, prev.sumdeq);
+        let block = LeafBlock::dequeue_batch(count, prev.sumenq, prev.sumdeq);
         self.append(leaf, h, block);
         let (b, i) = self.index_dequeue(leaf, h, 1);
         let responses = (0..count)
@@ -359,9 +380,9 @@ impl<T: Clone + Send + Sync> Queue<T> {
     /// `super` set; a bare increment at the leaf would leave `super` unset
     /// whenever no concurrent `Refresh` happens to observe the block first,
     /// and `IndexDequeue` (line 72) reads `super` at the leaf level.
-    fn append(&self, leaf: usize, h: usize, block: Block<T>) {
+    fn append(&self, leaf: usize, h: usize, block: LeafBlock<T>) {
         metrics::record_block_alloc();
-        self.node(leaf)
+        self.leaf_node(leaf)
             .blocks
             .try_install(h, Box::new(block))
             .ok()
@@ -389,7 +410,7 @@ impl<T: Clone + Send + Sync> Queue<T> {
     /// `Refresh(v)` — Figure 4 lines 24–39. Returns whether the CAS
     /// installed our block (or there was nothing to propagate).
     fn refresh(&self, v: usize) -> bool {
-        let node = self.node(v);
+        let node = self.inner_node(v);
         let h = node.head();
         // Help children catch up so CreateBlock sees their latest blocks
         // (lines 26–31).
@@ -418,7 +439,7 @@ impl<T: Clone + Send + Sync> Queue<T> {
 
     /// `CreateBlock(v, i)` — Figure 4 lines 40–57. Returns `None` if the
     /// children contain no new operations.
-    fn create_block(&self, v: usize, i: usize) -> Option<Block<T>> {
+    fn create_block(&self, v: usize, i: usize) -> Option<InnerBlock> {
         let left = self.node(self.topo.left(v));
         let right = self.node(self.topo.right(v));
         let endleft = left.head() - 1;
@@ -427,7 +448,7 @@ impl<T: Clone + Send + Sync> Queue<T> {
         let rsum = right.block_installed(endright, "Invariant 3: blocks[head-1] is installed");
         let sumenq = lsum.sumenq + rsum.sumenq;
         let sumdeq = lsum.sumdeq + rsum.sumdeq;
-        let prev = self.node(v).block_installed(
+        let prev = self.inner_node(v).block_installed(
             i - 1,
             "Invariant 3: blocks[h-1] was installed when h was read",
         );
@@ -445,14 +466,14 @@ impl<T: Clone + Send + Sync> Queue<T> {
         } else {
             0
         };
-        Some(Block::internal(sumenq, sumdeq, endleft, endright, size))
+        Some(InnerBlock::new(sumenq, sumdeq, endleft, endright, size))
     }
 
     /// `Advance(v, h)` — Figure 4 lines 58–64: set `blocks[h].super` from
     /// the parent's `head`, then advance `v.head` from `h` to `h + 1`.
     fn advance(&self, v: usize, h: usize) {
         if v != self.topo.root() {
-            let parent_head = self.node(self.topo.parent(v)).head();
+            let parent_head = self.inner_node(self.topo.parent(v)).head();
             let block = self
                 .node(v)
                 .block_installed(h, "Advance is only called once blocks[h] is installed");
@@ -467,7 +488,7 @@ impl<T: Clone + Send + Sync> fmt::Debug for Queue<T> {
         f.debug_struct("unbounded::Queue")
             .field("num_processes", &self.topo.num_processes())
             .field("registered", &self.next_pid.load(Ordering::Relaxed))
-            .field("root_head", &self.node(self.topo.root()).head())
+            .field("root_head", &self.root_node().head())
             .field("reclaim", &self.reclaim.policy())
             .finish()
     }

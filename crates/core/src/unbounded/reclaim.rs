@@ -7,7 +7,7 @@
 //! per-operation logic: once a prefix of root blocks is provably dead, the
 //! prefix — and the subtree blocks that fed it — is unlinked and handed to
 //! the vendored `crossbeam-epoch` for deferred destruction, with a *summary
-//! sentinel* (`Block::summary_of`: the replaced block's scalar fields,
+//! sentinel* (`Block::summary`: the replaced block's scalar fields,
 //! payload dropped) left at each node's new boundary so every prefix-sum
 //! and interval computation that touches the boundary still resolves
 //! exactly. The slot-storage chunks lying wholly below each new boundary,
@@ -15,7 +15,9 @@
 //! ([`SegVec::take_chunks_below`](wfqueue_segvec::SegVec::take_chunks_below)),
 //! are deferred the same way, so the tree's memory follows what is live,
 //! not its history. Only each node's page table still grows, by one 8-byte
-//! pointer per 4096 slots.
+//! pointer per 4096 slots. A pass defers everything it unlinked, across
+//! all nodes, as one batch: one `defer_destroy` per pass, not one per
+//! block, because each deferral takes the epoch shim's process-wide lock.
 //!
 //! # When is a root block dead?
 //!
@@ -52,8 +54,9 @@
 //! that reader unpins — which also covers introspection (`dump`,
 //! `check_invariants`, `approx_len`), whose scans are not bounded by the
 //! hindex protocol. Unlinked blocks and released chunks and pages are
-//! passed to [`crossbeam_epoch::Guard::defer_destroy`] and freed once every
-//! guard pinned before the unlink has dropped. A chunk is released only
+//! passed to [`crossbeam_epoch::Guard::defer_destroy`], in one batch per
+//! pass that is deferred after the pass's last unlink, and freed once every
+//! guard pinned before that deferral has dropped. A chunk is released only
 //! when all its slots lie below the node's boundary and were already
 //! unlinked, and a page only when all its chunks are; the chunk holding
 //! the boundary summary stays, with its page, so an operation (which never
@@ -96,6 +99,7 @@ use crossbeam_utils::CachePadded;
 use wfqueue_metrics as metrics;
 
 use super::block::Block;
+use super::node::{Node, NodeRef};
 use super::queue::Queue;
 
 /// Hazard value meaning "no operation in flight on this handle".
@@ -302,7 +306,7 @@ impl<T: Clone + Send + Sync> Queue<T> {
         let ReclaimPolicy::EveryKRootBlocks(k) = self.reclaim().policy() else {
             return;
         };
-        let head = self.node(self.topology().root()).head_untracked();
+        let head = self.root_node().head_untracked();
         let last = self.reclaim().last_attempt_head.load(Ordering::Relaxed);
         if head >= last.saturating_add(k) {
             self.reclaim_with(guard);
@@ -368,9 +372,7 @@ impl<T: Clone + Send + Sync> Queue<T> {
     /// documented in the module docs.
     fn truncate_locked(&self, guard: &Guard) -> usize {
         let st = self.reclaim();
-        let topo = self.topology();
-        let root = topo.root();
-        let node = self.node(root);
+        let node = self.root_node();
         let head = node.head_untracked();
         st.last_attempt_head.store(head, Ordering::Relaxed);
         // The newest root block guaranteed installed (Invariant 3).
@@ -434,8 +436,22 @@ impl<T: Clone + Send + Sync> Queue<T> {
         if cut <= node.boundary() {
             return 0;
         }
-        let mut freed = 0;
-        self.truncate_node(root, cut, guard, &mut freed);
+        // Each root block cut fed at least one block on every level below
+        // it, so the batch is sized for that up front: a buffer regrown
+        // entry by entry passes through every small size class, and glibc
+        // keeps freed small buffers in per-thread caches that count as
+        // heap in use.
+        let levels = self.topology().height() + 1;
+        let mut retired = Retired::with_capacity((cut - node.boundary()) * levels);
+        self.truncate_node(self.topology().root(), cut, &mut retired);
+        let freed = retired.freed;
+        // The one deferral of the pass, after its last unlink.
+        // SAFETY: every pointer in the batch was unlinked above from the
+        // only shared path to it and is owned by the batch alone; readers
+        // that looked one up before its unlink are pinned, and no operation
+        // indexes below its hindex - 1 >= the cut. `Shared::from_ptr` is
+        // fed a pointer that came from `Box::into_raw`.
+        unsafe { guard.defer_destroy(Shared::from_ptr(Box::into_raw(Box::new(retired)))) };
         st.truncations.fetch_add(1, Ordering::Relaxed);
         st.reclaimed_blocks.fetch_add(freed, Ordering::Relaxed);
         freed
@@ -443,61 +459,135 @@ impl<T: Clone + Send + Sync> Queue<T> {
 
     /// Truncates node `v` up to (and including, as a summary) index `cut`,
     /// then recurses into the subtree along the summary's interval ends.
-    fn truncate_node(&self, v: usize, cut: usize, guard: &Guard, freed: &mut usize) {
-        let node = self.node(v);
-        let old = node.boundary();
-        if cut <= old {
-            // Nothing new at this node, hence nothing new below it either:
-            // interval ends are monotone (Lemma 4), so an unchanged cut here
-            // reproduces the childrens' existing cuts.
-            return;
-        }
-        let blk = node
-            .block_untracked(cut)
-            .expect("truncation cuts inside the subblock closure of installed root blocks");
-        // Replace blocks[cut] with its summary, then unlink the dead prefix
-        // [old, cut). Readers that already hold the old references are
-        // protected by their epoch pins; readers arriving later see the
-        // scalar-identical summary and never index below their hindex - 1
-        // >= cut (for operations) or below `boundary` (for introspection).
-        let summary = Block::summary_of(blk);
-        if let Some(old_ptr) = node.blocks.replace_raw(cut, Box::new(summary)) {
-            // SAFETY: `old_ptr` was just unlinked from the only shared path
-            // to it and is deferred exactly once; `Shared::from_ptr` is fed
-            // a pointer that came from `Box::into_raw`.
-            unsafe { guard.defer_destroy(Shared::from_ptr(old_ptr)) };
-        }
-        for i in old..cut {
-            if let Some(dead) = node.blocks.take_raw(i) {
-                *freed += 1;
-                // SAFETY: as above — unlinked once, deferred once.
-                unsafe { guard.defer_destroy(Shared::from_ptr(dead)) };
+    /// What it unlinks goes into `retired`.
+    fn truncate_node(&self, v: usize, cut: usize, retired: &mut Retired) {
+        match self.node(v) {
+            NodeRef::Leaf(node) => {
+                truncate_blocks(node, cut, retired);
+            }
+            NodeRef::Inner(node) => {
+                if let Some(blk) = truncate_blocks(node, cut, retired) {
+                    // `blk` stays valid: it sits in the unfreed batch. Its
+                    // interval ends delimit exactly the child blocks that
+                    // fed the truncated root prefix.
+                    let topo = self.topology();
+                    self.truncate_node(topo.left(v), blk.endleft, retired);
+                    self.truncate_node(topo.right(v), blk.endright, retired);
+                }
             }
         }
-        node.set_boundary(cut);
-        // Every slot of a chunk wholly below `cut` was taken above or by an
-        // earlier pass, so the chunks — and the pages whose chunks all lie
-        // below `cut` — now hold nothing but dead storage. The chunk
-        // holding the summary at `cut` stays, and so does its page.
-        let released = node.blocks.take_chunks_below(cut);
-        for chunk in released.chunks {
-            // SAFETY: the chunk was unlinked by `take_chunks_below` and is
-            // deferred exactly once; readers that looked it up before the
-            // unlink are pinned, and no operation indexes below its hindex
-            // - 1 >= cut.
-            unsafe { guard.defer_destroy(Shared::from_ptr(chunk)) };
+    }
+}
+
+/// Cuts one node's prefix at `cut`: replaces `blocks[cut]` with its
+/// summary, unlinks the dead prefix `[boundary, cut)` and the slot storage
+/// wholly below `cut`, and moves all of it into `retired`. Returns the
+/// block that the summary replaced, or `None` if the node was already cut
+/// at or above `cut`.
+fn truncate_blocks<'a, B: Block>(
+    node: &'a Node<B>,
+    cut: usize,
+    retired: &mut Retired,
+) -> Option<&'a B> {
+    let old = node.boundary();
+    if cut <= old {
+        // Nothing new at this node, hence nothing new below it either:
+        // interval ends are monotone (Lemma 4), so an unchanged cut here
+        // reproduces the childrens' existing cuts.
+        return None;
+    }
+    let blk = node
+        .block_untracked(cut)
+        .expect("truncation cuts inside the subblock closure of installed root blocks");
+    // Replace blocks[cut] with its summary, then unlink the dead prefix
+    // [old, cut). Readers that already hold the old references are
+    // protected by their epoch pins; readers arriving later see the
+    // scalar-identical summary and never index below their hindex - 1
+    // >= cut (for operations) or below `boundary` (for introspection).
+    if let Some(replaced) = node.blocks.replace_raw(cut, Box::new(blk.summary())) {
+        // SAFETY: `replace_raw` just unlinked it from its only slot.
+        unsafe { retired.push(replaced) };
+    }
+    for i in old..cut {
+        if let Some(block) = node.blocks.take_raw(i) {
+            retired.freed += 1;
+            // SAFETY: `take_raw` just unlinked it from its only slot.
+            unsafe { retired.push(block) };
         }
-        for page in released.pages {
-            // SAFETY: as for the chunks; dropping the page drops the
-            // chunks still linked in it, which nobody else holds.
-            unsafe { guard.defer_destroy(Shared::from_ptr(page)) };
+    }
+    node.set_boundary(cut);
+    // Every slot of a chunk wholly below `cut` was taken above or by an
+    // earlier pass, so the chunks — and the pages whose chunks all lie
+    // below `cut` — now hold nothing but dead storage. The chunk holding
+    // the summary at `cut` stays, and so does its page.
+    let released = node.blocks.take_chunks_below(cut);
+    for chunk in released.chunks {
+        // SAFETY: `take_chunks_below` just unlinked it.
+        unsafe { retired.push(chunk) };
+    }
+    for page in released.pages {
+        // SAFETY: `take_chunks_below` just unlinked it; dropping a page
+        // drops the chunks still linked in it, which nobody else holds.
+        unsafe { retired.push(page) };
+    }
+    Some(blk)
+}
+
+/// What one truncation pass unlinked, from every node: blocks of both
+/// kinds, slot chunks and pages. It is deferred as one batch, and
+/// dropping it frees them.
+struct Retired {
+    unlinked: Vec<Unlinked>,
+    /// Blocks unlinked (summaries that replaced a block are not counted).
+    freed: usize,
+}
+
+/// One unlinked allocation and the function that frees it.
+struct Unlinked {
+    ptr: *mut (),
+    // SAFETY: called once, on `ptr`, by `Retired`'s `Drop` (see `push`).
+    free: unsafe fn(*mut ()),
+}
+
+impl Retired {
+    fn with_capacity(capacity: usize) -> Self {
+        Retired {
+            unlinked: Vec::with_capacity(capacity),
+            freed: 0,
         }
-        if !self.topology().is_leaf(v) {
-            // `blk` stays valid: it is deferred, not freed, while our guard
-            // is pinned. Its interval ends delimit exactly the child blocks
-            // that fed the truncated root prefix.
-            self.truncate_node(self.topology().left(v), blk.endleft, guard, freed);
-            self.truncate_node(self.topology().right(v), blk.endright, guard, freed);
+    }
+
+    /// Adds `ptr` to the batch, which frees it when dropped.
+    ///
+    /// # Safety
+    ///
+    /// `ptr` came from `Box::into_raw`, is unlinked from every shared path,
+    /// and is owned by this batch alone from now on.
+    unsafe fn push<X>(&mut self, ptr: *mut X) {
+        self.unlinked.push(Unlinked {
+            ptr: ptr.cast(),
+            free: free_box::<X>,
+        });
+    }
+}
+
+/// Frees a box that was erased to `*mut ()`.
+///
+/// # Safety
+///
+/// `ptr` came from `Box::into_raw` of an `X` and is freed only here, once.
+unsafe fn free_box<X>(ptr: *mut ()) {
+    // SAFETY: the caller's contract.
+    drop(unsafe { Box::from_raw(ptr.cast::<X>()) });
+}
+
+impl Drop for Retired {
+    fn drop(&mut self) {
+        for u in &self.unlinked {
+            // SAFETY: `push`'s contract makes the batch the sole owner of
+            // each box; the batch is dropped only by the epoch shim, after
+            // every reader pinned before its deferral has unpinned.
+            unsafe { (u.free)(u.ptr) };
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Navigation through the ordering tree: `IndexDequeue`, `FindResponse`
 //! and `GetEnqueue` (Figure 4 lines 65–118 of the paper).
 
-use super::block::Block;
+use super::block::Common;
 use super::queue::Queue;
 
 impl<T: Clone + Send + Sync> Queue<T> {
@@ -32,7 +32,7 @@ impl<T: Clone + Send + Sync> Queue<T> {
         v: usize,
         b: usize,
         i: usize,
-        sum: impl Fn(&Block<T>) -> usize,
+        sum: impl Fn(&Common) -> usize,
     ) -> (usize, usize) {
         let topo = self.topology();
         let (mut v, mut b, mut i) = (v, b, i);
@@ -50,7 +50,7 @@ impl<T: Clone + Send + Sync> Queue<T> {
             // super may lag the true superblock index by one (Lemma 12);
             // line 73 corrects it.
             let at_sup = self
-                .node(parent)
+                .inner_node(parent)
                 .block_installed(sup, "Lemma 12: super or super+1 is the superblock index");
             if b > at_sup.end(is_left) {
                 sup += 1;
@@ -60,7 +60,7 @@ impl<T: Clone + Send + Sync> Queue<T> {
             // (E for enqueues), where our node's contribution starts right
             // after the previous superblock's end in our direction.
             let sup_prev = self
-                .node(parent)
+                .inner_node(parent)
                 .block_installed(sup - 1, "Invariant 3: predecessor of the superblock");
             let my_start = sup_prev.end(is_left);
             let before_mine = sum(self
@@ -78,7 +78,7 @@ impl<T: Clone + Send + Sync> Queue<T> {
                 // from v's left sibling also precede the required dequeue").
                 let sibling = topo.sibling(v);
                 let sup_cur = self
-                    .node(parent)
+                    .inner_node(parent)
                     .block_installed(sup, "superblock is installed");
                 let sib_end = sum(self
                     .node(sibling)
@@ -104,7 +104,7 @@ impl<T: Clone + Send + Sync> Queue<T> {
     /// there loses nothing (see `unbounded::reclaim`).
     pub(crate) fn find_response(&self, b: usize, i: usize, floor: usize) -> Option<T> {
         let root = self.topology().root();
-        let node = self.node(root);
+        let node = self.root_node();
         let blk = node.block_installed(b, "FindResponse precondition: root block installed");
         let prev = node.block_installed(b - 1, "Invariant 3: root prefix installed");
         let numenq = blk.sumenq - prev.sumenq;
@@ -137,7 +137,7 @@ impl<T: Clone + Send + Sync> Queue<T> {
     /// replaced by a scalar-identical summary whose `sumenq` is still below
     /// any enqueue rank this search can be asked for.
     pub(crate) fn search_root_enqueue_block(&self, b: usize, e: usize, floor: usize) -> usize {
-        let node = self.node(self.topology().root());
+        let node = self.root_node();
         debug_assert!(e >= 1);
         // Find a lower fence `lo` with blocks[lo].sumenq < e (blocks[floor]
         // summarises only dead enqueues, so its sumenq < e and the loop
@@ -195,7 +195,7 @@ impl<T: Clone + Send + Sync> Queue<T> {
                 // E(blocks[b]) is simply elements[i - 1] (i = 1 for the
                 // paper's single-operation blocks).
                 let blk = self
-                    .node(v)
+                    .leaf_node(v)
                     .block_installed(b, "GetEnqueue precondition: leaf block installed");
                 return blk
                     .elements()
@@ -203,12 +203,9 @@ impl<T: Clone + Send + Sync> Queue<T> {
                     .cloned()
                     .expect("GetEnqueue lands on an enqueue block holding rank i");
             }
-            let blk = self
-                .node(v)
-                .block_installed(b, "GetEnqueue precondition: blocks[b] installed");
-            let prev = self
-                .node(v)
-                .block_installed(b - 1, "Invariant 3: prefix installed");
+            let node = self.inner_node(v);
+            let blk = node.block_installed(b, "GetEnqueue precondition: blocks[b] installed");
+            let prev = node.block_installed(b - 1, "Invariant 3: prefix installed");
             let (lc, rc) = (topo.left(v), topo.right(v));
             // Lines 101–106: how many of E(blocks[b])'s enqueues come from
             // the left child.

@@ -738,15 +738,15 @@ fn zero_reclaim_period_is_rejected() {
     let _ = Queue::<u64>::with_reclaim(1, ReclaimPolicy::EveryKRootBlocks(0));
 }
 
-/// Swaps `blocks[i]` of node `v` for `twin`, runs the invariant audit, and
+/// Swaps `blocks[i]` of `node` for `twin`, runs the invariant audit, and
 /// swaps the original back, returning the audit's verdict on the twin.
-fn audit_with_block_swapped(
+fn audit_with_block_swapped<B: super::block::Block>(
     q: &Queue<u64>,
-    v: usize,
+    node: &super::node::Node<B>,
     i: usize,
-    twin: super::block::Block<u64>,
+    twin: B,
 ) -> Result<(), String> {
-    let blocks = &q.node(v).blocks;
+    let blocks = &node.blocks;
     let original = blocks.replace_raw(i, Box::new(twin)).expect("installed");
     let verdict = introspect::check_invariants(q);
     // SAFETY: both pointers came from `Box::into_raw` and were just
@@ -763,7 +763,7 @@ fn audit_with_block_swapped(
 
 #[test]
 fn audits_require_an_intrinsic_summary_at_the_boundary() {
-    use super::block::Block;
+    use super::block::{Block, InnerBlock, LeafBlock};
 
     let q: Queue<u64> = Queue::with_reclaim(2, ReclaimPolicy::EveryKRootBlocks(1_000_000));
     let mut h = q.register().unwrap();
@@ -775,20 +775,36 @@ fn audits_require_an_intrinsic_summary_at_the_boundary() {
     assert!(q.try_reclaim() > 0);
     introspect::check_invariants(&q).unwrap();
 
-    let root = q.topology().root();
-    let node = q.node(root);
+    // The root: a non-summary block with the boundary summary's exact
+    // scalars, where only the summary bit tells them apart.
+    let node = q.root_node();
     let boundary = node.boundary();
     assert!(boundary > 0);
-    // A non-summary block with the boundary summary's exact scalars: only
-    // the payload tells them apart.
     let b = node.block(boundary).unwrap();
-    let twin = Block::internal(b.sumenq, b.sumdeq, b.endleft, b.endright, b.size());
-    let err = audit_with_block_swapped(&q, root, boundary, twin).unwrap_err();
+    let twin = InnerBlock::new(b.sumenq, b.sumdeq, b.endleft, b.endright, b.size());
+    let err = audit_with_block_swapped(&q, node, boundary, twin).unwrap_err();
     assert!(err.contains("is not a summary sentinel"), "{err}");
 
     // A summary above the boundary is rejected as well.
-    let above = Block::summary_of(node.block(boundary + 1).unwrap());
-    let err = audit_with_block_swapped(&q, root, boundary + 1, above).unwrap_err();
+    let above = node.block(boundary + 1).unwrap().summary();
+    let err = audit_with_block_swapped(&q, node, boundary + 1, above).unwrap_err();
+    assert!(err.contains("above the boundary"), "{err}");
+
+    // The same two cases on the handle's leaf, whose summary is marked
+    // by its empty payload: the twin is a dequeue batch with the
+    // summary's sums and `super`.
+    let leaf = q.leaf_node(q.topology().leaf_of(h.process_id()));
+    let boundary = leaf.boundary();
+    assert!(boundary > 0);
+    let b = leaf.block(boundary).unwrap();
+    assert!(b.sumdeq > 0);
+    let twin = LeafBlock::dequeue(b.sumenq, b.sumdeq - 1);
+    twin.try_set_sup(b.sup().unwrap());
+    let err = audit_with_block_swapped(&q, leaf, boundary, twin).unwrap_err();
+    assert!(err.contains("is not a summary sentinel"), "{err}");
+
+    let above = leaf.block(boundary + 1).unwrap().summary();
+    let err = audit_with_block_swapped(&q, leaf, boundary + 1, above).unwrap_err();
     assert!(err.contains("above the boundary"), "{err}");
 
     introspect::check_invariants(&q).unwrap();

@@ -72,8 +72,7 @@ impl<T: Clone + Send + Sync> WfVector<T> {
     /// (every element appended by a completed `append` is counted).
     #[must_use]
     pub fn len(&self) -> usize {
-        let root = self.inner.topology().root();
-        let node = self.inner.node(root);
+        let node = self.inner.root_node();
         let h = node.head();
         node.block_installed(h - 1, "Invariant 3: blocks[head-1] is installed")
             .sumenq
@@ -94,7 +93,7 @@ impl<T: Clone + Send + Sync> WfVector<T> {
     #[must_use]
     pub fn get(&self, position: usize) -> Option<T> {
         let root = self.inner.topology().root();
-        let node = self.inner.node(root);
+        let node = self.inner.root_node();
         let h = node.head();
         // The last installed root block bounds the visible prefix; `head`
         // may lag one behind an installed block, so probe `h` too.
@@ -139,7 +138,7 @@ impl<'v, T: Clone + Send + Sync> VectorHandle<'v, T> {
         let queue = self.inner.queue();
         let topo = queue.topology();
         let leaf = topo.leaf_of(self.inner.process_id());
-        let node = queue.node(leaf);
+        let node = queue.leaf_node(leaf);
         let h = node.head();
         // Perform the enqueue (appends leaf block at index h, propagates).
         self.inner.enqueue(value);
@@ -147,7 +146,7 @@ impl<'v, T: Clone + Send + Sync> VectorHandle<'v, T> {
         // enqueue of E(leaf.blocks[h]).
         let (b, i) = queue.index_enqueue(leaf, h, 1);
         let before = queue
-            .node(topo.root())
+            .root_node()
             .block_installed(b - 1, "Invariant 3: root prefix is installed")
             .sumenq;
         before + i - 1

@@ -8,7 +8,11 @@
 //! thread is running inside a `crate::model::explore` schedule; if so the
 //! operation is routed through the modeled memory system (which tracks
 //! happens-before and may serve *stale but legal* values to weakly-ordered
-//! loads), otherwise it falls through to the real atomic.
+//! loads), otherwise it falls through to the real atomic. The model keys
+//! each atomic by an identity that it carries inside itself (assigned on
+//! first modeled use), not by its address, so an atomic that moves — say,
+//! a struct built on the stack and then boxed — keeps its modeled history,
+//! and a new atomic at a freed address starts a fresh one.
 //!
 //! Only the operations the workspace actually uses are exposed; extending
 //! the surface is a one-line passthrough per method. `get_mut` /
@@ -37,6 +41,8 @@ macro_rules! int_atomic {
         #[derive(Debug, Default)]
         pub struct $name {
             inner: std::sync::atomic::$std,
+            #[cfg(feature = "model")]
+            id: crate::model::hooks::LocationId,
         }
 
         #[allow(
@@ -52,13 +58,9 @@ macro_rules! int_atomic {
             pub const fn new(v: $int) -> Self {
                 Self {
                     inner: std::sync::atomic::$std::new(v),
+                    #[cfg(feature = "model")]
+                    id: crate::model::hooks::LocationId::new(),
                 }
-            }
-
-            #[cfg(feature = "model")]
-            #[inline]
-            fn addr(&self) -> usize {
-                std::ptr::from_ref(self) as usize
             }
 
             /// Loads the current value with the given ordering.
@@ -66,7 +68,7 @@ macro_rules! int_atomic {
             pub fn load(&self, order: Ordering) -> $int {
                 #[cfg(feature = "model")]
                 if let Some(v) = crate::model::hooks::atomic_load(
-                    self.addr(),
+                    &self.id,
                     || self.inner.load(Ordering::Relaxed) as u64,
                     order,
                 ) {
@@ -80,7 +82,7 @@ macro_rules! int_atomic {
             pub fn store(&self, val: $int, order: Ordering) {
                 #[cfg(feature = "model")]
                 if crate::model::hooks::atomic_store(
-                    self.addr(),
+                    &self.id,
                     || self.inner.load(Ordering::Relaxed) as u64,
                     val as u64,
                     order,
@@ -95,7 +97,7 @@ macro_rules! int_atomic {
             pub fn swap(&self, val: $int, order: Ordering) -> $int {
                 #[cfg(feature = "model")]
                 if let Some(v) = crate::model::hooks::atomic_rmw(
-                    self.addr(),
+                    &self.id,
                     || self.inner.load(Ordering::Relaxed) as u64,
                     &mut |_| val as u64,
                     order,
@@ -110,7 +112,7 @@ macro_rules! int_atomic {
             pub fn fetch_add(&self, val: $int, order: Ordering) -> $int {
                 #[cfg(feature = "model")]
                 if let Some(v) = crate::model::hooks::atomic_rmw(
-                    self.addr(),
+                    &self.id,
                     || self.inner.load(Ordering::Relaxed) as u64,
                     &mut |old| (old as $int).wrapping_add(val) as u64,
                     order,
@@ -125,7 +127,7 @@ macro_rules! int_atomic {
             pub fn fetch_sub(&self, val: $int, order: Ordering) -> $int {
                 #[cfg(feature = "model")]
                 if let Some(v) = crate::model::hooks::atomic_rmw(
-                    self.addr(),
+                    &self.id,
                     || self.inner.load(Ordering::Relaxed) as u64,
                     &mut |old| (old as $int).wrapping_sub(val) as u64,
                     order,
@@ -140,7 +142,7 @@ macro_rules! int_atomic {
             pub fn fetch_xor(&self, val: $int, order: Ordering) -> $int {
                 #[cfg(feature = "model")]
                 if let Some(v) = crate::model::hooks::atomic_rmw(
-                    self.addr(),
+                    &self.id,
                     || self.inner.load(Ordering::Relaxed) as u64,
                     &mut |old| ((old as $int) ^ val) as u64,
                     order,
@@ -162,7 +164,7 @@ macro_rules! int_atomic {
             ) -> Result<$int, $int> {
                 #[cfg(feature = "model")]
                 if let Some(r) = crate::model::hooks::atomic_cas(
-                    self.addr(),
+                    &self.id,
                     || self.inner.load(Ordering::Relaxed) as u64,
                     current as u64,
                     new as u64,
@@ -187,7 +189,7 @@ macro_rules! int_atomic {
             ) -> Result<$int, $int> {
                 #[cfg(feature = "model")]
                 if let Some(r) = crate::model::hooks::atomic_cas(
-                    self.addr(),
+                    &self.id,
                     || self.inner.load(Ordering::Relaxed) as u64,
                     current as u64,
                     new as u64,
@@ -222,7 +224,7 @@ macro_rules! int_atomic {
             #[inline]
             #[cfg(feature = "model")]
             pub fn into_inner(mut self) -> $int {
-                crate::model::hooks::forget_location(self.addr());
+                crate::model::hooks::forget_location(&self.id);
                 let v = *self.inner.get_mut();
                 // The underlying std atomic has no Drop of its own; skipping our
                 // Drop impl (which only deregisters the model location, already
@@ -235,9 +237,9 @@ macro_rules! int_atomic {
         #[cfg(feature = "model")]
         impl Drop for $name {
             fn drop(&mut self) {
-                // A later allocation may reuse this address; make sure the
-                // active model run (if any) does not alias its history.
-                crate::model::hooks::forget_location(self.addr());
+                // The active model run (if any) stops tracking the
+                // location; ids are never reused, so nothing aliases it.
+                crate::model::hooks::forget_location(&self.id);
             }
         }
     };
@@ -260,6 +262,8 @@ int_atomic!(
 #[derive(Debug, Default)]
 pub struct AtomicBool {
     inner: std::sync::atomic::AtomicBool,
+    #[cfg(feature = "model")]
+    id: crate::model::hooks::LocationId,
 }
 
 impl AtomicBool {
@@ -269,13 +273,9 @@ impl AtomicBool {
     pub const fn new(v: bool) -> Self {
         Self {
             inner: std::sync::atomic::AtomicBool::new(v),
+            #[cfg(feature = "model")]
+            id: crate::model::hooks::LocationId::new(),
         }
-    }
-
-    #[cfg(feature = "model")]
-    #[inline]
-    fn addr(&self) -> usize {
-        std::ptr::from_ref(self) as usize
     }
 
     /// Loads the current value with the given ordering.
@@ -283,7 +283,7 @@ impl AtomicBool {
     pub fn load(&self, order: Ordering) -> bool {
         #[cfg(feature = "model")]
         if let Some(v) = crate::model::hooks::atomic_load(
-            self.addr(),
+            &self.id,
             || u64::from(self.inner.load(Ordering::Relaxed)),
             order,
         ) {
@@ -297,7 +297,7 @@ impl AtomicBool {
     pub fn store(&self, val: bool, order: Ordering) {
         #[cfg(feature = "model")]
         if crate::model::hooks::atomic_store(
-            self.addr(),
+            &self.id,
             || u64::from(self.inner.load(Ordering::Relaxed)),
             u64::from(val),
             order,
@@ -312,7 +312,7 @@ impl AtomicBool {
     pub fn swap(&self, val: bool, order: Ordering) -> bool {
         #[cfg(feature = "model")]
         if let Some(v) = crate::model::hooks::atomic_rmw(
-            self.addr(),
+            &self.id,
             || u64::from(self.inner.load(Ordering::Relaxed)),
             &mut |_| u64::from(val),
             order,
@@ -334,7 +334,7 @@ impl AtomicBool {
     ) -> Result<bool, bool> {
         #[cfg(feature = "model")]
         if let Some(r) = crate::model::hooks::atomic_cas(
-            self.addr(),
+            &self.id,
             || u64::from(self.inner.load(Ordering::Relaxed)),
             u64::from(current),
             u64::from(new),
@@ -365,7 +365,7 @@ impl AtomicBool {
     #[inline]
     #[cfg(feature = "model")]
     pub fn into_inner(mut self) -> bool {
-        crate::model::hooks::forget_location(self.addr());
+        crate::model::hooks::forget_location(&self.id);
         let v = *self.inner.get_mut();
         // The underlying std atomic has no Drop of its own; skipping our
         // Drop impl (which only deregisters the model location, already
@@ -378,7 +378,7 @@ impl AtomicBool {
 #[cfg(feature = "model")]
 impl Drop for AtomicBool {
     fn drop(&mut self) {
-        crate::model::hooks::forget_location(self.addr());
+        crate::model::hooks::forget_location(&self.id);
     }
 }
 
@@ -389,6 +389,8 @@ impl Drop for AtomicBool {
 #[derive(Debug)]
 pub struct AtomicPtr<T> {
     inner: std::sync::atomic::AtomicPtr<T>,
+    #[cfg(feature = "model")]
+    id: crate::model::hooks::LocationId,
 }
 
 impl<T> Default for AtomicPtr<T> {
@@ -404,13 +406,9 @@ impl<T> AtomicPtr<T> {
     pub const fn new(p: *mut T) -> Self {
         Self {
             inner: std::sync::atomic::AtomicPtr::new(p),
+            #[cfg(feature = "model")]
+            id: crate::model::hooks::LocationId::new(),
         }
-    }
-
-    #[cfg(feature = "model")]
-    #[inline]
-    fn addr(&self) -> usize {
-        std::ptr::from_ref(self) as usize
     }
 
     /// Loads the current pointer with the given ordering.
@@ -418,7 +416,7 @@ impl<T> AtomicPtr<T> {
     pub fn load(&self, order: Ordering) -> *mut T {
         #[cfg(feature = "model")]
         if let Some(v) = crate::model::hooks::atomic_load(
-            self.addr(),
+            &self.id,
             || self.inner.load(Ordering::Relaxed) as u64,
             order,
         ) {
@@ -432,7 +430,7 @@ impl<T> AtomicPtr<T> {
     pub fn store(&self, p: *mut T, order: Ordering) {
         #[cfg(feature = "model")]
         if crate::model::hooks::atomic_store(
-            self.addr(),
+            &self.id,
             || self.inner.load(Ordering::Relaxed) as u64,
             p as u64,
             order,
@@ -447,7 +445,7 @@ impl<T> AtomicPtr<T> {
     pub fn swap(&self, p: *mut T, order: Ordering) -> *mut T {
         #[cfg(feature = "model")]
         if let Some(v) = crate::model::hooks::atomic_rmw(
-            self.addr(),
+            &self.id,
             || self.inner.load(Ordering::Relaxed) as u64,
             &mut |_| p as u64,
             order,
@@ -469,7 +467,7 @@ impl<T> AtomicPtr<T> {
     ) -> Result<*mut T, *mut T> {
         #[cfg(feature = "model")]
         if let Some(r) = crate::model::hooks::atomic_cas(
-            self.addr(),
+            &self.id,
             || self.inner.load(Ordering::Relaxed) as u64,
             current as u64,
             new as u64,
@@ -504,7 +502,7 @@ impl<T> AtomicPtr<T> {
     #[inline]
     #[cfg(feature = "model")]
     pub fn into_inner(mut self) -> *mut T {
-        crate::model::hooks::forget_location(self.addr());
+        crate::model::hooks::forget_location(&self.id);
         let v = *self.inner.get_mut();
         // The underlying std atomic has no Drop of its own; skipping our
         // Drop impl (which only deregisters the model location, already
@@ -517,7 +515,7 @@ impl<T> AtomicPtr<T> {
 #[cfg(feature = "model")]
 impl<T> Drop for AtomicPtr<T> {
     fn drop(&mut self) {
-        crate::model::hooks::forget_location(self.addr());
+        crate::model::hooks::forget_location(&self.id);
     }
 }
 

@@ -563,14 +563,14 @@ fn finish_thread(shared: &ExecShared, g: &mut ExecState, tid: usize) {
 // Memory operations
 // ---------------------------------------------------------------------------
 
-fn ensure_location(g: &mut ExecState, addr: usize, init: u64) -> usize {
-    if let Some(loc) = g.mem.get(&addr) {
+fn ensure_location(g: &mut ExecState, id: usize, init: u64) -> usize {
+    if let Some(loc) = g.mem.get(&id) {
         return loc.lid;
     }
     let lid = g.next_lid;
     g.next_lid += 1;
     g.mem.insert(
-        addr,
+        id,
         Location {
             lid,
             stores: vec![StoreMsg {
@@ -599,13 +599,13 @@ fn is_release(order: Ordering) -> bool {
     )
 }
 
-/// The smallest modification-order index `tid` may read at `addr`:
+/// The smallest modification-order index `tid` may read at `id`:
 /// its coherence floor, raised by every store it (transitively) knows
 /// happened.
-fn read_floor(g: &ExecState, tid: usize, addr: usize) -> usize {
+fn read_floor(g: &ExecState, tid: usize, id: usize) -> usize {
     let th = &g.threads[tid];
-    let mut floor = th.floors.get(&addr).copied().unwrap_or(0);
-    let stores = &g.mem[&addr].stores;
+    let mut floor = th.floors.get(&id).copied().unwrap_or(0);
+    let stores = &g.mem[&id].stores;
     for (j, s) in stores.iter().enumerate().skip(floor + 1) {
         if let Some((wtid, seq)) = s.event {
             if th.clock.contains(wtid, seq) {
@@ -616,9 +616,9 @@ fn read_floor(g: &ExecState, tid: usize, addr: usize) -> usize {
     floor
 }
 
-/// Applies the read side of `order` for message `idx` at `addr`.
-fn apply_read_effects(g: &mut ExecState, tid: usize, addr: usize, idx: usize, order: Ordering) {
-    let rel = g.mem[&addr].stores[idx].rel.clone();
+/// Applies the read side of `order` for message `idx` at `id`.
+fn apply_read_effects(g: &mut ExecState, tid: usize, id: usize, idx: usize, order: Ordering) {
+    let rel = g.mem[&id].stores[idx].rel.clone();
     let th = &mut g.threads[tid];
     if let Some(rel) = rel {
         th.pending_acquire.join(&rel);
@@ -626,14 +626,14 @@ fn apply_read_effects(g: &mut ExecState, tid: usize, addr: usize, idx: usize, or
             th.clock.join(&rel);
         }
     }
-    th.floors.insert(addr, idx);
+    th.floors.insert(id, idx);
 }
 
-/// Appends a store message for `tid` at `addr` and returns its index.
+/// Appends a store message for `tid` at `id` and returns its index.
 fn apply_write(
     g: &mut ExecState,
     tid: usize,
-    addr: usize,
+    id: usize,
     val: u64,
     order: Ordering,
     continue_rel: Option<VClock>,
@@ -651,10 +651,10 @@ fn apply_write(
         rel,
         event: Some((tid, seq)),
     };
-    let stores = &mut g.mem.get_mut(&addr).expect("location registered").stores;
+    let stores = &mut g.mem.get_mut(&id).expect("location registered").stores;
     stores.push(msg);
     let idx = stores.len() - 1;
-    g.threads[tid].floors.insert(addr, idx);
+    g.threads[tid].floors.insert(id, idx);
     idx
 }
 
@@ -675,23 +675,23 @@ fn sc_post_write(g: &mut ExecState, tid: usize, order: Ordering) {
     }
 }
 
-pub(super) fn op_load(h: &Handle, addr: usize, init: u64, order: Ordering) -> u64 {
+pub(super) fn op_load(h: &Handle, id: usize, init: u64, order: Ordering) -> u64 {
     let Some(mut g) = schedule_point(&h.shared, h.tid) else {
         return init;
     };
     let g = &mut *g;
-    let lid = ensure_location(g, addr, init);
+    let lid = ensure_location(g, id, init);
     sc_pre(g, h.tid, order);
-    let floor = read_floor(g, h.tid, addr);
-    let n = g.mem[&addr].stores.len();
+    let floor = read_floor(g, h.tid, id);
+    let n = g.mem[&id].stores.len();
     let span = n - floor;
     let idx = if span > 1 {
         floor + choose(&h.shared, g, span)
     } else {
         floor
     };
-    let val = g.mem[&addr].stores[idx].val;
-    apply_read_effects(g, h.tid, addr, idx, order);
+    let val = g.mem[&id].stores[idx].val;
+    apply_read_effects(g, h.tid, id, idx, order);
     let stale = if idx + 1 < n { " (stale)" } else { "" };
     g.oplog.push(format!(
         "T{} load L{lid} -> {val} ({order:?}){stale}",
@@ -700,14 +700,14 @@ pub(super) fn op_load(h: &Handle, addr: usize, init: u64, order: Ordering) -> u6
     val
 }
 
-pub(super) fn op_store(h: &Handle, addr: usize, init: u64, val: u64, order: Ordering) {
+pub(super) fn op_store(h: &Handle, id: usize, init: u64, val: u64, order: Ordering) {
     let Some(mut g) = schedule_point(&h.shared, h.tid) else {
         return;
     };
     let g = &mut *g;
-    let lid = ensure_location(g, addr, init);
+    let lid = ensure_location(g, id, init);
     sc_pre(g, h.tid, order);
-    apply_write(g, h.tid, addr, val, order, None);
+    apply_write(g, h.tid, id, val, order, None);
     sc_post_write(g, h.tid, order);
     g.oplog
         .push(format!("T{} store L{lid} = {val} ({order:?})", h.tid));
@@ -715,7 +715,7 @@ pub(super) fn op_store(h: &Handle, addr: usize, init: u64, val: u64, order: Orde
 
 pub(super) fn op_rmw(
     h: &Handle,
-    addr: usize,
+    id: usize,
     init: u64,
     f: &mut dyn FnMut(u64) -> u64,
     order: Ordering,
@@ -724,16 +724,16 @@ pub(super) fn op_rmw(
         return init;
     };
     let g = &mut *g;
-    let lid = ensure_location(g, addr, init);
+    let lid = ensure_location(g, id, init);
     sc_pre(g, h.tid, order);
     // An RMW is atomic: it always reads the newest store.
-    let last = g.mem[&addr].stores.len() - 1;
-    let old = g.mem[&addr].stores[last].val;
-    let continue_rel = g.mem[&addr].stores[last].rel.clone();
-    apply_read_effects(g, h.tid, addr, last, order);
+    let last = g.mem[&id].stores.len() - 1;
+    let old = g.mem[&id].stores[last].val;
+    let continue_rel = g.mem[&id].stores[last].rel.clone();
+    apply_read_effects(g, h.tid, id, last, order);
     let new = f(old);
     // The RMW continues the release sequence of the store it read.
-    apply_write(g, h.tid, addr, new, order, continue_rel);
+    apply_write(g, h.tid, id, new, order, continue_rel);
     sc_post_write(g, h.tid, order);
     g.oplog
         .push(format!("T{} rmw L{lid} {old} -> {new} ({order:?})", h.tid));
@@ -746,7 +746,7 @@ pub(super) fn op_rmw(
 )]
 pub(super) fn op_cas(
     h: &Handle,
-    addr: usize,
+    id: usize,
     init: u64,
     expected: u64,
     new: u64,
@@ -757,14 +757,14 @@ pub(super) fn op_cas(
         return Err(init);
     };
     let g = &mut *g;
-    let lid = ensure_location(g, addr, init);
-    let last = g.mem[&addr].stores.len() - 1;
-    let old = g.mem[&addr].stores[last].val;
+    let lid = ensure_location(g, id, init);
+    let last = g.mem[&id].stores.len() - 1;
+    let old = g.mem[&id].stores[last].val;
     if old == expected {
         sc_pre(g, h.tid, success);
-        let continue_rel = g.mem[&addr].stores[last].rel.clone();
-        apply_read_effects(g, h.tid, addr, last, success);
-        apply_write(g, h.tid, addr, new, success, continue_rel);
+        let continue_rel = g.mem[&id].stores[last].rel.clone();
+        apply_read_effects(g, h.tid, id, last, success);
+        apply_write(g, h.tid, id, new, success, continue_rel);
         sc_post_write(g, h.tid, success);
         g.oplog.push(format!(
             "T{} cas L{lid} {expected} -> {new} ok ({success:?})",
@@ -773,7 +773,7 @@ pub(super) fn op_cas(
         Ok(old)
     } else {
         sc_pre(g, h.tid, failure);
-        apply_read_effects(g, h.tid, addr, last, failure);
+        apply_read_effects(g, h.tid, id, last, failure);
         g.oplog.push(format!(
             "T{} cas L{lid} expected {expected}, found {old} ({failure:?})",
             h.tid
@@ -842,14 +842,14 @@ pub(super) fn op_yield(h: &Handle) {
     let _ = wait_for_turn(&h.shared, g, h.tid);
 }
 
-/// Drop hook: forget a location so address reuse cannot alias. Not a
+/// Drop hook: forget a dropped atomic's location, keyed by its id. Not a
 /// scheduling point (drops must stay branch-free, and may run while the
 /// schedule is aborting).
-pub(super) fn op_forget(h: &Handle, addr: usize) {
+pub(super) fn op_forget(h: &Handle, id: usize) {
     let mut g = lock(&h.shared);
-    g.mem.remove(&addr);
+    g.mem.remove(&id);
     for t in &mut g.threads {
-        t.floors.remove(&addr);
+        t.floors.remove(&id);
     }
 }
 
